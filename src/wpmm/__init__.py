@@ -1,29 +1,10 @@
-"""Projection-free augmented Lagrangian solver built on weak proximal oracles."""
+"""Projection-free augmented Lagrangian solver built on weak proximal oracles.
 
-from .linalg import (
-    ConvergenceError,
-    TruncatedFactors,
-    operator_norm_bound,
-    project_l1_ball,
-    project_simplex,
-    truncated_eigh,
-    truncated_svd,
-)
-from .model import (
-    LinearMap,
-    PrimalPoint,
-    ProblemSpec,
-    SmoothTerm,
-    al_value,
-    alpha_S_strongly_convex,
-    beta_S,
-    k_adjoint,
-    k_apply,
-    objective_h,
-    objective_h_logged,
-    smooth_grad,
-    smooth_value,
-)
+The package root exports what building and solving a problem needs; kernels,
+step-size formulas, harness builders and certificates live in the submodules.
+"""
+
+from .model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
 from .oracles import (
     BoxIndicator,
     DiagOnesIndicator,
@@ -38,55 +19,7 @@ from .oracles import (
     SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
-    beta_hat,
-    p_vector_x,
-    p_vector_y,
-    phi_value,
-    prox_diag_ones,
-    prox_exact,
-    simplex_qp,
-    wpo_compose,
-    wpo_nuclear_ball,
-    wpo_nuclear_reg,
-    wpo_polytope,
-    wpo_spectrahedron,
 )
-from .solver import (
-    Certificate,
-    IterateState,
-    LineSearchError,
-    RunLog,
-    RunRecord,
-    SolverConfig,
-    SolverError,
-    check_linear_decay,
-    check_obj_feas_split,
-    ergodic_bound,
-    line_search_eta,
-    max_dual_step,
-    run,
-    theoretical_eta,
-    wpmm_step,
-)
-from .harness import (
-    CmeConfig,
-    CmeMetrics,
-    GsetGraph,
-    MaxcutMetrics,
-    ReferenceSolution,
-    build_box_toy,
-    build_cme_problem,
-    build_maxcut_problem,
-    gen_cme_instance,
-    gen_er_graph,
-    laplacian,
-    load_cme_instance,
-    load_gset,
-    save_cme_instance,
-    metrics_cme,
-    metrics_maxcut,
-    reference_solution,
-    save_gset,
-)
+from .solver import SolverConfig, SolverError, iterate, run
 
 __version__ = "0.1.0"

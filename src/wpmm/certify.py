@@ -10,27 +10,26 @@ from itertools import product
 import numpy as np
 
 from .harness import build_box_toy, reference_solution
-from .model import PrimalPoint, alpha_S_strongly_convex, beta_S, k_apply, objective_h
+from .model import PrimalPoint, k_apply, objective_h
+from .linalg import project_l1_ball, project_simplex
 from .oracles import (
+    NuclearBallIndicator,
+    NuclearNormReg,
     PolytopeState,
+    SpectrahedronIndicator,
     hypercube_lmo,
     phi_value,
     scaled_simplex_lmo,
-    wpo_nuclear_ball,
-    wpo_nuclear_reg,
     wpo_polytope,
-    wpo_spectrahedron,
 )
-from .linalg import project_l1_ball, project_simplex
 from .solver import (
     Certificate,
     SolverConfig,
     check_linear_decay,
     check_obj_feas_split,
     ergodic_bound,
-    max_dual_step,
     run,
-    theoretical_eta,
+    step_constants,
 )
 
 __all__ = ["suite_oracles", "suite_decay", "suite_ergodic", "run_suites",
@@ -67,6 +66,8 @@ def _rank_targeted_instance(rng, m, n, kind):
 
 
 def _full_prox(kind, center, p, c, param):
+    # reference written out with dense decompositions, independent of the
+    # components' own exact prox
     M = center - p / c
     if kind == "nuclear_reg":
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -82,12 +83,15 @@ def _full_prox(kind, center, p, c, param):
 
 
 def _oracle_output(kind, center, p, c, param, k):
+    m, n = center.shape
     if kind == "nuclear_reg":
-        out = wpo_nuclear_reg(center, p, c, param, k)
-        return out, param * np.linalg.svd(out, compute_uv=False).sum()
-    if kind == "nuclear_ball":
-        return wpo_nuclear_ball(center, p, c, param, k), 0.0
-    return wpo_spectrahedron(center, p, c, param, k), 0.0
+        comp = NuclearNormReg((m, n), param, k)
+    elif kind == "nuclear_ball":
+        comp = NuclearBallIndicator((m, n), param, k)
+    else:
+        comp = SpectrahedronIndicator(m, param, k)
+    out = comp.compute(center.ravel(), p.ravel(), c).reshape(m, n)
+    return out, 0.0 if comp.is_indicator else comp.value(out)
 
 
 def matrix_oracle_audit(kind, trials=30, shape=(12, 10), seed=0,
@@ -159,14 +163,13 @@ def polytope_audit(kind="hypercube", trials=25, seed=0, lam_cap=10.0):
 
 
 def suite_oracles(seed=0):
-    certs = [
+    return [
         matrix_oracle_audit("nuclear_reg", seed=seed),
         matrix_oracle_audit("nuclear_ball", seed=seed + 1),
         matrix_oracle_audit("spectrahedron", seed=seed + 2),
         polytope_audit("hypercube", seed=seed + 3),
         polytope_audit("simplex", seed=seed + 4),
     ]
-    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +178,14 @@ def suite_oracles(seed=0):
 
 def _toy_setup(rho=1.0, iters=300, ref_tol=1e-10):
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    norm_a = spec.A.norm_bound
-    a_s = alpha_S_strongly_convex(spec.f.alpha, rho, norm_a)
-    b_s = beta_S(spec.f.beta, rho, norm_a)
-    mu = max_dual_step(a_s, b_s, 1.0, norm_a)
-    eta = theoretical_eta(a_s, b_s, 1.0, mu, norm_a)
+    consts = step_constants(spec, rho)
+    mu = consts.mu_cap()
     ref = reference_solution(spec, ref_tol, q0=q0, w0=w0, rho=rho)
     config = SolverConfig(rho=rho, mu=mu, iters=iters,
                           step_policy="theoretical", keep_iterates=True)
     log = run(spec, q0, w0, config)
-    return spec, q0, ref, log, dict(rho=rho, mu=mu, eta=eta, a_s=a_s,
-                                    b_s=b_s, norm_a=norm_a)
+    return spec, q0, ref, log, dict(rho=rho, mu=mu, eta=consts.eta(mu),
+                                    a_s=consts.alpha_s, norm_a=consts.norm_a)
 
 
 def suite_decay(seed=0, iters=300):
@@ -195,14 +195,10 @@ def suite_decay(seed=0, iters=300):
     return [cert]
 
 
-def suite_ergodic(seed=0, iters=300, c_dual=None):
+def suite_ergodic(seed=0, iters=300):
     spec, q0, ref, log, c = _toy_setup(iters=iters)
-    # honor an explicitly declared dual bound, else derive c >= 2||w*|| from
-    # the reference run's converged multiplier
-    if c_dual is None:
-        c_dual = log.config.c_dual_bound
-    cdual = (float(c_dual) if c_dual is not None
-             else 2.0 * float(np.linalg.norm(ref.w)) + 0.1)
+    # c >= 2||w*||, from the reference run's converged multiplier
+    cdual = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     d1 = log.records[0].al_value - ref.h_value
     bound = ergodic_bound(cdual, 0.0, d1, spec.f.beta, c["rho"], c["mu"],
                           c["norm_a"], c["a_s"])
@@ -218,6 +214,7 @@ def suite_ergodic(seed=0, iters=300, c_dual=None):
         k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
         worst_h = max(worst_h, h_gap - bound / i)
         worst_k = max(worst_k, k_norm - 2.0 * bound / (cdual * i))
+    # h_gap and k_norm now hold the values at the final ergodic point
     passed = worst_h <= 1e-8 and worst_k <= 1e-8
     ergodic_cert = Certificate(
         "ergodic_rate", passed,
@@ -229,9 +226,6 @@ def suite_ergodic(seed=0, iters=300, c_dual=None):
 
     # objective/feasibility split at the final ergodic point, with the
     # antecedent measured from the run itself
-    qbar = PrimalPoint(rs_x / len(log.iterates), rs_y / len(log.iterates))
-    h_gap = objective_h(spec, qbar) - ref.h_value
-    k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
     delta = max(h_gap + cdual * k_norm + 0.5 * c["rho"] * k_norm**2, 0.0)
     split_cert = check_obj_feas_split(h_gap, cdual, c["rho"], k_norm, delta)
     return [ergodic_cert, split_cert]

@@ -12,6 +12,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -208,7 +209,7 @@ def _rows_from_log(log, trial, variants):
     return rows
 
 
-def _mean_curves(rows, iters):
+def _mean_curves(rows):
     """Across-trial arithmetic-mean curves per variant, from the row tuples."""
     groups = {}
     for trial, t, obj, feas, al, _eta, _el, variant in rows:
@@ -223,6 +224,65 @@ def _mean_curves(rows, iters):
             "al_value": [float(np.mean([v[2] for v in by_t[t]])) for t in ts],
         }
     return curves
+
+
+def _trial_finals(log, variants, measure, **extra):
+    """(variant, final metrics) pairs: ``measure`` applied to each variant's
+    output point, plus ``extra`` and the run's wall time."""
+    finals = []
+    for variant in variants:
+        point = log.mean_point if variant == "mean" else log.last_point
+        finals.append((variant, {**extra, **asdict(measure(point)),
+                                 "wall_time": log.records[-1].elapsed}))
+    return finals
+
+
+def _solve(problem, params, rho, variants):
+    """Solve ``problem = (spec, q0, w0)`` with an experiment's solver
+    settings, tracing the mean iterate when the Mean variant is wanted."""
+    config = SolverConfig(
+        rho=rho, mu=params["mu"], iters=params["iters"],
+        step_policy=params["step_policy"], eta=params["eta"],
+        variant="both" if len(variants) > 1 else variants[0],
+        trace_mean="mean" in variants,
+    )
+    return run(*problem, config)
+
+
+def _run_trials(command, fn, tasks, params, **extra):
+    """Run one trial per task (in a process pool when jobs > 1), merge the
+    ``(rows, finals)`` results and write the outputs: all trace rows in trial
+    order, and per variant the per-trial final metrics with their
+    across-trial means (a per-trial penalty rho is echoed, not averaged).
+    ``extra`` entries are added to the summary."""
+    jobs = params["jobs"]
+    if jobs <= 1 or len(tasks) <= 1:
+        results = [fn(t) for t in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(fn, tasks))
+    rows, finals = [], {}
+    for trial_rows, trial_finals in results:
+        rows.extend(trial_rows)
+        for variant, m in trial_finals:
+            finals.setdefault(variant, []).append(m)
+    final_metrics = {
+        variant: {
+            "per_trial": ms,
+            "mean": {k: float(np.mean([m[k] for m in ms]))
+                     for k in ms[0] if k != "rho"},
+        }
+        for variant, ms in finals.items()
+    }
+    summary = {
+        "command": command,
+        "config": {k: v for k, v in params.items() if not k.startswith("_")},
+        "curves": _mean_curves(rows),
+        "final_metrics": final_metrics,
+        **extra,
+    }
+    _emit_outputs(params["outdir"], rows, summary)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -262,57 +322,23 @@ def _cme_trial(args):
     for variant, rho in plan:
         by_rho.setdefault(rho, []).append(variant)
     for rho, variants in sorted(by_rho.items()):
-        spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat,
-                                         svd_tol=params["svd_tol"])
-        config = SolverConfig(
-            rho=rho, mu=params["mu"], iters=params["iters"],
-            step_policy=params["step_policy"], eta=params["eta"],
-            variant="both" if len(variants) > 1 else variants[0],
-            seed=params["seed"] + trial,
-            trace_mean="mean" in variants,
-        )
-        log = run(spec, q0, w0, config)
+        problem = build_cme_problem(SigmaHat, tau, s, k_hat,
+                                    svd_tol=params["svd_tol"])
+        log = _solve(problem, params, rho, variants)
         rows.extend(_rows_from_log(log, trial, variants))
-        for variant in variants:
-            point = log.mean_point if variant == "mean" else log.last_point
-            m = metrics_cme(point.x.reshape(params["d"], params["d"]),
-                            Sigma, SigmaHat, s)
-            finals.append((variant, {
-                "rho": rho,
-                "normalized_objective": m.normalized_objective,
-                "feasibility_distance": m.feasibility_distance,
-                "recovery_error": m.recovery_error,
-                "wall_time": log.records[-1].elapsed,
-            }))
-    return trial, rows, finals
+        d = params["d"]
+        finals.extend(_trial_finals(
+            log, variants,
+            lambda pt: metrics_cme(pt.x.reshape(d, d), Sigma, SigmaHat, s),
+            rho=rho))
+    return rows, finals
 
 
 def cmd_cme(params):
     plan = _cme_plan(params)
     tasks = [(params, plan, trial) for trial in range(params["trials"])]
-    results = _map_trials(_cme_trial, tasks, params["jobs"])
-
-    rows, finals = [], {}
-    for trial, trial_rows, trial_finals in results:
-        rows.extend(trial_rows)
-        for variant, m in trial_finals:
-            finals.setdefault(variant, []).append(m)
-    summary = {
-        "command": "cme",
-        "config": {k: v for k, v in params.items() if not k.startswith("_")},
-        "plan": [{"variant": v, "rho": r} for v, r in plan],
-        "curves": _mean_curves(rows, params["iters"]),
-        "final_metrics": {
-            variant: {
-                "per_trial": ms,
-                "mean": {k: float(np.mean([m[k] for m in ms]))
-                         for k in ms[0] if k != "rho"},
-            }
-            for variant, ms in finals.items()
-        },
-    }
-    _emit_outputs(params["outdir"], rows, summary)
-    return EXIT_OK
+    return _run_trials("cme", _cme_trial, tasks, params,
+                       plan=[{"variant": v, "rho": r} for v, r in plan])
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +364,12 @@ def _maxcut_trial(args):
                              seed=params["seed"] + trial)
     C = laplacian(graph)
     d = graph.n
-    spec, q0, w0 = build_maxcut_problem(C, params["rank"],
-                                        svd_tol=params["svd_tol"])
     variants = ["mean", "last"] if params["variant"] == "both" else [params["variant"]]
-    config = SolverConfig(
-        rho=params["rho"], mu=params["mu"], iters=params["iters"],
-        step_policy=params["step_policy"], eta=params["eta"],
-        variant=params["variant"], seed=params["seed"] + trial,
-        trace_mean="mean" in variants,
-    )
-    log = run(spec, q0, w0, config)
-    rows = _rows_from_log(log, trial, variants)
-    finals = []
-    for variant in variants:
-        point = log.mean_point if variant == "mean" else log.last_point
-        m = metrics_maxcut(point.x.reshape(d, d), C)
-        finals.append((variant, {
-            "objective": m.objective,
-            "diag_feasibility": m.diag_feasibility,
-            "wall_time": log.records[-1].elapsed,
-        }))
-    return trial, rows, finals
+    problem = build_maxcut_problem(C, params["rank"], svd_tol=params["svd_tol"])
+    log = _solve(problem, params, params["rho"], variants)
+    finals = _trial_finals(
+        log, variants, lambda pt: metrics_maxcut(pt.x.reshape(d, d), C))
+    return _rows_from_log(log, trial, variants), finals
 
 
 def cmd_maxcut(params):
@@ -370,34 +381,7 @@ def cmd_maxcut(params):
         except (OSError, ValueError) as exc:
             raise GraphFileError(str(exc)) from exc
     tasks = [(params, graph, trial) for trial in range(params["trials"])]
-    results = _map_trials(_maxcut_trial, tasks, params["jobs"])
-
-    rows, finals = [], {}
-    for trial, trial_rows, trial_finals in results:
-        rows.extend(trial_rows)
-        for variant, m in trial_finals:
-            finals.setdefault(variant, []).append(m)
-    summary = {
-        "command": "maxcut",
-        "config": {k: v for k, v in params.items() if not k.startswith("_")},
-        "curves": _mean_curves(rows, params["iters"]),
-        "final_metrics": {
-            variant: {
-                "per_trial": ms,
-                "mean": {k: float(np.mean([m[k] for m in ms])) for k in ms[0]},
-            }
-            for variant, ms in finals.items()
-        },
-    }
-    _emit_outputs(params["outdir"], rows, summary)
-    return EXIT_OK
-
-
-def _map_trials(fn, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+    return _run_trials("maxcut", _maxcut_trial, tasks, params)
 
 
 # ---------------------------------------------------------------------------
@@ -461,25 +445,20 @@ def _build_component(doc):
     if kind == "hypercube_polytope":
         dim = int(doc["dim"])
         lo, hi = float(doc.get("lo", 0.0)), float(doc.get("hi", 1.0))
-        start = np.full(dim, lo)
         return PolytopeIndicator(
-            dim, hypercube_lmo(lo, hi), PolytopeState.at_vertex(start),
+            dim, hypercube_lmo(lo, hi), PolytopeState.at_vertex(np.full(dim, lo)),
             lam=doc.get("lambda", 1.0),
-            dist_fn=lambda v, lo=lo, hi=hi: float(
-                np.linalg.norm(v - np.clip(v, lo, hi))),
+            dist_fn=BoxIndicator(dim, lo, hi).distance,
         )
     if kind == "simplex_polytope":
         dim = int(doc["dim"])
         radius = float(doc.get("radius", 1.0))
         start = np.zeros(dim)
         start[0] = radius
-        from .linalg import project_simplex
-
         return PolytopeIndicator(
             dim, scaled_simplex_lmo(radius, dim), PolytopeState.at_vertex(start),
             lam=doc.get("lambda", 1.0),
-            dist_fn=lambda v, r=radius: float(
-                np.linalg.norm(v - project_simplex(v, r))),
+            dist_fn=SimplexIndicator(dim, radius).distance,
         )
     if kind == "product":
         return ProductComponent([_build_component(p) for p in doc["parts"]])
@@ -559,7 +538,6 @@ def cmd_generic(params, problem_path):
             iters=int(merged["iters"]), step_policy=merged["step_policy"],
             eta=merged.get("eta"), variant=merged["variant"],
             lam=float(merged.get("lam", 1.0)),
-            seed=int(merged.get("seed", 0)),
             trace_mean=merged["variant"] in ("mean", "both"),
         )
     except ValueError as exc:
@@ -580,7 +558,7 @@ def cmd_generic(params, problem_path):
         "command": "generic",
         "problem": problem_path,
         "config": dict(merged),
-        "curves": _mean_curves(rows, config.iters),
+        "curves": _mean_curves(rows),
         "final": final,
     }
     _emit_outputs(params["outdir"], rows, summary)
@@ -610,11 +588,10 @@ def cmd_certify(suite, seed):
 
 
 def _add_solver_flags(sub):
+    """Flags of every solving command."""
     sub.add_argument("--config", default=None,
                      help="JSON file with parameter overrides")
     sub.add_argument("--iters", type=int, default=None, help="iteration budget")
-    sub.add_argument("--trials", type=int, default=None,
-                     help="independent repetitions (seed + trial index)")
     sub.add_argument("--rho", type=float, default=None, help="penalty parameter")
     sub.add_argument("--mu", type=float, default=None, help="dual step size")
     sub.add_argument("--eta", type=float, default=None,
@@ -623,14 +600,22 @@ def _add_solver_flags(sub):
                      choices=["theoretical", "line_search", "fixed"])
     sub.add_argument("--variant", default=None,
                      choices=["mean", "last", "both"])
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--outdir", default=None)
+
+
+def _add_experiment_flags(sub):
+    """Solver flags plus the trial, oracle and preset flags of the built-in
+    experiments."""
+    _add_solver_flags(sub)
+    sub.add_argument("--trials", type=int, default=None,
+                     help="independent repetitions (seed + trial index)")
     sub.add_argument("--rank", type=int, default=None,
                      help="oracle rank estimate")
     sub.add_argument("--svd-tol", type=float, default=None,
                      help="truncated decomposition tolerance")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes for the trial loop")
-    sub.add_argument("--outdir", default=None)
     sub.add_argument("--preset", default=None,
                      help="named parameter bundle (paper-cme, paper-maxcut)")
 
@@ -647,7 +632,7 @@ def build_parser():
     cme.add_argument("--r", type=int, default=None, help="ground-truth blocks")
     cme.add_argument("--noise-sigma", type=float, default=None)
     cme.add_argument("--entry-threshold", type=float, default=None)
-    _add_solver_flags(cme)
+    _add_experiment_flags(cme)
 
     mc = subs.add_parser("maxcut", help="Max Cut SDP experiment")
     mc.add_argument("--graph", default=None,
@@ -656,21 +641,11 @@ def build_parser():
                     help="random-graph node count when no file is given")
     mc.add_argument("--random-p", type=float, default=None,
                     help="random-graph edge probability")
-    _add_solver_flags(mc)
+    _add_experiment_flags(mc)
 
     gen = subs.add_parser("generic", help="solve a problem declared in JSON")
     gen.add_argument("problem", help="problem JSON file")
-    gen.add_argument("--config", default=None)
-    gen.add_argument("--iters", type=int, default=None)
-    gen.add_argument("--rho", type=float, default=None)
-    gen.add_argument("--mu", type=float, default=None)
-    gen.add_argument("--eta", type=float, default=None)
-    gen.add_argument("--step-policy", default=None,
-                     choices=["theoretical", "line_search", "fixed"])
-    gen.add_argument("--variant", default=None,
-                     choices=["mean", "last", "both"])
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--outdir", default=None)
+    _add_solver_flags(gen)
 
     cert = subs.add_parser("certify", help="run convergence certificates")
     cert.add_argument("suite", nargs="?", default="all",

@@ -9,9 +9,8 @@ Erdos-Renyi substitutes.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +29,7 @@ from .oracles import (
     L1BallIndicator,
     SpectrahedronIndicator,
 )
-from .solver import (
-    SolverConfig,
-    _build_context,
-    _step,
-    init_state,
-    max_dual_step,
-    theoretical_eta,
-)
-from .model import alpha_S_strongly_convex, beta_S
+from .solver import SolverConfig, iterate, step_constants
 
 __all__ = [
     "CmeConfig",
@@ -47,8 +38,6 @@ __all__ = [
     "MaxcutMetrics",
     "ReferenceSolution",
     "gen_cme_instance",
-    "save_cme_instance",
-    "load_cme_instance",
     "load_gset",
     "save_gset",
     "gen_er_graph",
@@ -159,29 +148,6 @@ def gen_cme_instance(cfg):
     return Sigma, SigmaHat, tau, s
 
 
-def save_cme_instance(path, cfg, Sigma, SigmaHat, tau, s):
-    """Dump a generated instance as JSON: config echo plus dense matrices as
-    nested arrays."""
-    doc = {
-        "config": asdict(cfg),
-        "Sigma": np.asarray(Sigma).tolist(),
-        "SigmaHat": np.asarray(SigmaHat).tolist(),
-        "tau": float(tau),
-        "s": float(s),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_cme_instance(path):
-    """Inverse of save_cme_instance; returns (cfg, Sigma, SigmaHat, tau, s)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cfg = CmeConfig(**doc["config"])
-    return (cfg, np.array(doc["Sigma"]), np.array(doc["SigmaHat"]),
-            doc["tau"], doc["s"])
-
-
 def load_gset(path):
     """Parse a Gset-format graph file: first line ``n m``, then m lines
     ``u v w`` with 1-based vertices and integer weights. Self-loops are
@@ -237,13 +203,13 @@ def save_gset(graph, path):
 
 
 def gen_er_graph(n, p, seed=0, weight=1):
-    """Erdos-Renyi G(n, p) with constant integer edge weights."""
+    """Erdos-Renyi G(n, p) with constant integer edge weights: one uniform
+    draw per vertex pair u < v, pairs taken in row-major order."""
     rng = np.random.default_rng(seed)
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < p:
-                edges.append((u, v, weight))
+    us, vs = np.triu_indices(n, 1)
+    keep = rng.random(us.size) < p
+    edges = [(u + 1, v + 1, weight)
+             for u, v in zip(us[keep].tolist(), vs[keep].tolist())]
     return GsetGraph(n=n, edges=edges)
 
 
@@ -284,7 +250,7 @@ def build_cme_problem(SigmaHat, tau, s, k_hat, svd_tol=1e-9):
     return spec, PrimalPoint(x0, y0), np.zeros(d * d)
 
 
-def build_maxcut_problem(C, k_hat, svd_tol=1e-9, beta_floor=1e-6):
+def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
     """Max Cut semidefinite relaxation: minimize -<C, S> over {PSD, trace d}
     for x coupled through the identity with the unit-diagonal affine set for
     y. The objective is linear, so no curvature parameter is available and
@@ -298,7 +264,7 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9, beta_floor=1e-6):
         raise ValueError("C must be square")
     if float(np.abs(C - C.T).max()) > 1e-10 * max(1.0, float(np.abs(C).max())):
         raise ValueError("C must be symmetric")
-    f = SmoothTerm.linear(-C.ravel(), beta_floor=beta_floor)
+    f = SmoothTerm.linear(-C.ravel())
     A = LinearMap.identity(d * d)
     rx = SpectrahedronIndicator(d, float(d), k_hat, svd_tol=svd_tol)
     ry = DiagOnesIndicator(d)
@@ -307,10 +273,10 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9, beta_floor=1e-6):
     return spec, PrimalPoint(x0.copy(), x0.copy()), np.zeros(d * d)
 
 
-def build_box_toy(a, lo=0.0, hi=1.0, start=None):
+def build_box_toy(a, lo=0.0, hi=1.0):
     """Strongly convex toy: f = 0.5 ||x - a||^2, identity coupling, box
-    indicators on both blocks. Starts at the lower corner unless told
-    otherwise (the box projection of a would already be optimal)."""
+    indicators on both blocks. Starts at the lower corner (the box
+    projection of a would already be optimal)."""
     a = np.asarray(a, dtype=float).ravel()
     n = a.size
     f = SmoothTerm.half_sq_distance(a)
@@ -318,11 +284,7 @@ def build_box_toy(a, lo=0.0, hi=1.0, start=None):
     rx = BoxIndicator(n, lo, hi)
     ry = BoxIndicator(n, lo, hi)
     spec = ProblemSpec(f=f, A=A, rx=rx, ry=ry)
-    if start is None:
-        x0 = rx.lo.copy()
-    else:
-        x0 = np.asarray(start, dtype=float).ravel().copy()
-    return spec, PrimalPoint(x0.copy(), x0.copy()), np.zeros(n)
+    return spec, PrimalPoint(rx.lo.copy(), rx.lo.copy()), np.zeros(n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +334,8 @@ def _objective_fast(spec, q):
     return val
 
 
-def reference_solution(spec, tol, *, q0, w0=None, rho=1.0, mu=None, eta=None,
-                       policy=None, max_iters=1_000_000, check_every=1):
+def reference_solution(spec, tol, *, q0, w0, rho=1.0, mu=None, eta=None,
+                       policy=None, max_iters=1_000_000):
     """High-accuracy reference point via the same solver loop with exact
     full-decomposition prox oracles (lam = 1).
 
@@ -391,59 +353,40 @@ def reference_solution(spec, tol, *, q0, w0=None, rho=1.0, mu=None, eta=None,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if policy not in (None, "theoretical", "fixed", "line_search"):
+        raise ValueError(f"unknown reference policy {policy!r}")
     spec_e = ProblemSpec(f=spec.f, A=spec.A, rx=spec.rx.exact(),
                          ry=spec.ry.exact(), pqg_alpha=spec.pqg_alpha)
-    norm_a = spec_e.A.norm_bound
-    alpha_s = spec_e.pqg_alpha
-    if alpha_s is None and spec_e.f.alpha is not None and spec_e.f.alpha > 0:
-        alpha_s = alpha_S_strongly_convex(spec_e.f.alpha, rho, norm_a)
-    bs = beta_S(spec_e.f.beta, rho, norm_a)
+    consts = step_constants(spec_e, rho)
     if policy is None:
-        policy = "theoretical" if alpha_s is not None else "fixed"
+        policy = "theoretical" if consts.alpha_s is not None else "fixed"
     if policy == "theoretical":
-        if alpha_s is None:
+        if consts.alpha_s is None:
             raise ValueError("theoretical reference steps need curvature")
-        if mu is None:
-            mu = max_dual_step(alpha_s, bs, 1.0, norm_a)
-        if eta is None:
-            eta = theoretical_eta(alpha_s, bs, 1.0, mu, norm_a)
-        config = SolverConfig(rho=rho, mu=mu, iters=1, step_policy="fixed",
-                              eta=eta, variant="last")
-    elif policy == "fixed":
-        mu = 0.2 if mu is None else mu
-        eta = 0.2 if eta is None else eta
-        config = SolverConfig(rho=rho, mu=mu, iters=1, step_policy="fixed",
-                              eta=eta, variant="last")
-    elif policy == "line_search":
-        mu = 0.2 if mu is None else mu
-        config = SolverConfig(rho=rho, mu=mu, iters=1,
-                              step_policy="line_search", eta=eta,
-                              variant="last")
-    else:
-        raise ValueError(f"unknown reference policy {policy!r}")
+        mu = consts.mu_cap() if mu is None else mu
+        eta = consts.eta(mu) if eta is None else eta
+    mu = 0.2 if mu is None else mu
+    if policy == "fixed" and eta is None:
+        eta = 0.2
+    config = SolverConfig(
+        rho=rho, mu=mu, iters=max_iters, eta=eta, variant="last",
+        step_policy="line_search" if policy == "line_search" else "fixed")
 
-    if w0 is None:
-        w0 = np.zeros(spec_e.A.dim_out)
-    state = init_state(spec_e, q0, w0)
-    ctx = _build_context(spec_e, config, rx=state.rx, ry=state.ry)
-
-    h_prev = _objective_fast(spec_e, state.q)
+    h_prev = _objective_fast(spec_e, q0)
     k_norm = np.inf
-    for it in range(1, max_iters + 1):
-        state, info = _step(spec_e, state, ctx)
-        k_norm = info["k_norm"]
-        if it % check_every == 0:
-            h_cur = _objective_fast(spec_e, state.q)
-            if k_norm <= tol and abs(h_cur - h_prev) <= tol:
-                return ReferenceSolution(
-                    q=state.q.copy(),
-                    w=state.w.copy(),
-                    h_value=objective_h(spec_e, state.q),
-                    al_value=al_value(spec_e, state.q, state.w, rho),
-                    iterations=it,
-                    k_norm=k_norm,
-                )
-            h_prev = h_cur
+    for state, step in iterate(spec_e, q0, w0, config):
+        k_norm = step.k_norm
+        h_cur = _objective_fast(spec_e, state.q)
+        if k_norm <= tol and abs(h_cur - h_prev) <= tol:
+            return ReferenceSolution(
+                q=state.q.copy(),
+                w=state.w.copy(),
+                h_value=objective_h(spec_e, state.q),
+                al_value=al_value(spec_e, state.q, state.w, rho),
+                iterations=state.t,
+                k_norm=k_norm,
+            )
+        h_prev = h_cur
     raise RuntimeError(
         f"reference solve did not converge in {max_iters} iterations "
         f"(constraint residual {k_norm:.3e})"

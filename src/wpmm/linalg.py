@@ -2,8 +2,7 @@
 
 Truncated singular-value and symmetric eigenvalue decompositions via Lanczos
 (Golub-Kahan style) iterations with full reorthogonalization, exact sort-based
-projections onto the scaled simplex and the l1 ball, and a power-iteration
-upper estimate of operator norms.
+projections onto the scaled simplex and the l1 ball.
 
 All routines are pure functions of their inputs and deterministic for a fixed
 seed.
@@ -22,7 +21,6 @@ __all__ = [
     "truncated_eigh",
     "project_simplex",
     "project_l1_ball",
-    "operator_norm_bound",
 ]
 
 
@@ -272,35 +270,3 @@ def project_l1_ball(z, s):
         return z.copy()
     return np.sign(z) * project_simplex(np.abs(z), s)
 
-
-def operator_norm_bound(op, iters=100, seed=0):
-    """Upper estimate of the spectral norm of a linear operator.
-
-    Runs power iteration on ``A.T A`` (op must expose ``apply``, ``adjoint``,
-    ``dim_in`` and ``dim_out``) and inflates the best Rayleigh value by a
-    fixed safety factor of 1.01, so downstream step-size formulas never see
-    an underestimate. Monotone nondecreasing in `iters` for a fixed seed.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.dim_in)
-    v /= np.linalg.norm(v)
-    best = 0.0
-    for _ in range(iters):
-        u = np.asarray(op.apply(v), dtype=float)
-        if u.shape != (op.dim_out,):
-            raise ValueError(
-                f"apply returned shape {u.shape}, expected ({op.dim_out},)"
-            )
-        best = max(best, float(u @ u))
-        w = np.asarray(op.adjoint(u), dtype=float)
-        if w.shape != (op.dim_in,):
-            raise ValueError(
-                f"adjoint returned shape {w.shape}, expected ({op.dim_in},)"
-            )
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    return 1.01 * float(np.sqrt(best))

@@ -15,8 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import operator_norm_bound
-
 __all__ = [
     "INDICATOR_RTOL",
     "indicator_tol",
@@ -25,14 +23,12 @@ __all__ = [
     "PrimalPoint",
     "ProblemSpec",
     "k_apply",
-    "k_adjoint",
     "al_value",
     "smooth_value",
     "smooth_grad",
     "beta_S",
     "alpha_S_strongly_convex",
     "objective_h",
-    "objective_h_logged",
 ]
 
 # A point counts as inside an indicator set when its distance to the set is
@@ -104,16 +100,6 @@ class LinearMap:
 
         return cls(apply, adjoint, dim, dim * copies, float(np.sqrt(copies)))
 
-    @classmethod
-    def from_callables(cls, apply, adjoint, dim_in, dim_out, norm_bound=None,
-                       iters=100, seed=0):
-        """Wrap callables; estimates the norm bound by power iteration when
-        it is not supplied."""
-        if norm_bound is None:
-            probe = cls(apply, adjoint, dim_in, dim_out, np.inf)
-            norm_bound = operator_norm_bound(probe, iters=iters, seed=seed)
-        return cls(apply, adjoint, dim_in, dim_out, float(norm_bound))
-
 
 @dataclass
 class SmoothTerm:
@@ -180,16 +166,6 @@ class PrimalPoint:
     def copy(self):
         return PrimalPoint(self.x.copy(), self.y.copy())
 
-    def blend(self, other, eta):
-        """(1 - eta) * self + eta * other."""
-        return PrimalPoint(
-            (1.0 - eta) * self.x + eta * other.x,
-            (1.0 - eta) * self.y + eta * other.y,
-        )
-
-    def norm(self):
-        return float(np.sqrt(self.x @ self.x + self.y @ self.y))
-
 
 @dataclass
 class ProblemSpec:
@@ -235,14 +211,6 @@ def k_apply(spec, q):
     return spec.A.apply(q.x) - q.y
 
 
-def k_adjoint(spec, w):
-    """Adjoint of the constraint map: K^T w = (A^T w, -w)."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.A.dim_out,):
-        raise ValueError(f"multiplier shape {w.shape} != ({spec.A.dim_out},)")
-    return spec.A.adjoint(w), -w
-
-
 def smooth_value(spec, q, w, rho):
     """Smooth part of the augmented Lagrangian:
     f(x) + <w, Kq> + (rho/2) ||Kq||^2. Always finite for finite inputs."""
@@ -277,15 +245,6 @@ def objective_h(spec, q):
     if not np.isfinite(rq):
         return float("inf")
     return float(spec.f.value(q.x)) + rq
-
-
-def objective_h_logged(spec, q):
-    """Objective for logging: indicators that are violated beyond tolerance
-    contribute their distance to the set instead of +inf. Returns
-    ``(value, flagged)`` where flagged marks any such substitution."""
-    vx, fx = spec.rx.logged_value(q.x)
-    vy, fy = spec.ry.logged_value(q.y)
-    return float(spec.f.value(q.x)) + vx + vy, (fx or fy)
 
 
 def beta_S(beta, rho, norm_a):

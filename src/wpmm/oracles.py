@@ -13,13 +13,15 @@ call plus a small simplex QP, with a geometry-dependent lam.
 
 from __future__ import annotations
 
+import copy
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .model import PrimalPoint, indicator_tol, k_apply
+from .model import indicator_tol
 
 __all__ = [
     "OracleError",
@@ -35,16 +37,9 @@ __all__ = [
     "PolytopeState",
     "PolytopeIndicator",
     "ProductComponent",
-    "p_vector_x",
-    "p_vector_y",
     "prox_exact",
-    "wpo_nuclear_reg",
-    "wpo_nuclear_ball",
-    "wpo_spectrahedron",
     "simplex_qp",
     "wpo_polytope",
-    "wpo_compose",
-    "prox_diag_ones",
     "beta_hat",
     "phi_value",
     "hypercube_lmo",
@@ -57,24 +52,7 @@ class OracleError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# linearization vectors and shared helpers
-
-
-def p_vector_x(spec, q, w, mu, rho):
-    """Linearization vector fed to the x-block oracle:
-    grad_x S(q, w) + 2*mu*A^T(Kq) = grad f(x) + A^T(w + (rho + 2 mu) Kq)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    kq = k_apply(spec, q)
-    return spec.f.gradient(q.x) + spec.A.adjoint(w + (rho + 2.0 * mu) * kq)
-
-
-def p_vector_y(spec, q, w, mu, rho):
-    """Linearization vector fed to the y-block oracle:
-    grad_y S(q, w) - 2*mu*Kq = -(w + (rho + 2 mu) Kq)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return -(w + (rho + 2.0 * mu) * k_apply(spec, q))
+# shared helpers
 
 
 def beta_hat(beta_s, mu, norm_a):
@@ -85,9 +63,7 @@ def beta_hat(beta_s, mu, norm_a):
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    out = beta_s + 2.0 * mu * (norm_a + 1.0) ** 2
-    assert out >= beta_s
-    return out
+    return beta_s + 2.0 * mu * (norm_a + 1.0) ** 2
 
 
 def phi_value(reg_value, v, p, center, c, lam=1.0):
@@ -134,11 +110,15 @@ class WpoComponent:
         self.dim = int(dim)
 
     def compute(self, center, p, coeff):
-        """Return a candidate block for the objective Phi_1 at this center."""
-        raise NotImplementedError
+        """Return a candidate block for the objective Phi_1 at this center;
+        by default the exact prox of a component that has one."""
+        return prox_exact(self, center, p, coeff)
 
     def value(self, v):
-        """Regularizer value at v (extended real; indicator tolerance applies)."""
+        """Regularizer value at v (extended real): an indicator is 0 within
+        tolerance of its set and +inf outside."""
+        if self.is_indicator:
+            return 0.0 if self.distance(v) <= indicator_tol(v) else float("inf")
         raise NotImplementedError
 
     def distance(self, v):
@@ -163,8 +143,12 @@ class WpoComponent:
         return self
 
     def exact(self):
-        """Exact-prox equivalent (full decompositions); raises if none exists."""
-        raise OracleError(f"{type(self).__name__} has no exact-prox equivalent")
+        """Exact-prox equivalent (full decompositions); a component whose
+        oracle is its exact prox is its own. Raises if none exists."""
+        if type(self).compute is not WpoComponent.compute:
+            raise OracleError(
+                f"{type(self).__name__} has no exact-prox equivalent")
+        return self
 
 
 class _IndicatorComponent(WpoComponent):
@@ -179,19 +163,8 @@ class _IndicatorComponent(WpoComponent):
     def prox(self, point, scale):
         return self.project(point)
 
-    def compute(self, center, p, coeff):
-        return prox_exact(self, center, p, coeff)
-
     def distance(self, v):
         return float(np.linalg.norm(v - self.project(v)))
-
-    def value(self, v):
-        if self.distance(v) <= indicator_tol(v):
-            return 0.0
-        return float("inf")
-
-    def exact(self):
-        return self
 
 
 class ZeroReg(WpoComponent):
@@ -199,37 +172,27 @@ class ZeroReg(WpoComponent):
 
     constant_on_segments = True
 
-    def compute(self, center, p, coeff):
-        return prox_exact(self, center, p, coeff)
-
     def prox(self, point, scale):
         return np.asarray(point, dtype=float)
 
     def value(self, v):
         return 0.0
 
-    def exact(self):
-        return self
 
-
-class L1BallIndicator(_IndicatorComponent):
+class _RadiusIndicator(_IndicatorComponent):
     def __init__(self, dim, radius):
         super().__init__(dim)
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
 
+
+class L1BallIndicator(_RadiusIndicator):
     def project(self, v):
         return linalg.project_l1_ball(v, self.radius)
 
 
-class SimplexIndicator(_IndicatorComponent):
-    def __init__(self, dim, radius):
-        super().__init__(dim)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-
+class SimplexIndicator(_RadiusIndicator):
     def project(self, v):
         return linalg.project_simplex(v, self.radius)
 
@@ -254,7 +217,9 @@ class DiagOnesIndicator(_IndicatorComponent):
         self.n = int(n)
 
     def project(self, v):
-        return prox_diag_ones(v.reshape(self.n, self.n)).ravel()
+        out = np.array(v, dtype=float).reshape(self.n, self.n)
+        np.fill_diagonal(out, 1.0)
+        return out.ravel()
 
     def distance(self, v):
         d = np.diag(v.reshape(self.n, self.n)) - 1.0
@@ -265,76 +230,13 @@ class DiagOnesIndicator(_IndicatorComponent):
 # matrix oracles (rank-truncated decompositions)
 
 
-def _check_square_symmetric(M, name):
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got {M.shape}")
-    scale = max(1.0, float(np.abs(M).max()))
-    if float(np.abs(M - M.T).max()) > 1e-10 * scale:
-        raise ValueError(f"{name} is asymmetric beyond tolerance")
-
-
-def wpo_nuclear_reg(center, p, c, nu, k, tol=1e-9, seed=0):
-    """Rank-k candidate for the nuclear-norm regularizer nu*||.||_nuc.
-
-    Computes the top-k SVD of M = center - p/c and soft-thresholds the
-    retained singular values by nu/c. Exact (lam = 1) whenever the true prox
-    minimizer has rank <= k.
-    """
-    if c <= 0 or nu <= 0:
-        raise ValueError("c and nu must be positive")
-    M = np.asarray(center, dtype=float) - np.asarray(p, dtype=float) / c
-    fac = linalg.truncated_svd(M, k, tol, seed=seed)
-    kept = np.maximum(fac.sigma - nu / c, 0.0)
-    return (fac.U * kept) @ fac.V.T
-
-
-def wpo_nuclear_ball(center, p, c, tau, k, tol=1e-9, seed=0):
-    """Rank-k candidate for the indicator of the nuclear-norm ball of radius
-    tau: top-k singular values of M = center - p/c are replaced by their l1
-    projection at radius tau."""
-    if c <= 0 or tau <= 0:
-        raise ValueError("c and tau must be positive")
-    M = np.asarray(center, dtype=float) - np.asarray(p, dtype=float) / c
-    fac = linalg.truncated_svd(M, k, tol, seed=seed)
-    sig = linalg.project_l1_ball(fac.sigma, tau)
-    return (fac.U * sig) @ fac.V.T
-
-
-def wpo_spectrahedron(center, p, c, tau, k, tol=1e-9, seed=0):
-    """Rank-k candidate for the indicator of the spectrahedron
-    {X PSD, tr X = tau}: top-k eigenvalues of M = center - p/c are replaced
-    by their simplex projection at radius tau. Output is PSD with trace tau."""
-    if c <= 0 or tau <= 0:
-        raise ValueError("c and tau must be positive")
-    center = np.asarray(center, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _check_square_symmetric(center, "center")
-    _check_square_symmetric(p, "p")
-    M = center - p / c
-    U, lam = linalg.truncated_eigh(M, k, tol, seed=seed)
-    w = linalg.project_simplex(lam, tau)
-    return (U * w) @ U.T
-
-
-def prox_diag_ones(center):
-    """Exact prox (projection) onto matrices with a diagonal of ones: copy
-    the input and overwrite the diagonal. Off-diagonal entries unchanged."""
-    center = np.asarray(center, dtype=float)
-    if center.ndim != 2 or center.shape[0] != center.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {center.shape}")
-    out = center.copy()
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
 class _MatrixComponent(WpoComponent):
-    """Shared plumbing for the rank-truncated matrix oracles.
+    """Shared plumbing for the rank-truncated matrix oracles. A regularizer
+    supplies ``_spectral(s, c)``, its prox on the spectrum of the shifted
+    center at coefficient c; the oracle applies it to the top-k part of the
+    decomposition and the exact prox to the full one."""
 
-    ``dense=True`` switches the decomposition backend from the Lanczos
-    kernels to full dense factorizations (used by exact-prox clones).
-    """
-
-    def __init__(self, shape, k, svd_tol=1e-9, seed=0, dense=False):
+    def __init__(self, shape, k, svd_tol=1e-9):
         rows, cols = shape
         super().__init__(rows * cols)
         if not 1 <= k <= min(rows, cols):
@@ -342,141 +244,92 @@ class _MatrixComponent(WpoComponent):
         self.shape = (int(rows), int(cols))
         self.k = int(k)
         self.svd_tol = float(svd_tol)
-        self.seed = int(seed)
-        self.dense = bool(dense)
 
     def _mat(self, v):
         return np.asarray(v, dtype=float).reshape(self.shape)
 
-    def _top_svd(self, M):
-        if self.dense:
-            U, s, Vt = np.linalg.svd(M, full_matrices=False)
-            return U[:, : self.k], s[: self.k], Vt[: self.k].T
-        fac = linalg.truncated_svd(M, self.k, self.svd_tol, seed=self.seed)
+    def _top(self, M):
+        fac = linalg.truncated_svd(M, self.k, self.svd_tol)
         return fac.U, fac.sigma, fac.V
 
-    def _top_eigh(self, M):
-        if self.dense:
-            lam, U = np.linalg.eigh(0.5 * (M + M.T))
-            idx = np.argsort(lam)[::-1][: self.k]
-            return U[:, idx], lam[idx]
-        return linalg.truncated_eigh(M, self.k, self.svd_tol, seed=self.seed)
+    def _full(self, M):
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        return U, s, Vt.T
+
+    def compute(self, center, p, coeff):
+        U, s, V = self._top(self._mat(center) - self._mat(p) / coeff)
+        return ((U * self._spectral(s, coeff)) @ V.T).ravel()
+
+    def prox(self, point, scale):
+        U, s, V = self._full(self._mat(point))
+        return ((U * self._spectral(s, scale)) @ V.T).ravel()
+
+    def exact(self):
+        """Exact-prox view: the same component with ``compute`` replaced by
+        the full-decomposition prox."""
+        view = copy.copy(self)
+        view.compute = functools.partial(prox_exact, view)
+        return view
 
 
 class NuclearNormReg(_MatrixComponent):
     """nu * ||X||_nuc with a rank-k weak proximal oracle."""
 
-    def __init__(self, shape, nu, k, svd_tol=1e-9, seed=0, dense=False):
-        super().__init__(shape, k, svd_tol, seed, dense)
+    def __init__(self, shape, nu, k, svd_tol=1e-9):
+        super().__init__(shape, k, svd_tol)
         if nu <= 0:
             raise ValueError("nu must be positive")
         self.nu = float(nu)
 
-    def compute(self, center, p, coeff):
-        M = self._mat(center) - self._mat(p) / coeff
-        U, s, V = self._top_svd(M)
-        kept = np.maximum(s - self.nu / coeff, 0.0)
-        return ((U * kept) @ V.T).ravel()
-
-    def prox(self, point, scale):
-        # full soft-thresholding; only meaningful for the dense/exact clone
-        M = self._mat(point)
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        kept = np.maximum(s - self.nu / scale, 0.0)
-        return ((U * kept) @ Vt).ravel()
+    def _spectral(self, s, c):
+        return np.maximum(s - self.nu / c, 0.0)
 
     def value(self, v):
         s = np.linalg.svd(self._mat(v), compute_uv=False)
         return self.nu * float(s.sum())
 
-    def exact(self):
-        return NuclearNormReg(self.shape, self.nu, min(self.shape),
-                              self.svd_tol, self.seed, dense=True)
 
-
-class NuclearBallIndicator(_MatrixComponent):
+class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
     """Indicator of {X : ||X||_nuc <= tau} with a rank-k oracle."""
 
-    is_indicator = True
-    constant_on_segments = True
-
-    def __init__(self, shape, tau, k, svd_tol=1e-9, seed=0, dense=False):
-        super().__init__(shape, k, svd_tol, seed, dense)
+    def __init__(self, shape, tau, k, svd_tol=1e-9):
+        super().__init__(shape, k, svd_tol)
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
 
-    def compute(self, center, p, coeff):
-        M = self._mat(center) - self._mat(p) / coeff
-        U, s, V = self._top_svd(M)
-        sig = linalg.project_l1_ball(s, self.tau)
-        return ((U * sig) @ V.T).ravel()
+    def _spectral(self, s, c):
+        return linalg.project_l1_ball(s, self.tau)
 
     def project(self, v):
-        M = self._mat(v)
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        sig = linalg.project_l1_ball(s, self.tau)
-        return ((U * sig) @ Vt).ravel()
-
-    def prox(self, point, scale):
-        return self.project(point)
-
-    def distance(self, v):
-        return float(np.linalg.norm(v - self.project(v)))
-
-    def value(self, v):
-        if self.distance(v) <= indicator_tol(v):
-            return 0.0
-        return float("inf")
-
-    def exact(self):
-        return NuclearBallIndicator(self.shape, self.tau, min(self.shape),
-                                    self.svd_tol, self.seed, dense=True)
+        return self.prox(v, 1.0)
 
 
-class SpectrahedronIndicator(_MatrixComponent):
-    """Indicator of {X PSD, tr X = tau} with a rank-k oracle."""
+class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
+    """Indicator of {X PSD, tr X = tau} with a rank-k oracle. Both
+    decompositions see only the symmetric part of their input, which is all
+    the prox over symmetric matrices depends on; this also sheds the
+    roundoff-level asymmetry that accumulates over many iterations."""
 
-    is_indicator = True
-    constant_on_segments = True
-
-    def __init__(self, n, tau, k, svd_tol=1e-9, seed=0, dense=False):
-        super().__init__((n, n), k, svd_tol, seed, dense)
+    def __init__(self, n, tau, k, svd_tol=1e-9):
+        super().__init__((n, n), k, svd_tol)
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
 
-    def compute(self, center, p, coeff):
-        M = self._mat(center) - self._mat(p) / coeff
-        # the prox over symmetric matrices only sees the symmetric part of
-        # the shifted center; this also sheds roundoff-level asymmetry that
-        # accumulates over many iterations
-        M = 0.5 * (M + M.T)
-        U, lam = self._top_eigh(M)
-        w = linalg.project_simplex(lam, self.tau)
-        return ((U * w) @ U.T).ravel()
+    def _top(self, M):
+        U, lam = linalg.truncated_eigh(0.5 * (M + M.T), self.k, self.svd_tol)
+        return U, lam, U
 
-    def project(self, v):
-        M = self._mat(v)
+    def _full(self, M):
         lam, U = np.linalg.eigh(0.5 * (M + M.T))
-        w = linalg.project_simplex(lam, self.tau)
-        return ((U * w) @ U.T).ravel()
+        return U, lam, U
 
-    def prox(self, point, scale):
-        return self.project(point)
+    def _spectral(self, lam, c):
+        return linalg.project_simplex(lam, self.tau)
 
-    def distance(self, v):
-        return float(np.linalg.norm(v - self.project(v)))
-
-    def value(self, v):
-        if self.distance(v) <= indicator_tol(v):
-            return 0.0
-        return float("inf")
-
-    def exact(self):
-        n = self.shape[0]
-        return SpectrahedronIndicator(n, self.tau, n, self.svd_tol,
-                                      self.seed, dense=True)
+    def project(self, v):
+        return self.prox(v, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +414,17 @@ def simplex_qp(M, p, center, c, tol=1e-12, max_iters=10000, init=None):
 PRUNE_TOL = 1e-12
 
 
+def _pruned_state(vertices, weights):
+    """State over the vertices whose weight exceeds PRUNE_TOL (the heaviest
+    one if none does), with the kept weights renormalized."""
+    keep = weights > PRUNE_TOL
+    if not keep.any():
+        keep[int(np.argmax(weights))] = True
+    kept = weights[keep]
+    return PolytopeState([v for v, k in zip(vertices, keep) if k],
+                         kept / kept.sum())
+
+
 def wpo_polytope(state, p, center, c, lmo):
     """Polytope weak proximal oracle: one LMO call plus a simplex QP.
 
@@ -586,16 +450,7 @@ def wpo_polytope(state, p, center, c, lmo):
     M = np.column_stack(vertices)
     init = np.append(state.weights, 0.0)
     gamma = simplex_qp(M, p, center, c, init=init)
-    v = M @ gamma
-
-    keep = gamma > PRUNE_TOL
-    if not keep.any():
-        keep[int(np.argmax(gamma))] = True
-    kept_w = gamma[keep]
-    new_state = PolytopeState(
-        [vertices[i] for i in np.nonzero(keep)[0]], kept_w / kept_w.sum()
-    )
-    return v, new_state
+    return M @ gamma, _pruned_state(vertices, gamma)
 
 
 class PolytopeIndicator(WpoComponent):
@@ -652,33 +507,17 @@ class PolytopeIndicator(WpoComponent):
         if self._pending is None:
             return
         merged = {}
-        for vert, w in zip(self.state.vertices, self.state.weights):
-            merged[vert.tobytes()] = [vert, (1.0 - eta) * w]
-        for vert, w in zip(self._pending.vertices, self._pending.weights):
-            key = vert.tobytes()
-            if key in merged:
-                merged[key][1] += eta * w
-            else:
-                merged[key] = [vert, eta * w]
-        verts = [item[0] for item in merged.values()]
-        weights = np.array([item[1] for item in merged.values()])
-        keep = weights > PRUNE_TOL
-        if not keep.any():
-            keep[int(np.argmax(weights))] = True
-        verts = [v for v, k in zip(verts, keep) if k]
-        weights = weights[keep]
-        self.state = PolytopeState(verts, weights / weights.sum())
+        for state, scale in ((self.state, 1.0 - eta), (self._pending, eta)):
+            for vert, w in zip(state.vertices, state.weights):
+                merged.setdefault(vert.tobytes(), [vert, 0.0])[1] += scale * w
+        self.state = _pruned_state([vert for vert, _ in merged.values()],
+                                   np.array([w for _, w in merged.values()]))
         self._pending = None
 
     def distance(self, v):
         if self.dist_fn is not None:
             return float(self.dist_fn(v))
         return 0.0
-
-    def value(self, v):
-        if self.distance(v) <= indicator_tol(v):
-            return 0.0
-        return float("inf")
 
 
 def hypercube_lmo(lo, hi):
@@ -705,14 +544,6 @@ def scaled_simplex_lmo(radius, dim):
 
 # ---------------------------------------------------------------------------
 # block composition
-
-
-def wpo_compose(vx, lx, vy, ly):
-    """Combine per-block candidates into a primal point; the composed oracle
-    parameter is max(lx, ly)."""
-    if lx < 1 or ly < 1:
-        raise ValueError("oracle parameters must be >= 1")
-    return PrimalPoint(np.asarray(vx, dtype=float), np.asarray(vy, dtype=float)), max(lx, ly)
 
 
 class ProductComponent(WpoComponent):

@@ -7,6 +7,13 @@ ascend the multiplier along the constraint residual. Step sizes come either
 from the curvature-based formulas, from a fixed user value, or from an exact
 line search over the combination parameter.
 
+``iterate(spec, q0, w0, config)`` is that loop: it yields the live
+``IterateState`` and a ``Step`` record (eta used, line-search fallback,
+constraint residual norm) after each of ``config.iters`` steps. ``run`` drives
+it and logs every iteration; the reference solver in ``harness`` drives it
+with exact oracles and its own stopping rule. ``step_constants`` holds the
+curvature constants all step sizes derive from.
+
 Also houses the runtime convergence certificates: per-iteration linear decay
 of the augmented-Lagrangian gap, the objective/feasibility split, and the
 ergodic O(1/T) bound.
@@ -16,8 +23,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .model import (
     beta_S,
     indicator_tol,
     k_apply,
+    smooth_grad,
 )
 from .oracles import beta_hat
 
@@ -38,12 +46,14 @@ __all__ = [
     "RunRecord",
     "RunLog",
     "Certificate",
+    "Step",
+    "StepConstants",
+    "step_constants",
     "theoretical_eta",
     "max_dual_step",
     "ergodic_bound",
     "line_search_eta",
-    "wpmm_step",
-    "init_state",
+    "iterate",
     "run",
     "check_linear_decay",
     "check_obj_feas_split",
@@ -126,7 +136,8 @@ class SolverConfig:
     checked against max_dual_step), "fixed" (eta required), or "line_search"
     (oracle still receives the base eta -- the configured value, or the
     theoretical one when available -- and the combination parameter is then
-    optimized exactly over [0, 1]).
+    optimized exactly over [0, 1]). The curvature-based steps assume the
+    oracle parameter max(lam, rx.lam, ry.lam).
     """
 
     rho: float
@@ -136,8 +147,6 @@ class SolverConfig:
     eta: Optional[float] = None
     variant: str = "both"  # mean | last | both
     lam: float = 1.0
-    c_dual_bound: Optional[float] = None
-    seed: int = 0
     keep_iterates: bool = False
     trace_mean: bool = False
 
@@ -150,9 +159,8 @@ class SolverConfig:
             raise ValueError("iters must be nonnegative")
         if self.step_policy not in ("theoretical", "line_search", "fixed"):
             raise ValueError(f"unknown step policy {self.step_policy!r}")
-        if self.step_policy == "fixed":
-            if self.eta is None or not 0.0 < self.eta <= 1.0:
-                raise ValueError("fixed policy needs eta in (0, 1]")
+        if self.step_policy == "fixed" and self.eta is None:
+            raise ValueError("fixed policy needs eta in (0, 1]")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.variant not in ("mean", "last", "both"):
@@ -200,20 +208,6 @@ class RunLog:
     config: SolverConfig
     iterates: Optional[list] = None
 
-    def to_json_dict(self):
-        cfg = asdict(self.config)
-        doc = {
-            "config": cfg,
-            "records": [asdict(r) for r in self.records],
-            "last_x": self.last_point.x.tolist(),
-            "last_y": self.last_point.y.tolist(),
-            "w_final": self.w_final.tolist(),
-        }
-        if self.mean_point is not None:
-            doc["mean_x"] = self.mean_point.x.tolist()
-            doc["mean_y"] = self.mean_point.y.tolist()
-        return doc
-
 
 @dataclass
 class Certificate:
@@ -230,73 +224,73 @@ class Certificate:
 # step machinery
 
 
-@dataclass
-class _StepContext:
-    rho: float
-    mu: float
-    lam: float
-    base_eta: float
-    coeff: float
-    beta_s: float
+@dataclass(frozen=True)
+class StepConstants:
+    """Curvature constants behind the step-size formulas for one problem at
+    one penalty value. ``alpha_s`` is None when the problem carries no
+    curvature parameter; ``lam`` is the oracle parameter the steps assume."""
+
     alpha_s: Optional[float]
-    policy: str
-    rx: object
-    ry: object
+    beta_s: float
+    norm_a: float
+    lam: float
+
+    def mu_cap(self):
+        """Largest dual step admitted by the rate guarantee."""
+        return max_dual_step(self.alpha_s, self.beta_s, self.lam, self.norm_a)
+
+    def eta(self, mu):
+        """Curvature-based primal step for dual step mu."""
+        return theoretical_eta(self.alpha_s, self.beta_s, self.lam, mu,
+                               self.norm_a)
 
 
-def _resolve_alpha_s(spec, config, norm_a):
-    if spec.pqg_alpha is not None:
-        return spec.pqg_alpha
-    if spec.f.alpha is not None and spec.f.alpha > 0:
-        return alpha_S_strongly_convex(spec.f.alpha, config.rho, norm_a)
-    return None
-
-
-def _build_context(spec, config, rx=None, ry=None):
+def step_constants(spec, rho, lam=1.0):
+    """Step constants of ``spec`` at penalty rho. The oracle parameter is the
+    largest of ``lam`` and the two components' declared ``lam``, so a weak
+    oracle always gets the smaller steps its guarantee needs."""
     norm_a = spec.A.norm_bound
-    bs = beta_S(spec.f.beta, config.rho, norm_a)
-    alpha_s = _resolve_alpha_s(spec, config, norm_a)
-    policy = config.step_policy
+    if spec.pqg_alpha is not None:
+        alpha_s = spec.pqg_alpha
+    elif spec.f.alpha is not None and spec.f.alpha > 0:
+        alpha_s = alpha_S_strongly_convex(spec.f.alpha, rho, norm_a)
+    else:
+        alpha_s = None
+    return StepConstants(alpha_s, beta_S(spec.f.beta, rho, norm_a), norm_a,
+                         max(lam, spec.rx.lam, spec.ry.lam))
 
+
+def _base_step(spec, config):
+    """(eta, coeff): the base primal step of the configured policy and the
+    oracle coefficient eta * beta_hat."""
+    consts = step_constants(spec, config.rho, config.lam)
+    policy = config.step_policy
     if policy == "fixed":
         base = config.eta
     elif policy == "theoretical":
-        if alpha_s is None:
+        if consts.alpha_s is None:
             raise ValueError(
                 "theoretical step policy needs a curvature parameter "
                 "(pqg_alpha or a strongly convex smooth term)"
             )
-        mu_cap = max_dual_step(alpha_s, bs, config.lam, norm_a)
+        mu_cap = consts.mu_cap()
         if config.mu > mu_cap * (1.0 + 1e-12):
             raise ValueError(
                 f"mu={config.mu:g} exceeds the dual step bound {mu_cap:g} "
                 "required by the theoretical policy"
             )
-        base = theoretical_eta(alpha_s, bs, config.lam, config.mu, norm_a)
+        base = consts.eta(config.mu)
     else:  # line_search
         if config.eta is not None:
             base = config.eta
-        elif alpha_s is not None:
-            base = theoretical_eta(alpha_s, bs, config.lam, config.mu, norm_a)
+        elif consts.alpha_s is not None:
+            base = consts.eta(config.mu)
         else:
             raise ValueError(
                 "line_search policy needs either eta or a curvature parameter "
                 "for the oracle's base step"
             )
-
-    coeff = base * beta_hat(bs, config.mu, norm_a)
-    return _StepContext(
-        rho=config.rho,
-        mu=config.mu,
-        lam=config.lam,
-        base_eta=base,
-        coeff=coeff,
-        beta_s=bs,
-        alpha_s=alpha_s,
-        policy=policy,
-        rx=rx if rx is not None else spec.rx,
-        ry=ry if ry is not None else spec.ry,
-    )
+    return base, base * beta_hat(consts.beta_s, config.mu, consts.norm_a)
 
 
 def line_search_eta(spec, q, v, w, mu, rho, base_eta=None):
@@ -361,73 +355,84 @@ def line_search_eta(spec, q, v, w, mu, rho, base_eta=None):
     return best
 
 
-def init_state(spec, q0, w0):
-    """Fresh iterate state with run-owned oracle instances."""
-    zero = PrimalPoint(np.zeros_like(q0.x), np.zeros_like(q0.y))
-    return IterateState(
-        q=q0.copy(),
-        w=np.asarray(w0, dtype=float).copy(),
-        running_sum=zero,
-        t=0,
-        rx=spec.rx.for_run(q0.x),
-        ry=spec.ry.for_run(q0.y),
-    )
+class Step(NamedTuple):
+    """What one iteration did: the primal step taken, whether line search
+    fell back to the base step, and ||K q|| at the new point."""
+
+    eta: float
+    fallback: bool
+    k_norm: float
 
 
-def _step(spec, state, ctx):
+def _step(spec, state, config, base_eta, coeff):
+    # a plain function, not inlined into the generator: its block-sized
+    # temporaries are freed before the caller sees the new state
     q, w = state.q, state.w
-    kq = spec.A.apply(q.x) - q.y
-    r = w + (ctx.rho + 2.0 * ctx.mu) * kq
-    px = spec.f.gradient(q.x) + spec.A.adjoint(r)
-    py = -r
-
+    px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
     try:
-        vx = ctx.rx.compute(q.x, px, ctx.coeff)
-        vy = ctx.ry.compute(q.y, py, ctx.coeff)
+        vx = state.rx.compute(q.x, px, coeff)
+        vy = state.ry.compute(q.y, py, coeff)
     except Exception as exc:
         raise SolverError(
             f"oracle failure at iteration {state.t}: {exc}", iteration=state.t
         ) from exc
     v = PrimalPoint(np.asarray(vx, dtype=float), np.asarray(vy, dtype=float))
 
-    eta = ctx.base_eta
+    eta = base_eta
     fallback = False
-    if ctx.policy == "line_search":
+    if config.step_policy == "line_search":
         try:
-            eta = line_search_eta(spec, q, v, w, ctx.mu, ctx.rho,
-                                  base_eta=ctx.base_eta)
+            eta = line_search_eta(spec, q, v, w, config.mu, config.rho,
+                                  base_eta=base_eta)
         except LineSearchError:
-            eta = ctx.base_eta
             fallback = True
 
     xn = (1.0 - eta) * q.x + eta * v.x
     yn = (1.0 - eta) * q.y + eta * v.y
-    ctx.rx.commit(eta)
-    ctx.ry.commit(eta)
+    state.rx.commit(eta)
+    state.ry.commit(eta)
     kqn = spec.A.apply(xn) - yn
     state.q = PrimalPoint(xn, yn)
-    state.w = w + ctx.mu * kqn
+    state.w = w + config.mu * kqn
     state.running_sum.x += xn
     state.running_sum.y += yn
     state.t += 1
-    info = {"eta": eta, "fallback": fallback,
-            "k_norm": float(np.linalg.norm(kqn))}
-    return state, info
+    return Step(eta, fallback, float(np.linalg.norm(kqn)))
 
 
-def wpmm_step(spec, state, config):
-    """One full primal + dual update on the given state (advanced in place
-    and returned). The oracles are invoked exactly once with the
-    linearization vectors and the coefficient base_eta * beta_hat."""
-    ctx = _build_context(spec, config, rx=state.rx, ry=state.ry)
-    state, _ = _step(spec, state, ctx)
-    return state
+def iterate(spec, q0, w0, config):
+    """Step the solver ``config.iters`` times from (q0, w0), yielding
+    ``(state, step)`` after each iteration. The start point and the step
+    sizes are checked before this returns. ``state`` is advanced in place by
+    the next step; oracle failures raise SolverError."""
+    for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
+        dist = comp.distance(block)
+        if dist > indicator_tol(block):
+            raise ValueError(
+                f"{name} lies outside the regularizer domain (distance {dist:g})"
+            )
+    state = IterateState(
+        q=q0.copy(),
+        w=np.asarray(w0, dtype=float).copy(),
+        running_sum=PrimalPoint(np.zeros_like(q0.x), np.zeros_like(q0.y)),
+        rx=spec.rx.for_run(q0.x),
+        ry=spec.ry.for_run(q0.y),
+    )
+    base_eta, coeff = _base_step(spec, config)
+
+    def steps():
+        for _ in range(config.iters):
+            step = _step(spec, state, config, base_eta, coeff)
+            yield state, step
+
+    return steps()
 
 
 def _log_eval(spec, q, w, rho):
     """(objective, flagged, al_value) computed with one regularizer
-    evaluation per block; numerically identical to objective_h_logged and
-    al_value for feasible iterates."""
+    evaluation per block. A violated indicator contributes its distance to
+    the set instead of +inf and flags the objective; the AL value is then
+    +inf."""
     fval = float(spec.f.value(q.x))
     vx, fx = spec.rx.logged_value(q.x)
     vy, fy = spec.ry.logged_value(q.y)
@@ -440,46 +445,30 @@ def _log_eval(spec, q, w, rho):
     return obj, False, al
 
 
-def _check_domain(spec, q0):
-    for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
-        dist = comp.distance(block)
-        if dist > indicator_tol(block):
-            raise ValueError(
-                f"{name} lies outside the regularizer domain (distance {dist:g})"
-            )
-
-
 def run(spec, q0, w0, config):
     """Execute ``config.iters`` solver steps from (q0, w0) and log every
     iteration. The Mean output is the average of the post-step iterates, the
     Last output is the final iterate; both are recorded regardless of which
     variant the caller plans to read, except that an empty run has no mean."""
-    _check_domain(spec, q0)
-    w0 = np.asarray(w0, dtype=float)
-    T = config.iters
-    if T == 0:
-        if config.variant in ("mean", "both"):
-            raise ValueError("mean output undefined for an empty run")
-        return RunLog([], q0.copy(), None, w0.copy(), config,
-                      iterates=[] if config.keep_iterates else None)
-
-    state = init_state(spec, q0, w0)
-    ctx = _build_context(spec, config, rx=state.rx, ry=state.ry)
+    steps = iterate(spec, q0, w0, config)
+    if config.iters == 0 and config.variant in ("mean", "both"):
+        raise ValueError("mean output undefined for an empty run")
     records = []
     iterates = [] if config.keep_iterates else None
+    q, w, mean_point = q0, np.asarray(w0, dtype=float), None
     start = time.perf_counter()
     try:
-        for _ in range(T):
-            state, info = _step(spec, state, ctx)
+        for state, step in steps:
+            q, w = state.q, state.w
             obj, flagged, alv = _log_eval(spec, state.q, state.w, config.rho)
             rec = RunRecord(
                 t=state.t,
                 objective=obj,
                 objective_flagged=flagged,
-                feasibility=info["k_norm"],
+                feasibility=step.k_norm,
                 al_value=alv,
-                eta_used=info["eta"],
-                eta_fallback=info["fallback"],
+                eta_used=step.eta,
+                eta_fallback=step.fallback,
                 elapsed=time.perf_counter() - start,
             )
             if config.trace_mean:
@@ -493,12 +482,13 @@ def run(spec, q0, w0, config):
             if iterates is not None:
                 iterates.append(state.q.copy())
     except SolverError as exc:
-        exc.partial_log = RunLog(records, state.q.copy(), None,
-                                 state.w.copy(), config, iterates=iterates)
+        exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config,
+                                 iterates=iterates)
         raise
-
-    mean_point = PrimalPoint(state.running_sum.x / T, state.running_sum.y / T)
-    return RunLog(records, state.q.copy(), mean_point, state.w.copy(), config,
+    if records:
+        mean_point = PrimalPoint(state.running_sum.x / state.t,
+                                 state.running_sum.y / state.t)
+    return RunLog(records, q.copy(), mean_point, w.copy(), config,
                   iterates=iterates)
 
 

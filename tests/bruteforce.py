@@ -156,3 +156,15 @@ def dykstra_two_sets(z, project_a, project_b, iters=5000, tol=1e-12):
             break
         x = x_new
     return x
+
+
+def er_graph_loop(n, p, seed=0, weight=1):
+    """Erdos-Renyi G(n, p) edge list drawn pair by pair: one scalar uniform
+    draw per vertex pair u < v in row-major order, 1-based vertices."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p:
+                edges.append((u, v, weight))
+    return edges

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from wpmm.cli import (
     main,
 )
 from wpmm.harness import gen_er_graph, save_gset
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -331,3 +335,34 @@ def test_csv_floats_roundtrip(tmp_path):
         # 17 significant digits survive a float round trip exactly
         val = float(r[2])
         assert f"{val:.17g}" == r[2]
+
+
+# ---------------------------------------------------------------------------
+# golden traces: recorded runs that every later change must reproduce
+
+
+GOLDEN = {
+    "cme": ("golden_cme_d12.csv", ["cme", "--d", "12", "--iters", "10"]),
+    "maxcut": ("golden_maxcut_n20.csv",
+               ["maxcut", "--random-n", "20", "--iters", "10"]),
+    # the test_generic_polytope_intersection problem
+    "polytope": ("golden_polytope2.csv",
+                 ["generic", str(DATA / "polytope2.json")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_trace_matches_golden(tmp_path, case):
+    name, args = GOLDEN[case]
+    out = tmp_path / "run"
+    assert main(args + ["--outdir", str(out)]) == EXIT_OK
+    header, rows = read_csv(out / "trace.csv")
+    gold_header, gold = read_csv(DATA / name)
+    assert header == gold_header
+    assert len(rows) == len(gold)
+    for got, want in zip(strip_elapsed(rows), strip_elapsed(gold)):
+        # trial, t and variant exactly; the logged floats to rtol 1e-9
+        assert got[:2] + got[-1:] == want[:2] + want[-1:]
+        np.testing.assert_allclose([float(v) for v in got[2:-1]],
+                                   [float(v) for v in want[2:-1]],
+                                   rtol=1e-9, atol=0.0)

@@ -9,9 +9,7 @@ from wpmm.harness import (
     gen_cme_instance,
     gen_er_graph,
     laplacian,
-    load_cme_instance,
     load_gset,
-    save_cme_instance,
     metrics_cme,
     metrics_maxcut,
     reference_solution,
@@ -66,17 +64,6 @@ def test_cme_degenerate_block_errors():
 def test_cme_config_validation():
     with pytest.raises(ValueError):
         CmeConfig(d=2, r=3)
-
-
-def test_cme_instance_dump_roundtrip(tmp_path):
-    cfg = CmeConfig(d=12, r=2, seed=21)
-    Sigma, SigmaHat, tau, s = gen_cme_instance(cfg)
-    path = tmp_path / "inst.json"
-    save_cme_instance(path, cfg, Sigma, SigmaHat, tau, s)
-    cfg2, S2, SH2, tau2, s2 = load_cme_instance(path)
-    assert cfg2 == cfg
-    assert np.array_equal(S2, Sigma) and np.array_equal(SH2, SigmaHat)
-    assert tau2 == tau and s2 == s
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +142,18 @@ def test_laplacian_rows_sum_to_zero_and_psd():
     assert np.abs(C.sum(axis=1)).max() <= 1e-12
     assert np.allclose(C, C.T)
     assert np.linalg.eigvalsh(C).min() >= -1e-9
+
+
+@pytest.mark.parametrize("n,p,seed", [(0, 0.5, 0), (1, 0.5, 0), (2, 1.0, 3),
+                                      (30, 0.2, 1), (57, 0.06, 7),
+                                      (120, 0.5, 11), (200, 0.0, 2)])
+def test_er_graph_matches_pairwise_loop(n, p, seed):
+    from bruteforce import er_graph_loop
+
+    g = gen_er_graph(n, p, seed=seed, weight=2)
+    assert g.n == n
+    assert g.edges == er_graph_loop(n, p, seed=seed, weight=2)
+    assert all(type(x) is int for edge in g.edges for x in edge)
 
 
 def test_laplacian_quadratic_form():

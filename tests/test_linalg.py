@@ -10,7 +10,6 @@ from bruteforce import (
 )
 from wpmm.linalg import (
     ConvergenceError,
-    operator_norm_bound,
     project_l1_ball,
     project_simplex,
     truncated_eigh,
@@ -260,30 +259,18 @@ def test_l1_rejects_bad_radius():
 
 
 # ---------------------------------------------------------------------------
-# operator norm
+# operator norm bounds of the linear-map constructors
 
 
 def test_opnorm_identity():
-    val = operator_norm_bound(LinearMap.identity(4), iters=20)
+    val = LinearMap.identity(4).norm_bound
     assert 1.0 <= val <= 1.01 + 1e-12
 
 
 def test_opnorm_diagonal():
-    val = operator_norm_bound(LinearMap.diagonal([3.0, 1.0]), iters=200)
+    val = LinearMap.diagonal([3.0, 1.0]).norm_bound
     assert 3.0 * (1 - 1e-6) <= val <= 3.0 * 1.01 + 1e-12
 
 
 def test_opnorm_zero():
-    assert operator_norm_bound(LinearMap.zero(3, 5), iters=5) == 0.0
-
-
-def test_opnorm_monotone_in_iters():
-    A = LinearMap.from_dense(np.random.default_rng(11).standard_normal((6, 4)))
-    vals = [operator_norm_bound(A, iters=i, seed=3) for i in (1, 2, 5, 20, 60)]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_opnorm_dimension_mismatch():
-    bad = LinearMap(lambda v: np.zeros(3), lambda w: np.zeros(2), 2, 5, 1.0)
-    with pytest.raises(ValueError):
-        operator_norm_bound(bad, iters=3)
+    assert LinearMap.zero(3, 5).norm_bound == 0.0

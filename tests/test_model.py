@@ -10,15 +10,13 @@ from wpmm.model import (
     al_value,
     alpha_S_strongly_convex,
     beta_S,
-    k_adjoint,
     k_apply,
     objective_h,
-    objective_h_logged,
     smooth_grad,
     smooth_value,
 )
-from wpmm.linalg import operator_norm_bound
 from wpmm.oracles import BoxIndicator, NuclearNormReg, ZeroReg
+from wpmm.solver import SolverConfig, run
 
 
 def zero_smooth(dim):
@@ -38,6 +36,15 @@ def make_spec(dim=2, f=None, A=None, rx=None, ry=None, **kw):
 
 def q_of(x, y):
     return PrimalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def k_adjoint(spec, w):
+    """K^T w = (A^T w, -w), read off the smooth-part gradient of f = 0 at
+    rho = 0."""
+    flat = ProblemSpec(f=zero_smooth(spec.A.dim_in), A=spec.A, rx=spec.rx,
+                       ry=spec.ry)
+    zero = q_of(np.zeros(spec.A.dim_in), np.zeros(spec.A.dim_out))
+    return smooth_grad(flat, zero, np.asarray(w, dtype=float), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_adjoint_identity_random_probes():
         lhs = float(k_apply(spec, q) @ w)
         gx, gy = k_adjoint(spec, w)
         rhs = float(q.x @ gx + q.y @ gy)
-        scale = 1.0 + q.norm() * np.linalg.norm(w)
+        scale = 1.0 + np.sqrt(q.x @ q.x + q.y @ q.y) * np.linalg.norm(w)
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -260,20 +267,42 @@ def test_objective_h_cases():
 
 
 def test_objective_h_logged_substitutes_distance():
-    spec = make_spec(rx=BoxIndicator(2, 0.0, 1.0), ry=ZeroReg(2),
-                     f=zero_smooth(2))
-    val, flagged = objective_h_logged(spec, q_of([2.0, 0.5], [0, 0]))
-    assert flagged and val == pytest.approx(1.0)
-    val, flagged = objective_h_logged(spec, q_of([0.5, 0.5], [0, 0]))
-    assert not flagged and val == pytest.approx(0.0)
+    # the logged objective of an iterate outside an indicator domain is the
+    # distance to the set, flagged, instead of +inf
+    class JumpTo(BoxIndicator):
+        def __init__(self, target):
+            super().__init__(2, 0.0, 1.0)
+            self.target = np.asarray(target, dtype=float)
+
+        def compute(self, center, p, coeff):
+            return self.target.copy()
+
+    config = SolverConfig(rho=1.0, mu=0.1, iters=1, step_policy="fixed",
+                          eta=1.0)
+    q0 = q_of([0.5, 0.5], [0.5, 0.5])
+    for target, flagged, val in (([2.0, 0.5], True, 1.0),
+                                 ([0.5, 0.5], False, 0.0)):
+        spec = make_spec(rx=JumpTo(target), ry=ZeroReg(2), f=zero_smooth(2))
+        rec = run(spec, q0, np.zeros(2), config).records[0]
+        assert rec.objective_flagged == flagged
+        assert rec.objective == pytest.approx(val)
 
 
 def test_linear_map_norm_bound_is_upper_bound():
+    def dense(A):
+        return np.column_stack([A.apply(e) for e in np.eye(A.dim_in)])
+
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        A = LinearMap.from_dense(rng.standard_normal((5, 7)))
-        est = operator_norm_bound(A, iters=100) / 1.01
-        assert A.norm_bound >= est - 1e-9
+    maps = [LinearMap.identity(4), LinearMap.zero(3, 5),
+            LinearMap.diagonal([3.0, -1.0, 0.5]),
+            LinearMap.stacked_identity(3, 4)]
+    maps += [LinearMap.from_dense(rng.standard_normal((5, 7)))
+             for _ in range(5)]
+    for A in maps:
+        assert A.norm_bound >= np.linalg.norm(dense(A), 2)
+    # a spectral gap of 3% that power iteration underestimates
+    A = LinearMap.diagonal(np.r_[1.0, np.full(2999, 0.97)])
+    assert A.norm_bound >= 1.0
 
 
 def test_problem_spec_validates_dimensions():

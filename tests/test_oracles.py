@@ -5,11 +5,12 @@ import pytest
 
 from bruteforce import fd_gradient
 from wpmm.linalg import project_l1_ball, project_simplex
-from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
+from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm, smooth_grad
 from wpmm.oracles import (
     BoxIndicator,
     DiagOnesIndicator,
     L1BallIndicator,
+    NuclearBallIndicator,
     NuclearNormReg,
     OracleError,
     PolytopeIndicator,
@@ -20,18 +21,11 @@ from wpmm.oracles import (
     ZeroReg,
     beta_hat,
     hypercube_lmo,
-    p_vector_x,
-    p_vector_y,
     phi_value,
-    prox_diag_ones,
     prox_exact,
     scaled_simplex_lmo,
     simplex_qp,
-    wpo_compose,
-    wpo_nuclear_ball,
-    wpo_nuclear_reg,
     wpo_polytope,
-    wpo_spectrahedron,
 )
 
 
@@ -42,6 +36,19 @@ def q_of(x, y):
 def zero_smooth(dim):
     return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(dim), beta=1e-6,
                       is_quadratic=True)
+
+
+def matrix_oracle(comp, center, p, c):
+    """A matrix component's candidate for the (center, p, c) prox objective,
+    with matrix-shaped input and output."""
+    out = comp.compute(np.ravel(center), np.ravel(p), c)
+    return out.reshape(np.shape(center))
+
+
+def p_vectors(spec, q, w, mu, rho):
+    """Linearization vectors the solver feeds the oracles: the smooth-part
+    gradient at penalty rho + 2 mu."""
+    return smooth_grad(spec, q, w, rho + 2.0 * mu)
 
 
 def make_spec(dim=2, f=None, A=None):
@@ -61,15 +68,14 @@ def test_p_vectors_at_feasible_point():
     spec = make_spec(f=SmoothTerm.half_sq_distance(np.zeros(2)))
     q = q_of([0.4, -0.1], [0.4, -0.1])
     w = np.array([1.0, 1.0])
-    assert np.allclose(p_vector_x(spec, q, np.zeros(2), 0.5, 1.0), q.x)
-    assert np.allclose(p_vector_y(spec, q, w, 0.5, 1.0), -w)
+    assert np.allclose(p_vectors(spec, q, np.zeros(2), 0.5, 1.0)[0], q.x)
+    assert np.allclose(p_vectors(spec, q, w, 0.5, 1.0)[1], -w)
 
 
 def test_p_vectors_direct_arithmetic():
     spec = make_spec()
     q = q_of([1, 0], [0, 0])
-    px = p_vector_x(spec, q, np.zeros(2), mu=0.5, rho=1.0)
-    py = p_vector_y(spec, q, np.zeros(2), mu=0.5, rho=1.0)
+    px, py = p_vectors(spec, q, np.zeros(2), mu=0.5, rho=1.0)
     assert np.allclose(px, [2.0, 0.0])
     assert np.allclose(py, [-2.0, 0.0])
 
@@ -90,7 +96,7 @@ def test_p_vector_x_is_gradient_of_shifted_smooth_part():
         return (spec.f.value(v) + w @ kv + 0.5 * rho * kv @ kv
                 + mu * kv @ kv)
 
-    px = p_vector_x(spec, q, w, mu, rho)
+    px, _ = p_vectors(spec, q, w, mu, rho)
     assert np.linalg.norm(px - fd_gradient(shifted, q.x)) <= 1e-5 * max(
         1.0, np.linalg.norm(px))
 
@@ -144,14 +150,15 @@ def test_prox_optimality_via_projection_characterization():
 
 
 def test_nuclear_reg_diagonal_soft_threshold():
-    out = wpo_nuclear_reg(np.diag([3.0, 1.0]), np.zeros((2, 2)), c=1.0,
-                          nu=0.5, k=1)
+    out = matrix_oracle(NuclearNormReg((2, 2), nu=0.5, k=1),
+                        np.diag([3.0, 1.0]), np.zeros((2, 2)), c=1.0)
     assert np.allclose(out, np.diag([2.5, 0.0]), atol=1e-9)
 
 
 def test_nuclear_reg_full_thresholding():
     M = np.diag([0.4, 0.2])
-    out = wpo_nuclear_reg(M, np.zeros((2, 2)), c=1.0, nu=1.0, k=2)
+    out = matrix_oracle(NuclearNormReg((2, 2), nu=1.0, k=2), M,
+                        np.zeros((2, 2)), c=1.0)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -160,7 +167,7 @@ def test_nuclear_reg_full_k_matches_dense_prox():
     M = rng.standard_normal((6, 4))
     p = rng.standard_normal((6, 4))
     c, nu = 2.0, 0.7
-    out = wpo_nuclear_reg(M, p, c, nu, k=4)
+    out = matrix_oracle(NuclearNormReg((6, 4), nu, k=4), M, p, c)
     U, s, Vt = np.linalg.svd(M - p / c, full_matrices=False)
     ref = (U * np.maximum(s - nu / c, 0.0)) @ Vt
     assert np.linalg.norm(out - ref) <= 1e-8
@@ -168,13 +175,14 @@ def test_nuclear_reg_full_k_matches_dense_prox():
 
 def test_nuclear_ball_inside_unchanged():
     M = np.diag([0.2, 0.1])
-    out = wpo_nuclear_ball(M, np.zeros((2, 2)), c=1.0, tau=1.0, k=2)
+    out = matrix_oracle(NuclearBallIndicator((2, 2), tau=1.0, k=2), M,
+                        np.zeros((2, 2)), c=1.0)
     assert np.allclose(out, M, atol=1e-9)
 
 
 def test_nuclear_ball_projection_case():
-    out = wpo_nuclear_ball(np.diag([2.0, 0.0]), np.zeros((2, 2)), c=1.0,
-                           tau=1.0, k=1)
+    out = matrix_oracle(NuclearBallIndicator((2, 2), tau=1.0, k=1),
+                        np.diag([2.0, 0.0]), np.zeros((2, 2)), c=1.0)
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-9)
 
 
@@ -183,7 +191,8 @@ def test_nuclear_ball_output_feasible():
     for _ in range(10):
         M = rng.standard_normal((5, 4))
         p = rng.standard_normal((5, 4))
-        out = wpo_nuclear_ball(M, p, c=1.5, tau=2.0, k=3)
+        out = matrix_oracle(NuclearBallIndicator((5, 4), tau=2.0, k=3), M, p,
+                            c=1.5)
         assert np.linalg.svd(out, compute_uv=False).sum() <= 2.0 + 1e-9
 
 
@@ -191,13 +200,14 @@ def test_spectrahedron_fixed_point():
     tau = 2.0
     M = np.zeros((3, 3))
     M[0, 0] = tau
-    out = wpo_spectrahedron(M, np.zeros((3, 3)), c=1.0, tau=tau, k=1)
+    out = matrix_oracle(SpectrahedronIndicator(3, tau, k=1), M,
+                        np.zeros((3, 3)), c=1.0)
     assert np.allclose(out, M, atol=1e-9)
 
 
 def test_spectrahedron_projection_case():
-    out = wpo_spectrahedron(np.diag([2.0, 1.0]), np.zeros((2, 2)), c=1.0,
-                            tau=1.0, k=2)
+    out = matrix_oracle(SpectrahedronIndicator(2, tau=1.0, k=2),
+                        np.diag([2.0, 1.0]), np.zeros((2, 2)), c=1.0)
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-9)
 
 
@@ -208,15 +218,10 @@ def test_spectrahedron_output_feasible():
         M = 0.5 * (M + M.T)
         p = rng.standard_normal((5, 5))
         p = 0.5 * (p + p.T)
-        out = wpo_spectrahedron(M, p, c=2.0, tau=1.5, k=3)
+        out = matrix_oracle(SpectrahedronIndicator(5, tau=1.5, k=3), M, p,
+                            c=2.0)
         assert abs(np.trace(out) - 1.5) <= 1e-9
         assert np.linalg.eigvalsh(out).min() >= -1e-9
-
-
-def test_spectrahedron_rejects_asymmetric():
-    M = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        wpo_spectrahedron(M, np.zeros((2, 2)), 1.0, 1.0, 1)
 
 
 def test_matrix_oracle_rank_bound():
@@ -224,7 +229,8 @@ def test_matrix_oracle_rank_bound():
     M = rng.standard_normal((8, 6))
     p = rng.standard_normal((8, 6))
     for k in (1, 2, 3):
-        out = wpo_nuclear_ball(M, p, c=1.0, tau=5.0, k=k)
+        out = matrix_oracle(NuclearBallIndicator((8, 6), tau=5.0, k=k), M, p,
+                            c=1.0)
         s = np.linalg.svd(out, compute_uv=False)
         assert (s[k:] <= 1e-10 * max(1.0, s[0])).all()
 
@@ -239,7 +245,7 @@ def test_wpo_contract_against_full_prox():
         s = np.linalg.svd(M - p / c, compute_uv=False)
         j = int(rng.integers(1, 4))
         nu = 0.5 * (s[j - 1] + s[j]) * c
-        out = wpo_nuclear_reg(M, p, c, nu, k=j)
+        out = matrix_oracle(NuclearNormReg((9, 7), nu, k=j), M, p, c)
         U, sv, Vt = np.linalg.svd(M - p / c, full_matrices=False)
         full = (U * np.maximum(sv - nu / c, 0.0)) @ Vt
         assert np.linalg.norm(out - full) <= 1e-6 * max(1.0, np.linalg.norm(full))
@@ -401,25 +407,32 @@ def test_polytope_component_commit_blends_support():
 
 
 def test_wpo_compose_max_rule():
-    vx = np.array([1.0])
-    vy = np.array([2.0])
-    q, lam = wpo_compose(vx, 1.0, vy, 1.0)
-    assert lam == 1.0
-    _, lam = wpo_compose(vx, 1.0, vy, 4.0)
-    assert lam == 4.0
+    # composing block oracles: the composed parameter is the largest lam
+    def poly(lam):
+        return PolytopeIndicator(1, hypercube_lmo(0.0, 1.0),
+                                 PolytopeState.at_vertex(np.zeros(1)), lam=lam)
+
+    assert ProductComponent([poly(1.0), BoxIndicator(1, 0.0, 1.0)]).lam == 1.0
+    assert ProductComponent([poly(1.0), poly(4.0)]).lam == 4.0
     with pytest.raises(ValueError):
-        wpo_compose(vx, 0.5, vy, 1.0)
+        poly(0.5)
 
 
 def test_prox_diag_ones():
+    def prox_diag_ones(M):
+        n = M.shape[0]
+        return DiagOnesIndicator(n).project(M.ravel()).reshape(n, n)
+
     M = np.array([[1.0, 0.3], [0.3, 1.0]])
     assert np.array_equal(prox_diag_ones(M), M)
     assert np.array_equal(prox_diag_ones(np.zeros((3, 3))), np.eye(3))
     rng = np.random.default_rng(9)
     X = rng.standard_normal((4, 4))
+    before = X.copy()
     out = prox_diag_ones(X)
     off = ~np.eye(4, dtype=bool)
     assert np.array_equal(out[off], X[off])
+    assert np.array_equal(X, before)  # the input is not overwritten
     with pytest.raises(ValueError):
         prox_diag_ones(np.zeros((2, 3)))
 
@@ -452,11 +465,21 @@ def test_component_logged_value_indicator():
 
 
 def test_exact_clones():
+    # the exact views of the rank-k components compute the full prox
+    rng = np.random.default_rng(10)
+    center, p = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    center, p = center + center.T, p + p.T
     spect = SpectrahedronIndicator(4, 1.0, k=1)
     exact = spect.exact()
-    assert exact.k == 4 and exact.dense
+    assert np.allclose(matrix_oracle(exact, center, p, 2.0).ravel(),
+                       spect.project((center - p / 2.0).ravel()), atol=1e-12)
+    assert exact.for_run(center.ravel()) is exact
     nuc = NuclearNormReg((3, 5), 0.5, k=2)
-    assert nuc.exact().k == 3
+    center, p = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+    U, s, Vt = np.linalg.svd(center - p / 2.0, full_matrices=False)
+    full = (U * np.maximum(s - 0.5 / 2.0, 0.0)) @ Vt
+    assert np.allclose(matrix_oracle(nuc.exact(), center, p, 2.0), full,
+                       atol=1e-12)
     box = BoxIndicator(2, 0.0, 1.0)
     assert box.exact() is box
     state = PolytopeState.at_vertex(np.zeros(2))

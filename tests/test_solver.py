@@ -14,25 +14,38 @@ from wpmm.model import (
     beta_S,
     k_apply,
     objective_h,
+    smooth_grad,
 )
-from wpmm.oracles import BoxIndicator, WpoComponent, ZeroReg
+from wpmm.oracles import (
+    BoxIndicator,
+    PolytopeIndicator,
+    PolytopeState,
+    WpoComponent,
+    ZeroReg,
+    hypercube_lmo,
+)
 from wpmm.solver import (
     SolverConfig,
     SolverError,
     check_linear_decay,
     check_obj_feas_split,
     ergodic_bound,
-    init_state,
+    iterate,
     line_search_eta,
     max_dual_step,
     run,
+    step_constants,
     theoretical_eta,
-    wpmm_step,
 )
 
 
 def q_of(x, y):
     return PrimalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def blend(q, v, eta):
+    """(1 - eta) * q + eta * v."""
+    return q_of((1.0 - eta) * q.x + eta * v.x, (1.0 - eta) * q.y + eta * v.y)
 
 
 def zero_smooth(dim):
@@ -184,7 +197,7 @@ def test_line_search_beats_endpoints():
         eta = line_search_eta(spec, q, v, w, 0.2, 1.0)
 
         def merit(e):
-            qe = q.blend(v, e)
+            qe = blend(q, v, e)
             ke = k_apply(spec, qe)
             return 0.2 * ke @ ke + al_value(spec, qe, w, 1.0)
 
@@ -231,8 +244,7 @@ def test_step_fixed_point_only_advances_counter():
     spec = frozen_spec()
     q0 = q_of([0.5, 0.5], [0.5, 0.5])  # feasible: Kq = 0
     config = SolverConfig(rho=1.0, mu=0.2, iters=1, step_policy="fixed", eta=0.3)
-    state = init_state(spec, q0, np.zeros(2))
-    state = wpmm_step(spec, state, config)
+    state, _ = next(iterate(spec, q0, np.zeros(2), config))
     assert state.t == 1
     assert np.allclose(state.q.x, q0.x) and np.allclose(state.q.y, q0.y)
     assert np.allclose(state.w, 0.0)
@@ -242,8 +254,7 @@ def test_step_dual_update_arithmetic():
     spec = frozen_spec()
     q0 = q_of([1.0, 0.0], [0.0, 0.0])  # Kq stays (1, 0) under frozen oracles
     config = SolverConfig(rho=1.0, mu=0.2, iters=1, step_policy="fixed", eta=0.5)
-    state = init_state(spec, q0, np.zeros(2))
-    state = wpmm_step(spec, state, config)
+    state, _ = next(iterate(spec, q0, np.zeros(2), config))
     assert np.allclose(state.w, [0.2, 0.0])
 
 
@@ -258,13 +269,53 @@ def test_step_convex_combination_stays_feasible():
 def test_dual_update_identity_per_iteration():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     config = SolverConfig(rho=1.0, mu=1e-4, iters=25, step_policy="theoretical")
-    state = init_state(spec, q0, w0)
-    w_prev = state.w.copy()
-    for _ in range(25):
-        state = wpmm_step(spec, state, config)
+    w_prev = w0.copy()
+    for state, step in iterate(spec, q0, w0, config):
         kq = k_apply(spec, state.q)
         assert np.array_equal(state.w, w_prev + config.mu * kq)
+        assert step.k_norm == float(np.linalg.norm(kq))
         w_prev = state.w.copy()
+    assert state.t == 25
+
+
+def test_iterate_checks_inputs_before_stepping():
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    with pytest.raises(ValueError, match="outside"):
+        iterate(spec, q_of([5.0, 5.0], [5.0, 5.0]), w0,
+                SolverConfig(rho=1.0, mu=1e-4, iters=3))
+    with pytest.raises(ValueError, match="dual step bound"):
+        iterate(spec, q0, w0, SolverConfig(rho=1.0, mu=0.2, iters=3))
+
+
+def test_run_logs_what_iterate_yields():
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    config = SolverConfig(rho=1.0, mu=0.2, iters=30, step_policy="line_search",
+                          eta=0.5)
+    steps = [(state.t, step) for state, step in iterate(spec, q0, w0, config)]
+    log = run(spec, q0, w0, config)
+    assert [(r.t, r.eta_used, r.eta_fallback, r.feasibility)
+            for r in log.records] == [(t, *step) for t, step in steps]
+
+
+def test_step_sizes_use_declared_lam():
+    # two polytope blocks declaring lam = 4: the theoretical step is
+    # alpha_s / (2 lam beta_hat) = (1/3) / (2 * 4 * 5.0008)
+    a = np.array([0.8, 0.3, 0.6])
+
+    def hypercube():
+        return PolytopeIndicator(3, hypercube_lmo(0.0, 1.0),
+                                 PolytopeState.at_vertex(np.zeros(3)), lam=4.0)
+
+    spec = ProblemSpec(f=SmoothTerm.half_sq_distance(a),
+                       A=LinearMap.identity(3), rx=hypercube(), ry=hypercube())
+    assert step_constants(spec, 1.0).lam == 4.0
+    log = run(spec, q_of(np.zeros(3), np.zeros(3)), np.zeros(3),
+              SolverConfig(rho=1.0, mu=1e-4, iters=1))
+    assert log.records[0].eta_used == pytest.approx(0.00833, abs=5e-6)
+    assert log.records[0].eta_used == pytest.approx(
+        (1 / 3) / (2 * 4.0 * (5.0 + 2e-4 * 4.0)), rel=1e-12)
+    # an explicit config lam above the declared ones still wins
+    assert step_constants(spec, 1.0, lam=6.0).lam == 6.0
 
 
 def test_oracle_failure_wraps_iteration_index():
@@ -311,8 +362,7 @@ def test_run_requires_feasible_start():
 
 def test_run_deterministic_given_seed():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    config = SolverConfig(rho=1.0, mu=1e-4, iters=30, step_policy="theoretical",
-                          seed=5)
+    config = SolverConfig(rho=1.0, mu=1e-4, iters=30, step_policy="theoretical")
     a = run(spec, q0, w0, config)
     b = run(spec, q0, w0, config)
     for ra, rb in zip(a.records, b.records):
@@ -361,23 +411,22 @@ def test_line_search_dominates_base_step():
     b_s = beta_S(spec.f.beta, rho, norm_a)
     base = theoretical_eta(a_s, b_s, 1.0, mu, norm_a)
 
-    from wpmm.oracles import prox_exact, p_vector_x, p_vector_y
+    from wpmm.oracles import prox_exact
     state_q, w = q0.copy(), w0.copy()
     coeff = base * (b_s + 2 * mu * (norm_a + 1) ** 2)
     for _ in range(15):
-        px = p_vector_x(spec, state_q, w, mu, rho)
-        py = p_vector_y(spec, state_q, w, mu, rho)
+        px, py = smooth_grad(spec, state_q, w, rho + 2 * mu)
         v = PrimalPoint(prox_exact(spec.rx, state_q.x, px, coeff),
                         prox_exact(spec.ry, state_q.y, py, coeff))
         eta = line_search_eta(spec, state_q, v, w, mu, rho, base_eta=base)
 
         def merit(e):
-            qe = state_q.blend(v, e)
+            qe = blend(state_q, v, e)
             ke = k_apply(spec, qe)
             return mu * ke @ ke + al_value(spec, qe, w, rho)
 
         assert merit(eta) <= merit(base) + 1e-12
-        state_q = state_q.blend(v, eta)
+        state_q = blend(state_q, v, eta)
         w = w + mu * k_apply(spec, state_q)
 
 
@@ -451,16 +500,3 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rho=1.0, mu=0.1, iters=1, lam=0.5)
 
-
-def test_run_log_json_roundtrip():
-    import json
-
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    log = run(spec, q0, w0, SolverConfig(rho=1.0, mu=1e-4, iters=5,
-                                         step_policy="theoretical"))
-    doc = log.to_json_dict()
-    text = json.dumps(doc)
-    back = json.loads(text)
-    assert back["config"]["rho"] == 1.0
-    assert len(back["records"]) == 5
-    assert back["last_x"] == list(log.last_point.x)
