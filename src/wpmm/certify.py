@@ -28,6 +28,7 @@ from .solver import (
     check_linear_decay,
     check_obj_feas_split,
     ergodic_bound,
+    iterate,
     run,
     step_constants,
 )
@@ -182,21 +183,21 @@ def _toy_setup(rho=1.0, iters=300, ref_tol=1e-10):
     mu = consts.mu_cap()
     ref = reference_solution(spec, ref_tol, q0=q0, w0=w0, rho=rho)
     config = SolverConfig(rho=rho, mu=mu, iters=iters,
-                          step_policy="theoretical", keep_iterates=True)
+                          step_policy="theoretical")
     log = run(spec, q0, w0, config)
-    return spec, q0, ref, log, dict(rho=rho, mu=mu, eta=consts.eta(mu),
-                                    a_s=consts.alpha_s, norm_a=consts.norm_a)
+    return spec, (q0, w0), ref, log, dict(rho=rho, mu=mu, eta=consts.eta(mu),
+                                          a_s=consts.alpha_s, norm_a=consts.norm_a)
 
 
 def suite_decay(seed=0, iters=300):
-    spec, q0, ref, log, c = _toy_setup(iters=iters)
+    spec, _, ref, log, c = _toy_setup(iters=iters)
     cert = check_linear_decay([r.al_value for r in log.records],
                               ref.h_value, c["eta"])
     return [cert]
 
 
 def suite_ergodic(seed=0, iters=300):
-    spec, q0, ref, log, c = _toy_setup(iters=iters)
+    spec, (q0, w0), ref, log, c = _toy_setup(iters=iters)
     # c >= 2||w*||, from the reference run's converged multiplier
     cdual = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     d1 = log.records[0].al_value - ref.h_value
@@ -206,9 +207,10 @@ def suite_ergodic(seed=0, iters=300):
     worst_h, worst_k = -np.inf, -np.inf
     rs_x = np.zeros_like(q0.x)
     rs_y = np.zeros_like(q0.y)
-    for i, q in enumerate(log.iterates, start=1):
-        rs_x += q.x
-        rs_y += q.y
+    for state, _ in iterate(spec, q0, w0, log.config):
+        i = state.t
+        rs_x += state.q.x
+        rs_y += state.q.y
         qbar = PrimalPoint(rs_x / i, rs_y / i)
         h_gap = objective_h(spec, qbar) - ref.h_value
         k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
@@ -219,7 +221,7 @@ def suite_ergodic(seed=0, iters=300):
     ergodic_cert = Certificate(
         "ergodic_rate", passed,
         details=(f"worst objective slack {worst_h:.2e}, worst feasibility "
-                 f"slack {worst_k:.2e} over T=1..{len(log.iterates)}"),
+                 f"slack {worst_k:.2e} over T=1..{i}"),
         data={"bound": bound, "c": cdual, "d1": d1,
               "worst_h_slack": worst_h, "worst_k_slack": worst_k},
     )

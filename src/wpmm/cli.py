@@ -255,6 +255,8 @@ def _run_trials(command, fn, tasks, params, **extra):
     order, and per variant the per-trial final metrics with their
     across-trial means (a per-trial penalty rho is echoed, not averaged).
     ``extra`` entries are added to the summary."""
+    if params["iters"] < 1:  # the outputs read the final record
+        raise ConfigError("iters must be at least 1")
     jobs = params["jobs"]
     if jobs <= 1 or len(tasks) <= 1:
         results = [fn(t) for t in tasks]
@@ -532,6 +534,8 @@ def cmd_generic(params, problem_path):
                       else "fixed")
     if merged["step_policy"] == "fixed":
         merged.setdefault("eta", 0.2)
+    if int(merged["iters"]) < 1:
+        raise ConfigError("iters must be at least 1")
     try:
         config = SolverConfig(
             rho=float(merged["rho"]), mu=float(merged["mu"]),

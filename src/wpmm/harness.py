@@ -29,7 +29,7 @@ from .oracles import (
     L1BallIndicator,
     SpectrahedronIndicator,
 )
-from .solver import SolverConfig, iterate, step_constants
+from .solver import SolverConfig, iterate, record_values, step_constants
 
 __all__ = [
     "CmeConfig",
@@ -324,16 +324,6 @@ def metrics_maxcut(S, C):
 # reference oracle
 
 
-def _objective_fast(spec, q):
-    # iterates of the reference loop stay feasible by construction; skip the
-    # indicator distance checks and sum only finite regularizer parts
-    val = float(spec.f.value(q.x))
-    for comp, block in ((spec.rx, q.x), (spec.ry, q.y)):
-        if not comp.is_indicator:
-            val += comp.value(block)
-    return val
-
-
 def reference_solution(spec, tol, *, q0, w0, rho=1.0, mu=None, eta=None,
                        policy=None, max_iters=1_000_000):
     """High-accuracy reference point via the same solver loop with exact
@@ -372,11 +362,11 @@ def reference_solution(spec, tol, *, q0, w0, rho=1.0, mu=None, eta=None,
         rho=rho, mu=mu, iters=max_iters, eta=eta, variant="last",
         step_policy="line_search" if policy == "line_search" else "fixed")
 
-    h_prev = _objective_fast(spec_e, q0)
+    h_prev = record_values(spec_e, q0, w0, rho)[0]
     k_norm = np.inf
     for state, step in iterate(spec_e, q0, w0, config):
         k_norm = step.k_norm
-        h_cur = _objective_fast(spec_e, state.q)
+        h_cur = record_values(spec_e, state.q, state.w, rho)[0]
         if k_norm <= tol and abs(h_cur - h_prev) <= tol:
             return ReferenceSolution(
                 q=state.q.copy(),

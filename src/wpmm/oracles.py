@@ -97,7 +97,9 @@ class WpoComponent:
     ----------
     dim : flat dimension of the block.
     lam : declared oracle parameter (>= 1; 1 means exact-prox quality).
-    is_indicator : True when R is a set indicator (value 0 / +inf).
+    is_indicator : True when R is a set indicator (value 0 / +inf). Then
+        ``compute`` must return a point of the set, as the built-in ones do by
+        construction; the solver relies on it unchecked.
     constant_on_segments : True when R is constant along segments inside its
         domain (indicators and the zero regularizer); required by line search.
     """
@@ -460,9 +462,9 @@ class PolytopeIndicator(WpoComponent):
     breaking ties deterministically. ``lam`` is the geometry constant of the
     oracle guarantee; it is instance-dependent and must be configured -- the
     default of 1.0 is used with a warning otherwise. ``dist_fn`` optionally
-    supplies the distance to the polytope for feasibility checks (without it
-    the component reports distance 0, which is correct for points maintained
-    as convex combinations by the solver).
+    supplies the distance to the polytope for the solver's start check and
+    final audit (without it the component reports distance 0, which is
+    correct for points maintained as convex combinations by the solver).
     """
 
     is_indicator = True

@@ -12,7 +12,10 @@ line search over the combination parameter.
 constraint residual norm) after each of ``config.iters`` steps. ``run`` drives
 it and logs every iteration; the reference solver in ``harness`` drives it
 with exact oracles and its own stopping rule. ``step_constants`` holds the
-curvature constants all step sizes derive from.
+curvature constants all step sizes derive from. The iterate stays in its
+indicator domains: ``iterate`` checks the start point and every step mixes it
+with an oracle output, a member by the oracle contract. Line search and
+logging assume this; ``run`` audits it once, on its final record.
 
 Also houses the runtime convergence certificates: per-iteration linear decay
 of the augmented-Lagrangian gap, the objective/feasibility split, and the
@@ -54,6 +57,7 @@ __all__ = [
     "ergodic_bound",
     "line_search_eta",
     "iterate",
+    "record_values",
     "run",
     "check_linear_decay",
     "check_obj_feas_split",
@@ -147,7 +151,6 @@ class SolverConfig:
     eta: Optional[float] = None
     variant: str = "both"  # mean | last | both
     lam: float = 1.0
-    keep_iterates: bool = False
     trace_mean: bool = False
 
     def __post_init__(self):
@@ -206,7 +209,6 @@ class RunLog:
     mean_point: Optional[PrimalPoint]
     w_final: np.ndarray
     config: SolverConfig
-    iterates: Optional[list] = None
 
 
 @dataclass
@@ -297,21 +299,18 @@ def line_search_eta(spec, q, v, w, mu, rho, base_eta=None):
     """Exact step over the segment q -> v for the merit
     mu ||K q(eta)||^2 + L_rho(q(eta), w), eta in [0, 1].
 
-    Requires both endpoints inside every indicator domain so the regularizer
-    is constant along the segment. For quadratic (or linear) f the merit is
-    an exact quadratic in eta, minimized in closed form; otherwise golden
-    section narrows [0, 1] to width 1e-6. Endpoints (and the optional base
-    step) always compete with the interior candidate.
+    Assumes, without checking, both endpoints inside every indicator domain
+    (true of the iterate and an oracle output), so a regularizer constant on
+    segments drops out; any other raises LineSearchError. For quadratic (or
+    linear) f the merit is an exact quadratic in eta, minimized in closed
+    form; otherwise golden section narrows [0, 1] to width 1e-6. Endpoints
+    (and the optional base step) always compete with the interior candidate.
     """
-    for comp, a, b in ((spec.rx, q.x, v.x), (spec.ry, q.y, v.y)):
+    for comp in (spec.rx, spec.ry):
         if not comp.constant_on_segments:
             raise LineSearchError(
                 f"{type(comp).__name__} is not constant along segments"
             )
-        if comp.is_indicator:
-            for pt in (a, b):
-                if comp.distance(pt) > indicator_tol(pt):
-                    raise LineSearchError("segment endpoint outside an indicator domain")
 
     dx = v.x - q.x
     dy = v.y - q.y
@@ -428,39 +427,42 @@ def iterate(spec, q0, w0, config):
     return steps()
 
 
-def _log_eval(spec, q, w, rho):
-    """(objective, flagged, al_value) computed with one regularizer
-    evaluation per block. A violated indicator contributes its distance to
-    the set instead of +inf and flags the objective; the AL value is then
-    +inf."""
+def record_values(spec, q, w, rho, audit=False):
+    """(objective, flagged, al_value) at q as a run record logs them. An
+    iterate lies in its indicator domains, so unless ``audit`` an indicator
+    contributes 0 unchecked and any other regularizer its value. An audit
+    checks each block: a violated indicator contributes its distance to the
+    set instead of +inf and flags the objective; the AL value is then +inf."""
     fval = float(spec.f.value(q.x))
-    vx, fx = spec.rx.logged_value(q.x)
-    vy, fy = spec.ry.logged_value(q.y)
-    flagged = fx or fy
-    obj = fval + vx + vy
-    if flagged:
-        return obj, True, float("inf")
+    if audit:
+        (vx, fx), (vy, fy) = spec.rx.logged_value(q.x), spec.ry.logged_value(q.y)
+        if fx or fy:
+            return fval + vx + vy, True, float("inf")
+    else:
+        vx, vy = (0.0 if comp.is_indicator else comp.value(block)
+                  for comp, block in ((spec.rx, q.x), (spec.ry, q.y)))
     kq = k_apply(spec, q)
     al = fval + float(w @ kq) + 0.5 * rho * float(kq @ kq) + vx + vy
-    return obj, False, al
+    return fval + vx + vy, False, al
 
 
 def run(spec, q0, w0, config):
     """Execute ``config.iters`` solver steps from (q0, w0) and log every
     iteration. The Mean output is the average of the post-step iterates, the
     Last output is the final iterate; both are recorded regardless of which
-    variant the caller plans to read, except that an empty run has no mean."""
+    variant the caller plans to read, except that an empty run has no mean.
+    Only the final record audits domain membership (see ``record_values``)."""
     steps = iterate(spec, q0, w0, config)
     if config.iters == 0 and config.variant in ("mean", "both"):
         raise ValueError("mean output undefined for an empty run")
     records = []
-    iterates = [] if config.keep_iterates else None
     q, w, mean_point = q0, np.asarray(w0, dtype=float), None
     start = time.perf_counter()
     try:
         for state, step in steps:
             q, w = state.q, state.w
-            obj, flagged, alv = _log_eval(spec, state.q, state.w, config.rho)
+            audit = state.t == config.iters
+            obj, flagged, alv = record_values(spec, q, w, config.rho, audit)
             rec = RunRecord(
                 t=state.t,
                 objective=obj,
@@ -474,22 +476,18 @@ def run(spec, q0, w0, config):
             if config.trace_mean:
                 qb = PrimalPoint(state.running_sum.x / state.t,
                                  state.running_sum.y / state.t)
-                mobj, _, mal = _log_eval(spec, qb, state.w, config.rho)
+                mobj, _, mal = record_values(spec, qb, w, config.rho, audit)
                 rec.mean_objective = mobj
                 rec.mean_feasibility = float(np.linalg.norm(k_apply(spec, qb)))
                 rec.mean_al_value = mal
             records.append(rec)
-            if iterates is not None:
-                iterates.append(state.q.copy())
     except SolverError as exc:
-        exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config,
-                                 iterates=iterates)
+        exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config)
         raise
     if records:
         mean_point = PrimalPoint(state.running_sum.x / state.t,
                                  state.running_sum.y / state.t)
-    return RunLog(records, q.copy(), mean_point, w.copy(), config,
-                  iterates=iterates)
+    return RunLog(records, q.copy(), mean_point, w.copy(), config)
 
 
 # ---------------------------------------------------------------------------

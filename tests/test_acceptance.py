@@ -2,6 +2,7 @@
 one PASS line (pytest -s shows them; any failure fails the suite)."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from wpmm.solver import (
     SolverConfig,
     check_linear_decay,
     ergodic_bound,
+    iterate,
     max_dual_step,
     run,
     theoretical_eta,
@@ -68,10 +70,10 @@ def toy_run():
     eta = theoretical_eta(a_s, b_s, 1.0, mu, norm_a)
     ref = reference_solution(spec, 1e-10, q0=q0, w0=w0, rho=rho)
     config = SolverConfig(rho=rho, mu=mu, iters=500,
-                          step_policy="theoretical", keep_iterates=True)
+                          step_policy="theoretical")
     log = run(spec, q0, w0, config)
-    return dict(spec=spec, q0=q0, ref=ref, log=log, rho=rho, mu=mu, eta=eta,
-                a_s=a_s, b_s=b_s, norm_a=norm_a)
+    return dict(spec=spec, q0=q0, w0=w0, config=config, ref=ref, log=log,
+                rho=rho, mu=mu, eta=eta, a_s=a_s, b_s=b_s, norm_a=norm_a)
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +139,20 @@ def test_criterion_4_ergodic_bounds(toy_run):
     d1 = log.records[0].al_value - ref.h_value
     bound = ergodic_bound(c, 0.0, d1, spec.f.beta, toy_run["rho"],
                           toy_run["mu"], toy_run["norm_a"], toy_run["a_s"])
-    rs_x = np.zeros_like(toy_run["q0"].x)
-    rs_y = np.zeros_like(toy_run["q0"].y)
+    q0 = toy_run["q0"]
+    rs_x = np.zeros_like(q0.x)
+    rs_y = np.zeros_like(q0.y)
     worst_h, worst_k = -np.inf, -np.inf
-    for i, q in enumerate(log.iterates, start=1):
-        rs_x += q.x
-        rs_y += q.y
+    for state, _ in iterate(spec, q0, toy_run["w0"], toy_run["config"]):
+        i = state.t
+        rs_x += state.q.x
+        rs_y += state.q.y
         qbar = PrimalPoint(rs_x / i, rs_y / i)
         h_gap = objective_h(spec, qbar) - ref.h_value
         k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
         worst_h = max(worst_h, h_gap - bound / i)
         worst_k = max(worst_k, k_norm - 2.0 * bound / c)
-    assert len(log.iterates) == 500
+    assert i == 500
     assert worst_h <= 1e-8
     assert worst_k <= 1e-8
     elapsed = time.time() - start
@@ -179,7 +183,7 @@ def test_criterion_5_desk_scale_cme():
     best = {}
     for rho in (0.2, 1.0, 5.0):
         config = SolverConfig(rho=rho, mu=0.2, iters=1000,
-                              step_policy="line_search", keep_iterates=True)
+                              step_policy="line_search")
         log = run(spec, q0, w0, config)
         m_last = metrics_cme(log.last_point.x.reshape(d, d), Sigma,
                              SigmaHat, s)
@@ -188,9 +192,10 @@ def test_criterion_5_desk_scale_cme():
             last_ok = True
             best.setdefault("last", (rho, m_last.feasibility_distance))
         # mean trend measured on the running-average point in the l1 metric
-        t10 = len(log.iterates) // 10
-        prefix = log.iterates[:t10]
-        mean10 = np.mean([q.x for q in prefix], axis=0)
+        prefix = replace(config, iters=config.iters // 10)
+        mean10 = np.mean([state.q.x
+                          for state, _ in iterate(spec, q0, w0, prefix)],
+                         axis=0)
         feas10 = float(np.linalg.norm(mean10 - project_l1_ball(mean10, s)))
         mean_x = log.mean_point.x
         feas_final = float(np.linalg.norm(mean_x - project_l1_ball(mean_x, s)))

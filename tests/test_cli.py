@@ -295,6 +295,17 @@ def test_generic_unsupported_regularizer(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_iters_below_one_is_config_error(tmp_path, capsys):
+    for args in (["cme", "--d", "8", "--r", "2"],
+                 ["maxcut", "--random-n", "10"],
+                 ["generic", str(DATA / "polytope2.json")]):
+        out = tmp_path / args[0]
+        assert main(args + ["--iters", "0", "--variant", "last",
+                            "--outdir", str(out)]) == EXIT_CONFIG
+        assert "iters must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # certify command
 

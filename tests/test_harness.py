@@ -18,7 +18,7 @@ from wpmm.harness import (
 )
 from wpmm.linalg import project_l1_ball
 from wpmm.model import alpha_S_strongly_convex, objective_h
-from wpmm.solver import SolverConfig, run
+from wpmm.solver import SolverConfig, iterate, run
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +306,10 @@ def test_last_variant_feasibility_trend():
     Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=40, r=3, seed=16))
     spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat=6)
     config = SolverConfig(rho=1.0, mu=0.2, iters=300,
-                          step_policy="line_search", keep_iterates=True)
-    log = run(spec, q0, w0, config)
+                          step_policy="line_search")
     feas = [
-        float(np.linalg.norm(q.x - project_l1_ball(q.x, s)))
-        for q in log.iterates
+        float(np.linalg.norm(state.q.x - project_l1_ball(state.q.x, s)))
+        for state, _ in iterate(spec, q0, w0, config)
     ]
     head = min(feas[: len(feas) // 10])
     tail = min(feas[-len(feas) // 10:])

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from wpmm.harness import build_box_toy, reference_solution
+from wpmm.harness import (
+    CmeConfig,
+    build_box_toy,
+    build_cme_problem,
+    build_maxcut_problem,
+    gen_cme_instance,
+    gen_er_graph,
+    laplacian,
+    reference_solution,
+)
 from wpmm.model import (
     LinearMap,
     PrimalPoint,
@@ -69,8 +78,8 @@ class FrozenOracle(WpoComponent):
 
 
 class EscapingOracle(WpoComponent):
-    """Test double: proposes a point far outside the box domain so line
-    search must refuse the segment."""
+    """Test double breaking the oracle contract: proposes a point far outside
+    its box domain."""
 
     is_indicator = True
     constant_on_segments = True
@@ -221,16 +230,6 @@ def test_line_search_golden_section_path():
     assert abs(eta_closed - eta_golden) <= 1e-5
 
 
-def test_line_search_rejects_infeasible_endpoint():
-    from wpmm.solver import LineSearchError
-
-    spec = box_problem([0.5, 0.5])
-    q = q_of([0.2, 0.2], [0.2, 0.2])
-    v = q_of([5.0, 5.0], [5.0, 5.0])
-    with pytest.raises(LineSearchError):
-        line_search_eta(spec, q, v, np.zeros(2), 0.2, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # stepping
 
@@ -376,11 +375,11 @@ def test_run_deterministic_given_seed():
 
 def test_run_ergodic_identity():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    config = SolverConfig(rho=1.0, mu=1e-4, iters=60, step_policy="theoretical",
-                          keep_iterates=True)
+    config = SolverConfig(rho=1.0, mu=1e-4, iters=60, step_policy="theoretical")
     log = run(spec, q0, w0, config)
-    xs = np.mean([q.x for q in log.iterates], axis=0)
-    ys = np.mean([q.y for q in log.iterates], axis=0)
+    iterates = [state.q.copy() for state, _ in iterate(spec, q0, w0, config)]
+    xs = np.mean([q.x for q in iterates], axis=0)
+    ys = np.mean([q.y for q in iterates], axis=0)
     assert np.linalg.norm(xs - log.mean_point.x) <= 1e-12 * max(
         1.0, np.linalg.norm(xs))
     assert np.linalg.norm(ys - log.mean_point.y) <= 1e-12 * max(
@@ -431,13 +430,65 @@ def test_line_search_dominates_base_step():
 
 
 def test_line_search_fallback_flagged():
+    class CurvedOracle(FrozenOracle):
+        constant_on_segments = False
+
     spec = ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
-                       rx=EscapingOracle(2), ry=BoxIndicator(2, 0.0, 1.0))
+                       rx=CurvedOracle(2), ry=BoxIndicator(2, 0.0, 1.0))
     config = SolverConfig(rho=1.0, mu=0.1, iters=2, step_policy="line_search",
                           eta=0.25)
     log = run(spec, q_of([0.5, 0.5], [0.5, 0.5]), np.zeros(2), config)
     assert all(r.eta_fallback for r in log.records)
     assert all(r.eta_used == 0.25 for r in log.records)
+
+
+def test_run_audits_final_record():
+    # an oracle output outside its domain is not caught per step; the final
+    # record's audit flags it with the distance as the objective
+    spec = ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
+                       rx=EscapingOracle(2), ry=BoxIndicator(2, 0.0, 1.0))
+    config = SolverConfig(rho=1.0, mu=0.1, iters=2, step_policy="fixed",
+                          eta=0.25)
+    log = run(spec, q_of([0.5, 0.5], [0.5, 0.5]), np.zeros(2), config)
+    first, final = log.records
+    assert not first.objective_flagged and first.objective == 0.0
+    assert final.objective_flagged
+    assert final.objective == pytest.approx(
+        spec.rx.distance(log.last_point.x), rel=1e-12)
+    assert final.objective > 1.0
+    assert final.al_value == math.inf
+
+
+def test_domain_distance_checked_only_at_start_and_end():
+    def distance_calls(build, config):
+        spec, q0, w0 = build()
+        calls = []
+
+        def counted(distance):
+            def wrapped(v):
+                calls.append(v.size)
+                return distance(v)
+            return wrapped
+
+        for comp in (spec.rx, spec.ry):
+            comp.distance = counted(comp.distance)
+        log = run(spec, q0, w0, config)
+        assert not any(r.objective_flagged for r in log.records)
+        return len(calls)
+
+    _, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=10, r=2, seed=3))
+    C = laplacian(gen_er_graph(8, 0.4, seed=4))
+    cases = [
+        # start check, then the last and the traced mean point at the end
+        (lambda: build_cme_problem(SigmaHat, tau, s, k_hat=2),
+         dict(step_policy="line_search", trace_mean=True), 6),
+        (lambda: build_maxcut_problem(C, k_hat=3),
+         dict(step_policy="fixed", eta=0.2, variant="last"), 4),
+    ]
+    for build, kw, expected in cases:
+        for iters in (5, 20):
+            config = SolverConfig(rho=1.0, mu=0.2, iters=iters, **kw)
+            assert distance_calls(build, config) == expected
 
 
 # ---------------------------------------------------------------------------
