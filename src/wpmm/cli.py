@@ -257,6 +257,8 @@ def _run_trials(command, fn, tasks, params, **extra):
     ``extra`` entries are added to the summary."""
     if params["iters"] < 1:  # the outputs read the final record
         raise ConfigError("iters must be at least 1")
+    if params["trials"] < 1:  # the outputs average over the trials
+        raise ConfigError("trials must be at least 1")
     jobs = params["jobs"]
     if jobs <= 1 or len(tasks) <= 1:
         results = [fn(t) for t in tasks]

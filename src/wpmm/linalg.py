@@ -4,6 +4,12 @@ Truncated singular-value and symmetric eigenvalue decompositions via Lanczos
 (Golub-Kahan style) iterations with full reorthogonalization, exact sort-based
 projections onto the scaled simplex and the l1 ball.
 
+The Lanczos kernels multiply by their input once per basis vector: each
+vector is stored next to its product, and the Rayleigh-Ritz matrices and
+residuals are assembled from the stored products. Their bases grow with the
+Krylov dimension, so memory is proportional to the rank sought, not to the
+square of the input's dimensions.
+
 All routines are pure functions of their inputs and deterministic for a fixed
 seed.
 """
@@ -57,9 +63,9 @@ def _check_matrix(M):
 def _reorthogonalize(w, basis, count):
     # two Gram-Schmidt passes keep loss of orthogonality at machine precision
     if count:
-        B = basis[:, :count]
+        B = basis[:count]
         for _ in range(2):
-            w = w - B @ (B.T @ w)
+            w = w - B.T @ (B @ w)
     return w
 
 
@@ -74,17 +80,57 @@ def _fresh_direction(rng, basis, count, dim):
     raise ConvergenceError("could not generate a new orthogonal direction")
 
 
-def _append(basis, count, w, rng, dim, breakdown_tol):
-    """Reorthogonalize w against the basis and append it, replacing it with a
-    fresh random direction on breakdown. Returns the new column count."""
-    w = _reorthogonalize(w, basis, count)
-    nw = np.linalg.norm(w)
-    if nw <= breakdown_tol:
-        w = _fresh_direction(rng, basis, count, dim)
-    else:
-        w = w / nw
-    basis[:, count] = w
-    return count + 1
+class _Basis:
+    """Orthonormal Krylov vectors, one per row, each stored next to the
+    operator's product with it, in buffers that grow with the basis.
+
+    A product is formed once, when the recurrence or the Rayleigh-Ritz
+    extraction first needs it, and reused from then on.
+    """
+
+    def __init__(self, apply, dim, out_dim, rows, first=None):
+        self.apply = apply
+        self.vecs = np.empty((rows, dim))
+        self.prods = np.empty((rows, out_dim))
+        self.count = 0
+        self.done = 0  # leading vectors whose product is stored
+        if first is not None:
+            self.vecs[0] = first
+            self.count = 1
+
+    def reserve(self, rows):
+        """Make room for ``rows`` vectors, keeping the stored ones."""
+        if rows > len(self.vecs):
+            self.vecs = _regrown(self.vecs, rows, self.count)
+            self.prods = _regrown(self.prods, rows, self.done)
+
+    def rows(self):
+        return self.vecs[:self.count]
+
+    def products(self):
+        """The operator applied to each vector, row for row."""
+        while self.done < self.count:
+            self.prods[self.done] = self.apply(self.vecs[self.done])
+            self.done += 1
+        return self.prods[:self.count]
+
+    def append(self, w, rng, breakdown_tol):
+        """Reorthogonalize w against the basis and append it, replacing it
+        with a fresh random direction on breakdown."""
+        w = _reorthogonalize(w, self.vecs, self.count)
+        nw = np.linalg.norm(w)
+        if nw <= breakdown_tol:
+            w = _fresh_direction(rng, self.vecs, self.count, w.size)
+        else:
+            w = w / nw
+        self.vecs[self.count] = w
+        self.count += 1
+
+
+def _regrown(buf, rows, keep):
+    out = np.empty((rows, buf.shape[1]))
+    out[:keep] = buf[:keep]
+    return out
 
 
 def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
@@ -92,9 +138,13 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
 
     Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization of
     both bases; Rayleigh-Ritz extraction on the projected matrix after each
-    sweep. A triplet is accepted once both residuals ``||M v - s u||`` and
-    ``||M.T u - s v||`` fall below ``tol * sigma_1`` (plus a tiny absolute
-    guard for numerically zero matrices).
+    sweep. Every basis vector keeps the product (``M v`` or ``M.T u``) that
+    the recurrence forms with it, and the projected matrix and the residuals
+    are assembled from those, so a sweep multiplies by M only for the vectors
+    it adds; the bases take O((m + n) * Krylov dimension) memory. A triplet
+    is accepted once both residuals ``||M v - s u||`` and ``||M.T u - s v||``
+    fall below ``tol * sigma_1`` (plus a tiny absolute guard for numerically
+    zero matrices).
 
     Parameters
     ----------
@@ -135,37 +185,36 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     atol = 1e-13 * max(1.0, fro)
     breakdown = 1e-13 * max(1.0, fro)
 
-    # each side may need to span its full space (the start vector is random,
-    # so the right basis can carry components outside the row space)
-    U = np.zeros((m, m))
-    V = np.zeros((n, n))
-    v0 = rng.standard_normal(n)
-    V[:, 0] = v0 / np.linalg.norm(v0)
-    nu, nv = 0, 1
-
+    # a side stops growing once it spans its whole space (the start vector is
+    # random, so the right basis can carry components outside the row space)
     target = min(max(m, n), max(2 * k + 6, 12))
+    v0 = rng.standard_normal(n)
+    V = _Basis(lambda v: M @ v, n, m, min(target, n), v0 / np.linalg.norm(v0))
+    U = _Basis(lambda u: M.T @ u, m, n, min(target, m))
+
     resid = np.inf
     for _ in range(max_sweeps):
+        U.reserve(min(target, m))
+        V.reserve(min(target, n))
         while True:
             grew = False
-            if nu < min(target, m):
-                nu = _append(U, nu, M @ V[:, nv - 1], rng, m, breakdown)
+            if U.count < min(target, m):
+                U.append(V.products()[-1], rng, breakdown)
                 grew = True
-            if nv < min(target, n):
-                nv = _append(V, nv, M.T @ U[:, nu - 1], rng, n, breakdown)
+            if V.count < min(target, n):
+                V.append(U.products()[-1], rng, breakdown)
                 grew = True
             if not grew:
                 break
 
-        P = U[:, :nu].T @ (M @ V[:, :nv])
-        Pu, ps, Pvt = np.linalg.svd(P)
+        MV, MTU = V.products(), U.products()
+        Pu, ps, Pvt = np.linalg.svd(U.rows() @ MV.T)
         sigma = ps[:k]
-        Uk = U[:, :nu] @ Pu[:, :k]
-        Vk = V[:, :nv] @ Pvt[:k].T
-        MV = M @ Vk
-        MTU = M.T @ Uk
-        r1 = np.linalg.norm(MV - Uk * sigma, axis=0)
-        r2 = np.linalg.norm(MTU - Vk * sigma, axis=0)
+        Yu, Yv = Pu[:, :k], Pvt[:k].T
+        Uk = U.rows().T @ Yu
+        Vk = V.rows().T @ Yv
+        r1 = np.linalg.norm(MV.T @ Yv - Uk * sigma, axis=0)
+        r2 = np.linalg.norm(MTU.T @ Yu - Vk * sigma, axis=0)
         resid = float(max(r1.max(), r2.max()))
         if resid <= tol * sigma[0] + atol:
             return TruncatedFactors(Uk, sigma, Vk)
@@ -178,23 +227,48 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     )
 
 
+_PANEL = 64  # rows per panel of the symmetry check
+
+
+def _symmetric_part(M):
+    """``0.5 * (M + M.T)`` of a finite square matrix whose entries differ
+    from their transposes by at most 1e-10 * max(1, max |M|), checked from
+    the result: ``M - M.T`` is twice ``M`` minus its symmetric part, and a
+    non-finite entry of M leaves a non-finite difference. Raises ValueError
+    otherwise."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        _check_matrix(M)
+        raise ValueError(f"expected a square matrix, got {M.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):  # reported below
+        Ms = M + M.T
+        Ms *= 0.5
+        # row panels keep the differences from needing a second d x d array
+        asym = 2.0 * np.max([np.abs(M[i:i + _PANEL] - Ms[i:i + _PANEL]).max()
+                             for i in range(0, len(M), _PANEL)])
+    if not np.isfinite(asym):
+        _check_matrix(M)
+    if asym > 1e-10 and asym > 1e-10 * float(np.abs(M).max()):
+        raise ValueError("matrix is not symmetric to tolerance")
+    return Ms
+
+
 def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
 
     Lanczos iteration with full reorthogonalization and Rayleigh-Ritz
-    extraction; a pair is accepted once ``||M u - lam u|| <= tol * max(1,
-    |lam_1|)``.
+    extraction. Every basis vector keeps its product with M, formed once by
+    the recurrence; the projected matrix and the residuals are assembled
+    from those products, so a sweep multiplies by M only for the vectors it
+    adds, and the basis takes O(d * Krylov dimension) memory beside one
+    d x d work array (the symmetric part of M). A pair is accepted once
+    ``||M u - lam u|| <= tol * max(1, |lam_1|)``.
 
     Returns ``(U, lam)`` with U of shape (d, k) orthonormal and lam sorted
     algebraically largest first.
     """
-    M = _check_matrix(M)
-    d, d2 = M.shape
-    if d != d2:
-        raise ValueError(f"expected a square matrix, got {M.shape}")
-    scale = max(1.0, float(np.abs(M).max()))
-    if float(np.abs(M - M.T).max()) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric to tolerance")
+    Ms = _symmetric_part(M)
+    d = len(Ms)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range for dimension {d}")
     if tol <= 0:
@@ -202,29 +276,27 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     if max_sweeps is None:
         max_sweeps = max(4 * k, 30)
 
-    Ms = 0.5 * (M + M.T)
     rng = np.random.default_rng(seed)
     breakdown = 1e-13 * max(1.0, float(np.linalg.norm(Ms)))
 
-    Q = np.zeros((d, d))
-    q0 = rng.standard_normal(d)
-    Q[:, 0] = q0 / np.linalg.norm(q0)
-    nq = 1
-
     target = min(d, max(2 * k + 6, 12))
+    q0 = rng.standard_normal(d)
+    Q = _Basis(lambda q: Ms @ q, d, d, target, q0 / np.linalg.norm(q0))
+
     resid = np.inf
     for _ in range(max_sweeps):
-        while nq < target:
-            nq = _append(Q, nq, Ms @ Q[:, nq - 1], rng, d, breakdown)
+        Q.reserve(target)
+        while Q.count < target:
+            Q.append(Q.products()[-1], rng, breakdown)
 
-        B = Q[:, :nq]
-        H = B.T @ (Ms @ B)
+        B, MB = Q.rows(), Q.products()
+        H = B @ MB.T
         H = 0.5 * (H + H.T)
         theta, Y = np.linalg.eigh(H)
         idx = np.argsort(theta)[::-1][:k]
-        lam = theta[idx]
-        Uk = B @ Y[:, idx]
-        resid = float(np.linalg.norm(Ms @ Uk - Uk * lam, axis=0).max())
+        lam, Yk = theta[idx], Y[:, idx]
+        Uk = B.T @ Yk
+        resid = float(np.linalg.norm(MB.T @ Yk - Uk * lam, axis=0).max())
         if resid <= tol * max(1.0, abs(lam[0])):
             return Uk, lam
         target = min(d, target + max(k, 6))

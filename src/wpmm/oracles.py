@@ -292,7 +292,8 @@ class NuclearNormReg(_MatrixComponent):
 
 
 class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
-    """Indicator of {X : ||X||_nuc <= tau} with a rank-k oracle."""
+    """Indicator of {X : ||X||_nuc <= tau} with a rank-k oracle. The
+    distance to the ball is taken from the singular values alone."""
 
     def __init__(self, shape, tau, k, svd_tol=1e-9):
         super().__init__(shape, k, svd_tol)
@@ -306,12 +307,19 @@ class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
     def project(self, v):
         return self.prox(v, 1.0)
 
+    def distance(self, v):
+        # X - project(X) = U diag(s - P(s)) V^T, whose norm is ||s - P(s)||
+        s = np.linalg.svd(self._mat(v), compute_uv=False)
+        return float(np.linalg.norm(s - self._spectral(s, 1.0)))
+
 
 class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
     """Indicator of {X PSD, tr X = tau} with a rank-k oracle. Both
     decompositions see only the symmetric part of their input, which is all
     the prox over symmetric matrices depends on; this also sheds the
-    roundoff-level asymmetry that accumulates over many iterations."""
+    roundoff-level asymmetry that accumulates over many iterations. The
+    distance to the set is taken from the eigenvalues of the symmetric part
+    and the norm of the skew part alone."""
 
     def __init__(self, n, tau, k, svd_tol=1e-9):
         super().__init__((n, n), k, svd_tol)
@@ -332,6 +340,14 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
 
     def project(self, v):
         return self.prox(v, 1.0)
+
+    def distance(self, v):
+        # X - project(X) is the skew part plus U diag(lam - P(lam)) U^T, and
+        # the two are orthogonal
+        M = self._mat(v)
+        lam = np.linalg.eigvalsh(0.5 * (M + M.T))
+        skew = 0.5 * np.linalg.norm(M - M.T)
+        return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,18 @@ def test_iters_below_one_is_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_trials_below_one_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "trials.json"
+    cfg.write_text(json.dumps({"trials": 0}))
+    for args in (["cme", "--d", "8", "--r", "2", "--trials", "0"],
+                 ["maxcut", "--random-n", "10", "--trials", "-1"],
+                 ["cme", "--d", "8", "--r", "2", "--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert main(args + ["--iters", "5", "--outdir", str(out)]) == EXIT_CONFIG
+        assert "trials must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # certify command
 

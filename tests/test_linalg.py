@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,17 @@ def test_eigh_rejects_asymmetric():
         truncated_eigh(M, 1, 1e-8)
 
 
+def test_eigh_rejects_non_finite():
+    for bad in (np.diag([1.0, np.nan]), np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            truncated_eigh(bad, 1, 1e-8)
+    with pytest.raises(ValueError, match="not symmetric"):
+        truncated_eigh(np.array([[1.0, 1e-9], [0.0, 1.0]]), 1, 1e-8)
+    # the tolerance scales with the largest entry
+    truncated_eigh(np.array([[1e3, 1e-8], [0.0, 1.0]]), 1, 1e-8)
+
+
 def test_eigh_k_out_of_range():
     with pytest.raises(ValueError):
         truncated_eigh(np.eye(3), 0, 1e-8)
@@ -170,6 +183,38 @@ def test_eigh_nonconvergence():
     M = 0.5 * (M + M.T)
     with pytest.raises(ConvergenceError):
         truncated_eigh(M, 1, 1e-14, max_sweeps=1)
+
+
+# ---------------------------------------------------------------------------
+# kernel memory: bases sized to the Krylov dimension, not to the input
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_svd_tall_memory_is_rank_sized():
+    # an m x m left basis alone would be 275 MB
+    rng = np.random.default_rng(14)
+    M = rng.standard_normal((6000, 3)) @ rng.standard_normal((3, 20))
+    M += 0.01 * rng.standard_normal(M.shape)
+    assert traced_peak_mb(truncated_svd, M, 3, 1e-2) < 10.0
+
+
+def test_eigh_memory_is_one_work_array_plus_krylov_bases():
+    # the symmetric part takes 4.9 MB; a second d x d array would pass 8 MB
+    rng = np.random.default_rng(15)
+    d = 800
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.concatenate([1.0 + 1e-3 * np.arange(13.0)[::-1],
+                          rng.uniform(-0.5, 0.9, d - 13)])
+    M = (Q * lam) @ Q.T
+    assert traced_peak_mb(truncated_eigh, M, 13, 1e-2) < 8.0
 
 
 # ---------------------------------------------------------------------------
