@@ -91,8 +91,8 @@ MAXCUT_DEFAULTS = {
 }
 
 GENERIC_DEFAULTS = {
-    "iters": None, "rho": None, "mu": None, "eta": None,
-    "step_policy": None, "variant": None, "seed": 0, "outdir": "out",
+    "iters": 200, "rho": 1.0, "mu": 0.2, "eta": None,
+    "step_policy": None, "variant": "both", "outdir": "out",
 }
 
 
@@ -110,9 +110,50 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _merge_params(defaults, preset_name, config_path, cli_values):
-    """defaults < preset < config file < explicit flags; unknown config-file
-    keys are rejected."""
+def _read_json(path, kind):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
+        ) from exc
+
+
+def _options():
+    """Option name -> its argparse action, over every command."""
+    subs = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for sub in subs.choices.values()
+            for a in sub._actions if a.option_strings}
+
+
+def _checked_layer(source, doc, keys, defaults):
+    """Return ``doc`` after checking that every key is in ``keys`` and every
+    value is one its flag accepts (an int also for a float flag, and null
+    where ``defaults`` holds None)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: expected a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"{source}: unknown keys {unknown}")
+    options = _options()
+    for k, v in doc.items():
+        opt = options[k]
+        want = (float, int) if opt.type is float else (opt.type or str,)
+        bad = type(v) not in want or (opt.choices and v not in opt.choices)
+        if bad and not (v is None and defaults[k] is None):
+            allowed = opt.choices or want[0].__name__
+            raise ConfigError(f"{source}: {k!r} must be {allowed}, got {json.dumps(v)}")
+    return doc
+
+
+def _merge_params(defaults, preset_name, config_path, cli_values,
+                  solver_section=None):
+    """defaults < preset < a problem file's solver section (every key but
+    outdir) < config file < explicit flags. Unknown or wrongly typed file
+    values are rejected."""
     params = dict(defaults)
     if preset_name is not None:
         if preset_name not in PRESETS:
@@ -120,22 +161,12 @@ def _merge_params(defaults, preset_name, config_path, cli_values):
         for k, v in PRESETS[preset_name].items():
             if k in params:
                 params[k] = v
+    if solver_section is not None:
+        params.update(_checked_layer("solver section", solver_section,
+                                     set(defaults) - {"outdir"}, defaults))
     if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{config_path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{config_path}: expected a JSON object")
-        unknown = sorted(set(doc) - set(params))
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown keys {unknown}")
-        params.update(doc)
+        doc = _read_json(config_path, "config")
+        params.update(_checked_layer(config_path, doc, defaults, defaults))
     for k, v in cli_values.items():
         if v is not None:
             params[k] = v
@@ -195,18 +226,22 @@ def _emit_outputs(outdir, rows, summary):
         fh.write(PLOT_STUB)
 
 
+def _variants(params):
+    """The output variants a run reports, Mean first."""
+    return ["mean", "last"] if params["variant"] == "both" else [params["variant"]]
+
+
+def _logged(rec, variant):
+    """(objective, feasibility, al_value) a record logs for ``variant``."""
+    if variant == "mean":
+        return rec.mean_objective, rec.mean_feasibility, rec.mean_al_value
+    return rec.objective, rec.feasibility, rec.al_value
+
+
 def _rows_from_log(log, trial, variants):
-    rows = []
-    for variant in variants:
-        for rec in log.records:
-            if variant == "last":
-                rows.append((trial, rec.t, rec.objective, rec.feasibility,
-                             rec.al_value, rec.eta_used, rec.elapsed, "last"))
-            else:
-                rows.append((trial, rec.t, rec.mean_objective,
-                             rec.mean_feasibility, rec.mean_al_value,
-                             rec.eta_used, rec.elapsed, "mean"))
-    return rows
+    return [(trial, rec.t, *_logged(rec, variant), rec.eta_used, rec.elapsed,
+             variant)
+            for variant in variants for rec in log.records]
 
 
 def _mean_curves(rows):
@@ -226,14 +261,18 @@ def _mean_curves(rows):
     return curves
 
 
-def _trial_finals(log, variants, measure, **extra):
+def _trial_finals(log, variants, measure=None, **extra):
     """(variant, final metrics) pairs: ``measure`` applied to each variant's
-    output point, plus ``extra`` and the run's wall time."""
+    output point (by default the final record's objective and feasibility),
+    plus ``extra`` and the run's wall time."""
+    rec = log.records[-1]
     finals = []
     for variant in variants:
         point = log.mean_point if variant == "mean" else log.last_point
-        finals.append((variant, {**extra, **asdict(measure(point)),
-                                 "wall_time": log.records[-1].elapsed}))
+        obj, feas, _ = _logged(rec, variant)
+        metrics = (asdict(measure(point)) if measure
+                   else {"objective": obj, "feasibility": feas})
+        finals.append((variant, {**extra, **metrics, "wall_time": rec.elapsed}))
     return finals
 
 
@@ -257,9 +296,9 @@ def _run_trials(command, fn, tasks, params, **extra):
     ``extra`` entries are added to the summary."""
     if params["iters"] < 1:  # the outputs read the final record
         raise ConfigError("iters must be at least 1")
-    if params["trials"] < 1:  # the outputs average over the trials
+    if not tasks:  # the outputs average over the trials
         raise ConfigError("trials must be at least 1")
-    jobs = params["jobs"]
+    jobs = params.get("jobs", 1)
     if jobs <= 1 or len(tasks) <= 1:
         results = [fn(t) for t in tasks]
     else:
@@ -280,7 +319,7 @@ def _run_trials(command, fn, tasks, params, **extra):
     }
     summary = {
         "command": command,
-        "config": {k: v for k, v in params.items() if not k.startswith("_")},
+        "config": params,
         "curves": _mean_curves(rows),
         "final_metrics": final_metrics,
         **extra,
@@ -296,7 +335,7 @@ def _run_trials(command, fn, tasks, params, **extra):
 def _cme_plan(params):
     """(variant, rho) pairs to run; rho None means look the per-variant value
     up in the tabulated penalties (the full-size preset behavior)."""
-    variants = ["mean", "last"] if params["variant"] == "both" else [params["variant"]]
+    variants = _variants(params)
     if params["rho"] is None:
         plan = []
         r = params["r"]
@@ -368,7 +407,7 @@ def _maxcut_trial(args):
                              seed=params["seed"] + trial)
     C = laplacian(graph)
     d = graph.n
-    variants = ["mean", "last"] if params["variant"] == "both" else [params["variant"]]
+    variants = _variants(params)
     problem = build_maxcut_problem(C, params["rank"], svd_tol=params["svd_tol"])
     log = _solve(problem, params, params["rho"], variants)
     finals = _trial_finals(
@@ -488,15 +527,8 @@ def _default_start(component):
 
 
 def _load_problem(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-        ) from exc
+    """((spec, q0, w0), solver section) of a problem file."""
+    doc = _read_json(path, "problem")
     for key in ("f", "A", "rx", "ry"):
         if key not in doc:
             raise ConfigError(f"{path}: missing required section {key!r}")
@@ -517,58 +549,27 @@ def _load_problem(path):
         y0 = prox(spec.A.apply(x0), 1.0) if prox else _default_start(ry)
     w0 = (np.asarray(doc["w0"], dtype=float) if "w0" in doc
           else np.zeros(A.dim_out))
-    solver = doc.get("solver", {})
-    return spec, PrimalPoint(x0, y0), w0, solver
+    return (spec, PrimalPoint(x0, y0), w0), doc.get("solver", {})
 
 
-def cmd_generic(params, problem_path):
-    spec, q0, w0, solver_doc = _load_problem(problem_path)
-    merged = dict(solver_doc)
-    for k in ("iters", "rho", "mu", "eta", "step_policy", "variant", "seed"):
-        if params.get(k) is not None:
-            merged[k] = params[k]
-    merged.setdefault("iters", 200)
-    merged.setdefault("rho", 1.0)
-    merged.setdefault("mu", 0.2)
-    merged.setdefault("variant", "both")
-    merged.setdefault("step_policy",
-                      "theoretical" if (spec.pqg_alpha or spec.f.alpha)
-                      else "fixed")
-    if merged["step_policy"] == "fixed":
-        merged.setdefault("eta", 0.2)
-    if int(merged["iters"]) < 1:
-        raise ConfigError("iters must be at least 1")
-    try:
-        config = SolverConfig(
-            rho=float(merged["rho"]), mu=float(merged["mu"]),
-            iters=int(merged["iters"]), step_policy=merged["step_policy"],
-            eta=merged.get("eta"), variant=merged["variant"],
-            lam=float(merged.get("lam", 1.0)),
-            trace_mean=merged["variant"] in ("mean", "both"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    variants = (["mean", "last"] if config.variant == "both"
-                else [config.variant])
-    log = run(spec, q0, w0, config)
-    rows = _rows_from_log(log, 0, variants)
-    final = {}
-    for variant in variants:
-        point = log.mean_point if variant == "mean" else log.last_point
-        rec = log.records[-1]
-        final[variant] = {
-            "objective": rec.mean_objective if variant == "mean" else rec.objective,
-            "feasibility": float(np.linalg.norm(spec.A.apply(point.x) - point.y)),
-        }
-    summary = {
-        "command": "generic",
-        "problem": problem_path,
-        "config": dict(merged),
-        "curves": _mean_curves(rows),
-        "final": final,
-    }
-    _emit_outputs(params["outdir"], rows, summary)
-    return EXIT_OK
+def _generic_trial(args):
+    problem, params = args
+    variants = _variants(params)
+    log = _solve(problem, params, params["rho"], variants)
+    return _rows_from_log(log, 0, variants), _trial_finals(log, variants)
+
+
+def cmd_generic(params, problem, problem_path):
+    """Solve ``problem = (spec, q0, w0)`` as one trial. Unless set, the step
+    policy is theoretical with curvature, else fixed (eta 0.2 unless set)."""
+    spec = problem[0]
+    if params["step_policy"] is None:
+        params["step_policy"] = ("theoretical" if (spec.pqg_alpha or spec.f.alpha)
+                                 else "fixed")
+    if params["step_policy"] == "fixed" and params["eta"] is None:
+        params["eta"] = 0.2
+    return _run_trials("generic", _generic_trial, [(problem, params)], params,
+                       problem=problem_path)
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +607,15 @@ def _add_solver_flags(sub):
                      choices=["theoretical", "line_search", "fixed"])
     sub.add_argument("--variant", default=None,
                      choices=["mean", "last", "both"])
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--outdir", default=None)
 
 
 def _add_experiment_flags(sub):
-    """Solver flags plus the trial, oracle and preset flags of the built-in
-    experiments."""
+    """Solver flags plus the seed, trial, oracle and preset flags of the
+    built-in experiments."""
     _add_solver_flags(sub)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="instance seed of the first trial")
     sub.add_argument("--trials", type=int, default=None,
                      help="independent repetitions (seed + trial index)")
     sub.add_argument("--rank", type=int, default=None,
@@ -672,19 +674,17 @@ def main(argv=None):
             return cmd_certify(ns.suite, ns.seed)
 
         cli_values = {k: v for k, v in vars(ns).items()
-                      if k not in ("command", "config", "problem", "graph")}
+                      if k not in ("command", "config", "problem")}
         if ns.command == "cme":
             params = _merge_params(CME_DEFAULTS, ns.preset, ns.config, cli_values)
             return cmd_cme(params)
         if ns.command == "maxcut":
             params = _merge_params(MAXCUT_DEFAULTS, ns.preset, ns.config, cli_values)
-            if ns.graph is not None:
-                params["graph"] = ns.graph
             return cmd_maxcut(params)
-        if ns.command == "generic":
-            params = _merge_params(GENERIC_DEFAULTS, None, ns.config, cli_values)
-            return cmd_generic(params, ns.problem)
-        raise ConfigError(f"unknown command {ns.command!r}")
+        problem, section = _load_problem(ns.problem)  # generic
+        params = _merge_params(GENERIC_DEFAULTS, None, ns.config, cli_values,
+                               solver_section=section)
+        return cmd_generic(params, problem, ns.problem)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -127,10 +127,13 @@ class WpoComponent:
         """Euclidean distance from v to the regularizer's domain."""
         return 0.0
 
-    def logged_value(self, v):
-        """(value, flagged) for logging: a violated indicator contributes its
+    def logged_value(self, v, audit=True):
+        """(value, flagged) for logging: an indicator contributes 0 unchecked
+        unless ``audit``; audited, a violated indicator contributes its
         distance to the set instead of +inf, with flagged = True."""
         if self.is_indicator:
+            if not audit:
+                return 0.0, False
             dist = self.distance(v)
             if dist <= indicator_tol(v):
                 return 0.0, False
@@ -595,10 +598,10 @@ class ProductComponent(WpoComponent):
         return float(np.sqrt(sum(part.distance(v[s]) ** 2
                                  for part, s in zip(self.parts, self.slices))))
 
-    def logged_value(self, v):
+    def logged_value(self, v, audit=True):
         total, flagged = 0.0, False
         for part, s in zip(self.parts, self.slices):
-            val, fl = part.logged_value(v[s])
+            val, fl = part.logged_value(v[s], audit)
             total += val
             flagged = flagged or fl
         return total, flagged

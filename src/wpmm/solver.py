@@ -141,7 +141,7 @@ class SolverConfig:
     (oracle still receives the base eta -- the configured value, or the
     theoretical one when available -- and the combination parameter is then
     optimized exactly over [0, 1]). The curvature-based steps assume the
-    oracle parameter max(lam, rx.lam, ry.lam).
+    oracle parameter max(1, rx.lam, ry.lam) the components declare.
     """
 
     rho: float
@@ -150,7 +150,6 @@ class SolverConfig:
     step_policy: str = "theoretical"
     eta: Optional[float] = None
     variant: str = "both"  # mean | last | both
-    lam: float = 1.0
     trace_mean: bool = False
 
     def __post_init__(self):
@@ -168,8 +167,6 @@ class SolverConfig:
             raise ValueError("eta must lie in (0, 1]")
         if self.variant not in ("mean", "last", "both"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.lam < 1:
-            raise ValueError("lam must be >= 1")
 
 
 @dataclass
@@ -247,10 +244,10 @@ class StepConstants:
                                self.norm_a)
 
 
-def step_constants(spec, rho, lam=1.0):
+def step_constants(spec, rho):
     """Step constants of ``spec`` at penalty rho. The oracle parameter is the
-    largest of ``lam`` and the two components' declared ``lam``, so a weak
-    oracle always gets the smaller steps its guarantee needs."""
+    larger of the two components' declared ``lam`` (each at least 1), so a
+    weak oracle always gets the smaller steps its guarantee needs."""
     norm_a = spec.A.norm_bound
     if spec.pqg_alpha is not None:
         alpha_s = spec.pqg_alpha
@@ -259,13 +256,13 @@ def step_constants(spec, rho, lam=1.0):
     else:
         alpha_s = None
     return StepConstants(alpha_s, beta_S(spec.f.beta, rho, norm_a), norm_a,
-                         max(lam, spec.rx.lam, spec.ry.lam))
+                         max(1.0, spec.rx.lam, spec.ry.lam))
 
 
 def _base_step(spec, config):
     """(eta, coeff): the base primal step of the configured policy and the
     oracle coefficient eta * beta_hat."""
-    consts = step_constants(spec, config.rho, config.lam)
+    consts = step_constants(spec, config.rho)
     policy = config.step_policy
     if policy == "fixed":
         base = config.eta
@@ -428,19 +425,15 @@ def iterate(spec, q0, w0, config):
 
 
 def record_values(spec, q, w, rho, audit=False):
-    """(objective, flagged, al_value) at q as a run record logs them. An
-    iterate lies in its indicator domains, so unless ``audit`` an indicator
-    contributes 0 unchecked and any other regularizer its value. An audit
-    checks each block: a violated indicator contributes its distance to the
-    set instead of +inf and flags the objective; the AL value is then +inf."""
+    """(objective, flagged, al_value) at q as a run record logs them, from
+    each block's ``logged_value``: unless ``audit``, q lies in its indicator
+    domains (also inside a product), which contribute 0 unchecked; an audit
+    that finds a violation flags the objective and the AL value is +inf."""
     fval = float(spec.f.value(q.x))
-    if audit:
-        (vx, fx), (vy, fy) = spec.rx.logged_value(q.x), spec.ry.logged_value(q.y)
-        if fx or fy:
-            return fval + vx + vy, True, float("inf")
-    else:
-        vx, vy = (0.0 if comp.is_indicator else comp.value(block)
-                  for comp, block in ((spec.rx, q.x), (spec.ry, q.y)))
+    (vx, fx), (vy, fy) = (spec.rx.logged_value(q.x, audit),
+                          spec.ry.logged_value(q.y, audit))
+    if fx or fy:
+        return fval + vx + vy, True, float("inf")
     kq = k_apply(spec, q)
     al = fval + float(w @ kq) + 0.5 * rho * float(kq @ kq) + vx + vy
     return fval + vx + vy, False, al
@@ -451,7 +444,9 @@ def run(spec, q0, w0, config):
     iteration. The Mean output is the average of the post-step iterates, the
     Last output is the final iterate; both are recorded regardless of which
     variant the caller plans to read, except that an empty run has no mean.
-    Only the final record audits domain membership (see ``record_values``)."""
+    Only the final record audits domain membership (see ``record_values``),
+    of the last and the traced mean point: ``objective_flagged`` is set on it
+    when either lies outside an indicator domain."""
     steps = iterate(spec, q0, w0, config)
     if config.iters == 0 and config.variant in ("mean", "both"):
         raise ValueError("mean output undefined for an empty run")
@@ -476,7 +471,8 @@ def run(spec, q0, w0, config):
             if config.trace_mean:
                 qb = PrimalPoint(state.running_sum.x / state.t,
                                  state.running_sum.y / state.t)
-                mobj, _, mal = record_values(spec, qb, w, config.rho, audit)
+                mobj, mflag, mal = record_values(spec, qb, w, config.rho, audit)
+                rec.objective_flagged |= mflag
                 rec.mean_objective = mobj
                 rec.mean_feasibility = float(np.linalg.norm(k_apply(spec, qb)))
                 rec.mean_al_value = mal

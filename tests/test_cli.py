@@ -233,7 +233,8 @@ def test_generic_polytope_intersection(tmp_path):
     out = tmp_path / "run"
     assert main(["generic", str(prob), "--outdir", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["final"]["last"]["feasibility"] <= 1e-4
+    final = summary["final_metrics"]["last"]["per_trial"][0]
+    assert final["feasibility"] <= 1e-4
 
 
 def test_generic_three_polytope_intersection(tmp_path):
@@ -258,7 +259,8 @@ def test_generic_three_polytope_intersection(tmp_path):
     out = tmp_path / "run"
     assert main(["generic", str(prob), "--outdir", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["final"]["last"]["feasibility"] <= 1e-3
+    final = summary["final_metrics"]["last"]["per_trial"][0]
+    assert final["feasibility"] <= 1e-3
 
 
 def test_cme_preset_plan_end_to_end(tmp_path):
@@ -315,6 +317,45 @@ def test_trials_below_one_is_config_error(tmp_path, capsys):
         out = tmp_path / "out"
         assert main(args + ["--iters", "5", "--outdir", str(out)]) == EXIT_CONFIG
         assert "trials must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_values_typed_like_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iters": "5"}))
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    prob["solver"]["iters"] = "5"
+    bad_prob = tmp_path / "prob.json"
+    bad_prob.write_text(json.dumps(prob))
+    out = tmp_path / "out"
+    for args in (["cme", "--d", "8", "--r", "2", "--config", str(cfg)],
+                 ["maxcut", "--random-n", "10", "--config", str(cfg)],
+                 ["generic", str(DATA / "polytope2.json"), "--config", str(cfg)],
+                 ["generic", str(bad_prob)]):
+        assert main(args + ["--outdir", str(out)]) == EXIT_CONFIG
+        assert "'iters' must be int" in capsys.readouterr().err
+        assert not out.exists()
+    # a value outside the flag's choices, where it would reach a lookup table
+    cfg.write_text(json.dumps({"variant": "median"}))
+    assert main(["cme", "--preset", "paper-cme", "--d", "8", "--config",
+                 str(cfg), "--outdir", str(out)]) == EXIT_CONFIG
+    assert "'variant' must be ['mean', 'last', 'both']" in capsys.readouterr().err
+    # an integer is taken for a float flag
+    cfg.write_text(json.dumps({"iters": 3, "rho": 2}))
+    assert main(["cme", "--d", "8", "--r", "2", "--config", str(cfg),
+                 "--outdir", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["config"]["rho"] == 2.0
+
+
+def test_generic_unknown_solver_key_is_config_error(tmp_path, capsys):
+    for key in ("itres", "lam"):
+        prob = json.loads((DATA / "polytope2.json").read_text())
+        prob["solver"][key] = 5
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(prob))
+        out = tmp_path / "out"
+        assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
 

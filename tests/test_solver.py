@@ -29,6 +29,8 @@ from wpmm.oracles import (
     BoxIndicator,
     PolytopeIndicator,
     PolytopeState,
+    ProductComponent,
+    SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
     hypercube_lmo,
@@ -313,8 +315,6 @@ def test_step_sizes_use_declared_lam():
     assert log.records[0].eta_used == pytest.approx(0.00833, abs=5e-6)
     assert log.records[0].eta_used == pytest.approx(
         (1 / 3) / (2 * 4.0 * (5.0 + 2e-4 * 4.0)), rel=1e-12)
-    # an explicit config lam above the declared ones still wins
-    assert step_constants(spec, 1.0, lam=6.0).lam == 6.0
 
 
 def test_oracle_failure_wraps_iteration_index():
@@ -459,6 +459,31 @@ def test_run_audits_final_record():
     assert final.al_value == math.inf
 
 
+def test_run_audit_flags_mean_point_outside_domain():
+    # the oracle escapes its box once and returns inside next time, so the
+    # last point passes the final audit while the mean point fails it
+    class EscapingOnce(EscapingOracle):
+        calls = 0
+
+        def compute(self, center, p, coeff):
+            self.calls += 1
+            if self.calls == 1:
+                return np.asarray(center, dtype=float) + 5.0
+            return np.clip(center, 0.0, 1.0)
+
+    spec = ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
+                       rx=EscapingOnce(2), ry=BoxIndicator(2, 0.0, 1.0))
+    config = SolverConfig(rho=1.0, mu=0.1, iters=2, step_policy="fixed",
+                          eta=1.0, trace_mean=True)
+    log = run(spec, q_of([0.5, 0.5], [0.5, 0.5]), np.zeros(2), config)
+    first, final = log.records
+    assert not first.objective_flagged
+    assert spec.rx.distance(log.last_point.x) == 0.0
+    assert spec.rx.distance(log.mean_point.x) > 1.0
+    assert final.mean_al_value == math.inf
+    assert final.objective_flagged
+
+
 def test_domain_distance_checked_only_at_start_and_end():
     def distance_calls(build, config):
         spec, q0, w0 = build()
@@ -470,20 +495,41 @@ def test_domain_distance_checked_only_at_start_and_end():
                 return distance(v)
             return wrapped
 
+        # the indicator blocks, also those inside a product
         for comp in (spec.rx, spec.ry):
-            comp.distance = counted(comp.distance)
+            for part in getattr(comp, "parts", [comp]):
+                if part.is_indicator:
+                    part.distance = counted(part.distance)
         log = run(spec, q0, w0, config)
         assert not any(r.objective_flagged for r in log.records)
         return len(calls)
 
     _, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=10, r=2, seed=3))
     C = laplacian(gen_er_graph(8, 0.4, seed=4))
+
+    def build_mixed():
+        # spectrahedron and zero blocks in one product on each side
+        n, extra = 30, 5
+        start = np.concatenate([np.eye(n).ravel() / n, np.zeros(extra)])
+        target = np.random.default_rng(5).standard_normal(start.size)
+
+        def mixed():
+            return ProductComponent([SpectrahedronIndicator(n, 1.0, 3),
+                                     ZeroReg(extra)])
+
+        spec = ProblemSpec(f=SmoothTerm.half_sq_distance(target),
+                           A=LinearMap.identity(start.size),
+                           rx=mixed(), ry=mixed())
+        return spec, q_of(start, start), np.zeros(start.size)
+
     cases = [
         # start check, then the last and the traced mean point at the end
         (lambda: build_cme_problem(SigmaHat, tau, s, k_hat=2),
          dict(step_policy="line_search", trace_mean=True), 6),
         (lambda: build_maxcut_problem(C, k_hat=3),
          dict(step_policy="fixed", eta=0.2, variant="last"), 4),
+        (build_mixed, dict(step_policy="line_search", trace_mean=True), 6),
+        (build_mixed, dict(step_policy="fixed", eta=0.2, variant="last"), 4),
     ]
     for build, kw, expected in cases:
         for iters in (5, 20):
@@ -548,6 +594,4 @@ def test_solver_config_validation():
         SolverConfig(rho=1.0, mu=0.1, iters=1, step_policy="warp")
     with pytest.raises(ValueError):
         SolverConfig(rho=1.0, mu=0.1, iters=1, variant="median")
-    with pytest.raises(ValueError):
-        SolverConfig(rho=1.0, mu=0.1, iters=1, lam=0.5)
 
