@@ -189,14 +189,14 @@ def _toy_setup(rho=1.0, iters=300, ref_tol=1e-10):
                                           a_s=consts.alpha_s, norm_a=consts.norm_a)
 
 
-def suite_decay(seed=0, iters=300):
+def suite_decay(iters=300):
     spec, _, ref, log, c = _toy_setup(iters=iters)
     cert = check_linear_decay([r.al_value for r in log.records],
                               ref.h_value, c["eta"])
     return [cert]
 
 
-def suite_ergodic(seed=0, iters=300):
+def suite_ergodic(iters=300):
     spec, (q0, w0), ref, log, c = _toy_setup(iters=iters)
     # c >= 2||w*||, from the reference run's converged multiplier
     cdual = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
@@ -251,5 +251,6 @@ def run_suites(name, seed=0):
                          f"{sorted(SUITES)} or 'all'")
     certs = []
     for n in names:
-        certs.extend(SUITES[n](seed=seed))
+        # only the oracle audits draw random instances; the toy is fixed
+        certs.extend(SUITES[n](seed=seed) if n == "oracles" else SUITES[n]())
     return all(c.passed for c in certs), certs

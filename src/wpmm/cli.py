@@ -529,9 +529,15 @@ def _default_start(component):
 def _load_problem(path):
     """((spec, q0, w0), solver section) of a problem file."""
     doc = _read_json(path, "problem")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
     for key in ("f", "A", "rx", "ry"):
         if key not in doc:
             raise ConfigError(f"{path}: missing required section {key!r}")
+    for key in ("f", "A", "rx", "ry", "solver"):
+        if key in doc and not isinstance(doc[key], dict):
+            raise ConfigError(f"{path}: section {key!r} must be a JSON object, "
+                              f"got {json.dumps(doc[key])}")
     f = _build_smooth(doc["f"])
     A = _build_map(doc["A"])
     rx = _build_component(doc["rx"])

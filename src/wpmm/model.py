@@ -103,57 +103,59 @@ class LinearMap:
 
 @dataclass
 class SmoothTerm:
-    """Convex smooth part f with value/gradient access and its constants.
+    """Convex quadratic smooth part f(x) = 0.5 <x, H x> + <b, x> + c0.
 
-    beta is a smoothness (gradient Lipschitz) constant, alpha an optional
-    strong-convexity constant. ``is_quadratic`` marks f as an (at most)
-    quadratic polynomial, which lets the line search minimize in closed form.
+    ``hess`` applies the positive semidefinite Hessian H (None when H = 0,
+    i.e. f is linear). beta is a smoothness (gradient Lipschitz) constant,
+    alpha an optional strong-convexity constant.
     """
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    hess: Optional[Callable[[np.ndarray], np.ndarray]]
+    b: np.ndarray
+    c0: float
     beta: float
     alpha: Optional[float] = None
-    is_quadratic: bool = False
+
+    def __post_init__(self):
+        self.b = np.asarray(self.b, dtype=float).ravel()
+        self.c0 = float(self.c0)
+
+    def curvature(self, d):
+        """<d, H d>: f changes by <grad f(x), d> + curvature(d)/2 along d."""
+        return 0.0 if self.hess is None else float(d @ self.hess(d))
+
+    def value(self, x):
+        return 0.5 * self.curvature(x) + float(self.b @ x) + self.c0
+
+    def gradient(self, x):
+        return self.b.copy() if self.hess is None else self.hess(x) + self.b
 
     @classmethod
     def half_sq_distance(cls, target):
         """f(x) = 0.5 ||x - target||^2; alpha = beta = 1."""
         target = np.asarray(target, dtype=float).ravel()
-
-        def value(x, t=target):
-            d = x - t
-            return 0.5 * float(d @ d)
-
-        return cls(value, lambda x, t=target: x - t, beta=1.0, alpha=1.0,
-                   is_quadratic=True)
+        return cls(lambda x: x, -target, 0.5 * float(target @ target),
+                   beta=1.0, alpha=1.0)
 
     @classmethod
     def linear(cls, g, beta_floor=1e-6):
         """f(x) = <g, x>. beta has no meaning for a linear map; a small
         positive floor keeps the smoothness-based formulas finite."""
-        g = np.asarray(g, dtype=float).ravel()
-        return cls(lambda x: float(g @ x), lambda x: g.copy(), beta=beta_floor,
-                   alpha=None, is_quadratic=True)
+        return cls(None, g, 0.0, beta=beta_floor)
 
     @classmethod
     def quadratic(cls, Q, b=None, c0=0.0):
         """f(x) = 0.5 x^T Q x + <b, x> + c0 for symmetric PSD Q."""
         Q = np.asarray(Q, dtype=float)
         n = Q.shape[0]
-        b = np.zeros(n) if b is None else np.asarray(b, dtype=float).ravel()
+        b = np.zeros(n) if b is None else b
         Qs = 0.5 * (Q + Q.T)
         evals = np.linalg.eigvalsh(Qs)
         if evals[0] < -1e-10 * max(1.0, abs(evals[-1])):
             raise ValueError("quadratic form is not positive semidefinite")
         beta = max(float(evals[-1]) * (1 + 1e-12), 1e-12)
         alpha = float(evals[0]) if evals[0] > 1e-12 * max(1.0, evals[-1]) else None
-
-        def value(x):
-            return 0.5 * float(x @ (Qs @ x)) + float(b @ x) + c0
-
-        return cls(value, lambda x: Qs @ x + b, beta=beta, alpha=alpha,
-                   is_quadratic=True)
+        return cls(lambda x: Qs @ x, b, c0, beta=beta, alpha=alpha)
 
 
 @dataclass

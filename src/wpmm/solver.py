@@ -5,7 +5,8 @@ linearization vectors and the step coefficient eta*(beta_S + 2 mu (||A||+1)^2),
 move the primal point by a convex combination toward the oracle output, then
 ascend the multiplier along the constraint residual. Step sizes come either
 from the curvature-based formulas, from a fixed user value, or from an exact
-line search over the combination parameter.
+line search over the combination parameter, closed-form on the step's own
+gradient since the smooth term is quadratic.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
 ``IterateState`` and a ``Step`` record (eta used, line-search fallback,
@@ -292,16 +293,18 @@ def _base_step(spec, config):
     return base, base * beta_hat(consts.beta_s, config.mu, consts.norm_a)
 
 
-def line_search_eta(spec, q, v, w, mu, rho, base_eta=None):
+def line_search_eta(spec, q, v, grad, mu, rho, base_eta=None):
     """Exact step over the segment q -> v for the merit
     mu ||K q(eta)||^2 + L_rho(q(eta), w), eta in [0, 1].
 
-    Assumes, without checking, both endpoints inside every indicator domain
-    (true of the iterate and an oracle output), so a regularizer constant on
-    segments drops out; any other raises LineSearchError. For quadratic (or
-    linear) f the merit is an exact quadratic in eta, minimized in closed
-    form; otherwise golden section narrows [0, 1] to width 1e-6. Endpoints
-    (and the optional base step) always compete with the interior candidate.
+    ``grad`` is the merit's gradient at q: the ``smooth_grad`` pair at
+    penalty rho + 2 mu. Assumes, without checking, both endpoints inside every
+    indicator domain (true of the iterate and an oracle output), so a
+    regularizer constant on segments drops out; any other raises
+    LineSearchError. f is quadratic, so the merit moves by exactly
+    lin*eta + curv*eta^2 along the segment, with lin = <grad, v - q> and
+    curv = <dx, H dx>/2 + (mu + rho/2) ||A dx - dy||^2. The endpoints, the
+    optional base step and the clipped stationary point compete on it.
     """
     for comp in (spec.rx, spec.ry):
         if not comp.constant_on_segments:
@@ -309,46 +312,19 @@ def line_search_eta(spec, q, v, w, mu, rho, base_eta=None):
                 f"{type(comp).__name__} is not constant along segments"
             )
 
+    px, py = grad
     dx = v.x - q.x
     dy = v.y - q.y
-    kq = k_apply(spec, q)
     kd = spec.A.apply(dx) - dy
-    pen = mu + 0.5 * rho
-
-    def merit(eta):
-        ke = kq + eta * kd
-        return float(spec.f.value(q.x + eta * dx)) + float(w @ ke) + pen * float(ke @ ke)
+    lin = float(px @ dx) + float(py @ dy)
+    curv = 0.5 * spec.f.curvature(dx) + (mu + 0.5 * rho) * float(kd @ kd)
 
     candidates = [0.0, 1.0]
     if base_eta is not None and 0.0 < base_eta <= 1.0:
         candidates.append(float(base_eta))
-
-    if spec.f.is_quadratic:
-        gf = spec.f.gradient(q.x)
-        lin = float(gf @ dx) + float(w @ kd) + 2.0 * pen * float(kq @ kd)
-        curv_f = float(spec.f.value(q.x + dx)) - float(spec.f.value(q.x)) - float(gf @ dx)
-        curv = curv_f + pen * float(kd @ kd)
-        if curv > 0.0:
-            candidates.append(min(1.0, max(0.0, -lin / (2.0 * curv))))
-    else:
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        lo, hi = 0.0, 1.0
-        a = hi - inv_phi * (hi - lo)
-        b = lo + inv_phi * (hi - lo)
-        fa, fb = merit(a), merit(b)
-        while hi - lo > 1e-6:
-            if fa <= fb:
-                hi, b, fb = b, a, fa
-                a = hi - inv_phi * (hi - lo)
-                fa = merit(a)
-            else:
-                lo, a, fa = a, b, fb
-                b = lo + inv_phi * (hi - lo)
-                fb = merit(b)
-        candidates.append(0.5 * (lo + hi))
-
-    best = min(sorted(candidates), key=merit)
-    return best
+    if curv > 0.0:
+        candidates.append(min(1.0, max(0.0, -lin / (2.0 * curv))))
+    return min(sorted(candidates), key=lambda eta: lin * eta + curv * eta * eta)
 
 
 class Step(NamedTuple):
@@ -378,8 +354,8 @@ def _step(spec, state, config, base_eta, coeff):
     fallback = False
     if config.step_policy == "line_search":
         try:
-            eta = line_search_eta(spec, q, v, w, config.mu, config.rho,
-                                  base_eta=base_eta)
+            eta = line_search_eta(spec, q, v, (px, py), config.mu,
+                                  config.rho, base_eta=base_eta)
         except LineSearchError:
             fallback = True
 

@@ -297,6 +297,25 @@ def test_generic_unsupported_regularizer(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["f", "A", "rx", "ry", "solver"])
+def test_generic_section_not_object_is_config_error(tmp_path, capsys, section):
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    prob[section] = "x"
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
+    assert f"section '{section}' must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generic_problem_not_object_is_config_error(tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text("[1, 2]")
+    assert main(["generic", str(path), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
 def test_iters_below_one_is_config_error(tmp_path, capsys):
     for args in (["cme", "--d", "8", "--r", "2"],
                  ["maxcut", "--random-n", "10"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import fd_gradient
+from wpmm.cli import _build_smooth
 from wpmm.model import (
     LinearMap,
     PrimalPoint,
@@ -20,8 +21,7 @@ from wpmm.solver import SolverConfig, run
 
 
 def zero_smooth(dim):
-    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(dim), beta=1e-6,
-                      is_quadratic=True)
+    return SmoothTerm.linear(np.zeros(dim))
 
 
 def make_spec(dim=2, f=None, A=None, rx=None, ry=None, **kw):
@@ -160,6 +160,35 @@ def test_smooth_grad_matches_finite_differences():
         scale = max(1.0, np.linalg.norm(np.concatenate([gx, gy])))
         assert np.linalg.norm(gx - fx) <= 1e-5 * scale
         assert np.linalg.norm(gy - fy) <= 1e-5 * scale
+
+
+SMOOTH_KINDS = {
+    "quadratic": {"kind": "quadratic", "Q": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                                             [0.0, 0.2, 0.7]],
+                  "b": [0.3, -1.0, 0.5], "c0": 1.5},
+    "least_squares": {"kind": "least_squares",
+                      "M": [[1.0, 2.0, 0.0], [0.0, -1.0, 3.0],
+                            [0.5, 0.0, 1.0], [2.0, 1.0, -1.0]],
+                      "b": [1.0, 0.0, -2.0, 0.5]},
+    "half_sq_distance": {"kind": "half_sq_distance", "target": [0.4, -1.2, 2.0]},
+    "linear": {"kind": "linear", "g": [1.0, -0.5, 2.5]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMOOTH_KINDS))
+def test_smooth_term_value_gradient_hessian_agree(kind):
+    # central differences are exact for quadratics, so a unit step is fine
+    f = _build_smooth(SMOOTH_KINDS[kind])
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x, d = rng.standard_normal(3), rng.standard_normal(3)
+        slope = 0.5 * (f.value(x + d) - f.value(x - d))
+        assert slope == pytest.approx(float(f.gradient(x) @ d), abs=1e-8)
+        second = f.value(x + d) - 2.0 * f.value(x) + f.value(x - d)
+        assert second == pytest.approx(f.curvature(d), abs=1e-8)
+        hd = 0.5 * (f.gradient(x + d) - f.gradient(x - d))
+        want = np.zeros(3) if f.hess is None else f.hess(d)
+        np.testing.assert_allclose(hd, want, rtol=0.0, atol=1e-8)
 
 
 def test_al_decomposition_exact():

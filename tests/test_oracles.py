@@ -34,8 +34,7 @@ def q_of(x, y):
 
 
 def zero_smooth(dim):
-    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(dim), beta=1e-6,
-                      is_quadratic=True)
+    return SmoothTerm.linear(np.zeros(dim))
 
 
 def matrix_oracle(comp, center, p, c):

@@ -60,8 +60,7 @@ def blend(q, v, eta):
 
 
 def zero_smooth(dim):
-    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(dim), beta=1e-6,
-                      is_quadratic=True)
+    return SmoothTerm.linear(np.zeros(dim))
 
 
 class FrozenOracle(WpoComponent):
@@ -169,7 +168,8 @@ def box_problem(a, dim=2):
 def test_line_search_stationary_segment():
     spec = box_problem([0.5, 0.5])
     q = q_of([0.2, 0.2], [0.2, 0.2])
-    assert line_search_eta(spec, q, q, np.zeros(2), 0.2, 1.0) == 0.0
+    grad = smooth_grad(spec, q, np.zeros(2), 1.4)
+    assert line_search_eta(spec, q, q, grad, 0.2, 1.0) == 0.0
 
 
 def test_line_search_matches_dense_grid():
@@ -178,7 +178,8 @@ def test_line_search_matches_dense_grid():
     v = q_of([1.0, 0.0], [0.9, 0.1])
     w = np.array([0.3, -0.2])
     mu, rho = 0.2, 1.0
-    eta = line_search_eta(spec, q, v, w, mu, rho)
+    eta = line_search_eta(spec, q, v, smooth_grad(spec, q, w, rho + 2 * mu),
+                          mu, rho)
 
     grid = np.linspace(0.0, 1.0, 1_000_001)
     dx, dy = v.x - q.x, v.y - q.y
@@ -188,8 +189,6 @@ def test_line_search_matches_dense_grid():
     def merit_vec(etas):
         ke0 = kq[None, :] + etas[:, None] * kd[None, :]
         xs = q.x[None, :] + etas[:, None] * dx[None, :]
-        f = 0.5 * np.sum((xs - spec.f.gradient(np.zeros(2)) - np.array([0.9, 0.1]) * 0) ** 2, axis=1)
-        # f above must be recomputed against the actual target
         f = 0.5 * np.sum((xs - np.array([0.9, 0.1])) ** 2, axis=1)
         return (mu + rho / 2) * np.sum(ke0**2, axis=1) + f + ke0 @ w
 
@@ -205,7 +204,8 @@ def test_line_search_beats_endpoints():
         q = q_of(rng.random(2), rng.random(2))
         v = q_of(rng.random(2), rng.random(2))
         w = rng.standard_normal(2)
-        eta = line_search_eta(spec, q, v, w, 0.2, 1.0)
+        eta = line_search_eta(spec, q, v, smooth_grad(spec, q, w, 1.4), 0.2,
+                              1.0)
 
         def merit(e):
             qe = blend(q, v, e)
@@ -216,20 +216,55 @@ def test_line_search_beats_endpoints():
         assert merit(eta) <= merit(1.0) + 1e-12
 
 
-def test_line_search_golden_section_path():
-    # same quadratic merit but with the closed form disabled
-    spec = box_problem([0.9, 0.1])
-    f = spec.f
-    spec_g = ProblemSpec(
-        f=SmoothTerm(f.value, f.gradient, f.beta, f.alpha, is_quadratic=False),
-        A=spec.A, rx=spec.rx, ry=spec.ry,
-    )
-    q = q_of([0.1, 0.8], [0.3, 0.2])
-    v = q_of([1.0, 0.0], [0.9, 0.1])
-    w = np.array([0.3, -0.2])
-    eta_closed = line_search_eta(spec, q, v, w, 0.2, 1.0)
-    eta_golden = line_search_eta(spec_g, q, v, w, 0.2, 1.0)
-    assert abs(eta_closed - eta_golden) <= 1e-5
+def dense_quadratic_problem():
+    """Non-identity Hessian and a dense 2x3 coupling, box domains."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((3, 3))
+    Q = M @ M.T + 0.5 * np.eye(3)
+    b = rng.standard_normal(3)
+    A = rng.standard_normal((2, 3))
+    spec = ProblemSpec(f=SmoothTerm.quadratic(Q, b, 0.3),
+                       A=LinearMap.from_dense(A),
+                       rx=BoxIndicator(3, -1.0, 2.0), ry=BoxIndicator(2, -5.0, 5.0))
+    q = q_of(rng.uniform(-1, 2, 3), rng.uniform(-5, 5, 2))
+    v = q_of(rng.uniform(-1, 2, 3), rng.uniform(-5, 5, 2))
+    return spec, (Q, b, A), q, v, rng.standard_normal(2)
+
+
+def test_line_search_matches_dense_grid_with_hessian_and_dense_map():
+    spec, (Q, b, A), q, v, w = dense_quadratic_problem()
+    mu, rho = 0.2, 1.0
+    eta = line_search_eta(spec, q, v, smooth_grad(spec, q, w, rho + 2 * mu),
+                          mu, rho)
+
+    grid = np.linspace(0.0, 1.0, 1_000_001)
+    xs = q.x[None, :] + grid[:, None] * (v.x - q.x)[None, :]
+    ys = q.y[None, :] + grid[:, None] * (v.y - q.y)[None, :]
+    ke = xs @ A.T - ys
+    vals = (0.5 * np.sum((xs @ Q) * xs, axis=1) + xs @ b + ke @ w
+            + (mu + rho / 2) * np.sum(ke**2, axis=1))
+    best = grid[int(np.argmin(vals))]
+    assert 0.0 < best < 1.0  # the interior candidate is the one exercised
+    assert abs(eta - best) <= 1e-5
+
+
+def test_line_search_calls_no_smooth_term_and_one_map_product():
+    spec, _, q, v, w = dense_quadratic_problem()
+    grad = smooth_grad(spec, q, w, 1.4)
+    calls = {"value": 0, "gradient": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    spec.f.value = counted("value", spec.f.value)
+    spec.f.gradient = counted("gradient", spec.f.gradient)
+    spec.A.apply = counted("apply", spec.A.apply)
+    line_search_eta(spec, q, v, grad, 0.2, 1.0, base_eta=0.3)
+    assert calls["value"] == 0 and calls["gradient"] == 0
+    assert calls["apply"] <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +452,8 @@ def test_line_search_dominates_base_step():
         px, py = smooth_grad(spec, state_q, w, rho + 2 * mu)
         v = PrimalPoint(prox_exact(spec.rx, state_q.x, px, coeff),
                         prox_exact(spec.ry, state_q.y, py, coeff))
-        eta = line_search_eta(spec, state_q, v, w, mu, rho, base_eta=base)
+        eta = line_search_eta(spec, state_q, v, (px, py), mu, rho,
+                              base_eta=base)
 
         def merit(e):
             qe = blend(state_q, v, e)
