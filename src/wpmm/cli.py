@@ -431,6 +431,31 @@ def cmd_maxcut(params):
 # declarative problems
 
 
+class _Section(dict):
+    """A JSON object of a problem file whose missing keys are configuration
+    errors naming the file, the section and the key."""
+
+    def __init__(self, path, name, doc):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: section {name!r} must be a JSON object, "
+                              f"got {json.dumps(doc)}")
+        super().__init__(doc)
+        self.path, self.name = path, name
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.path}: section {self.name!r} is missing "
+                          f"required key {key!r}")
+
+    def parts(self):
+        """The sections listed under the key ``parts``."""
+        parts = self["parts"]
+        if not isinstance(parts, list):
+            raise ConfigError(f"{self.path}: section {self.name!r}: 'parts' must "
+                              f"be a JSON array, got {json.dumps(parts)}")
+        return [_Section(self.path, f"{self.name}.parts[{i}]", p)
+                for i, p in enumerate(parts)]
+
+
 def _build_smooth(doc):
     kind = doc.get("kind")
     if kind == "quadratic":
@@ -504,7 +529,7 @@ def _build_component(doc):
             dist_fn=SimplexIndicator(dim, radius).distance,
         )
     if kind == "product":
-        return ProductComponent([_build_component(p) for p in doc["parts"]])
+        return ProductComponent([_build_component(p) for p in doc.parts()])
     raise ConfigError(f"unsupported regularizer kind {kind!r}")
 
 
@@ -534,14 +559,12 @@ def _load_problem(path):
     for key in ("f", "A", "rx", "ry"):
         if key not in doc:
             raise ConfigError(f"{path}: missing required section {key!r}")
-    for key in ("f", "A", "rx", "ry", "solver"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise ConfigError(f"{path}: section {key!r} must be a JSON object, "
-                              f"got {json.dumps(doc[key])}")
-    f = _build_smooth(doc["f"])
-    A = _build_map(doc["A"])
-    rx = _build_component(doc["rx"])
-    ry = _build_component(doc["ry"])
+    sections = {key: _Section(path, key, doc[key])
+                for key in ("f", "A", "rx", "ry", "solver") if key in doc}
+    f = _build_smooth(sections["f"])
+    A = _build_map(sections["A"])
+    rx = _build_component(sections["rx"])
+    ry = _build_component(sections["ry"])
     spec = ProblemSpec(f=f, A=A, rx=rx, ry=ry,
                        pqg_alpha=doc.get("pqg_alpha"))
     x0 = (np.asarray(doc["x0"], dtype=float) if "x0" in doc
@@ -555,7 +578,7 @@ def _load_problem(path):
         y0 = prox(spec.A.apply(x0), 1.0) if prox else _default_start(ry)
     w0 = (np.asarray(doc["w0"], dtype=float) if "w0" in doc
           else np.zeros(A.dim_out))
-    return (spec, PrimalPoint(x0, y0), w0), doc.get("solver", {})
+    return (spec, PrimalPoint(x0, y0), w0), sections.get("solver", {})
 
 
 def _generic_trial(args):

@@ -1,8 +1,9 @@
 """Dense and operator linear-algebra kernels.
 
 Truncated singular-value and symmetric eigenvalue decompositions via Lanczos
-(Golub-Kahan style) iterations with full reorthogonalization, exact sort-based
-projections onto the scaled simplex and the l1 ball.
+(Golub-Kahan style) iterations with full reorthogonalization, and exact
+projections onto the scaled simplex and the l1 ball, which find their
+threshold by Michelot's pivot iteration in linear time per pass.
 
 The Lanczos kernels multiply by their input once per basis vector: each
 vector is stored next to its product, and the Rayleigh-Ritz matrices and
@@ -16,6 +17,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,37 +310,76 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     )
 
 
+def _threshold(a, tau, total):
+    """The theta with ``sum(max(a - theta, 0)) == tau``, for tau > 0 and any
+    finite real a summing to ``total``.
+
+    Michelot's pivot iteration (Michelot 1986; Condat 2016): theta is the
+    mean of the active entries shifted by tau over their count; entries at
+    or below it leave the active set, and theta is recomputed over the rest
+    until the set stops shrinking. The set never empties in exact
+    arithmetic; when roundoff would empty it, the last non-empty set's theta
+    is kept. A non-finite theta means a sum overflowed.
+    """
+    active, theta = a, (total - tau) / a.size
+    while True:
+        kept = active[active > theta]
+        n = kept.size
+        if n == active.size or not n:
+            return theta
+        active = kept
+        theta = (kept.sum() - tau) / n
+
+
+def _shrink(a, tau, total):
+    """Overwrite a with ``max(a - theta, 0)``, theta from ``_threshold``."""
+    theta = _threshold(a, tau, total)
+    e = 0
+    if not math.isfinite(theta):
+        # finite entries whose sums overflow: the projection commutes with
+        # the exact scaling by 2**-e that puts every entry below 1
+        e = int(np.frexp(np.abs(a).max())[1])
+        np.ldexp(a, -e, out=a)
+        theta = _threshold(a, math.ldexp(tau, -e), a.sum())
+    a -= theta
+    np.maximum(a, 0.0, out=a)
+    if e:
+        np.ldexp(a, e, out=a)
+    return a
+
+
 def project_simplex(z, tau):
     """Euclidean projection onto the scaled simplex {v >= 0, sum(v) = tau}.
 
-    Exact O(n log n) sort-and-threshold algorithm; no tolerance involved.
+    Exact threshold by Michelot's pivot iteration, linear time per pass; no
+    tolerance involved.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("input has non-finite entries")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    u = np.sort(z)[::-1]
-    shifted = np.cumsum(u) - tau
-    j = np.arange(1, z.size + 1)
-    rho = int(np.nonzero(u - shifted / j > 0)[0][-1]) + 1
-    theta = shifted[rho - 1] / rho
-    return np.maximum(z - theta, 0.0)
+    a = np.array(z, dtype=float)
+    # _shrink rescales sums that overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+        # only a sum that is not finite can hide a non-finite entry
+        if not math.isfinite(total) and not np.isfinite(a).all():
+            raise ValueError("input has non-finite entries")
+        if not tau > 0:
+            raise ValueError("tau must be positive")
+        return _shrink(a, tau, total)
 
 
 def project_l1_ball(z, s):
     """Euclidean projection onto the l1 ball {v : ||v||_1 <= s}.
 
-    Returns z unchanged when it is already inside the ball, otherwise
-    soft-thresholds with the exact threshold from the simplex projection of
-    |z|.
+    Returns a copy of z when it is already inside the ball, otherwise
+    soft-thresholds z with the exact simplex threshold of |z|.
     """
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("input has non-finite entries")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if float(np.abs(z).sum()) <= s:
-        return z.copy()
-    return np.sign(z) * project_simplex(np.abs(z), s)
-
+    a = np.abs(z)
+    with np.errstate(over="ignore"):  # _shrink rescales sums that overflow
+        total = a.sum()
+        if not math.isfinite(total) and not np.isfinite(z).all():
+            raise ValueError("input has non-finite entries")
+        if not s > 0:
+            raise ValueError("s must be positive")
+        if total <= s:
+            return z.copy()
+        return np.copysign(_shrink(a, s, total), z, out=a)

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: dense
 decompositions use Jacobi rotations instead of Lanczos, projections use
-exhaustive active-set / sign-pattern enumeration instead of sorting, and
-gradients use central finite differences.
+exhaustive active-set / sign-pattern enumeration or sorting instead of a
+pivot iteration, and gradients use central finite differences.
 """
 
 import numpy as np
@@ -127,6 +127,30 @@ def l1_project_bruteforce(z, s):
         if d < best_d:
             best, best_d = v, d
     return best
+
+
+def simplex_project_sort(z, tau):
+    """Projection onto {v >= 0, sum v = tau} by sorting: the threshold is
+    (sum of the rho largest entries - tau) / rho for the largest rho whose
+    rho-th largest entry lies above it."""
+    z = np.asarray(z, dtype=float)
+    u = np.sort(z)[::-1]
+    shifted = np.cumsum(u) - tau
+    j = np.arange(1, z.size + 1)
+    above = np.flatnonzero(u - shifted / j > 0)
+    # rho = 1 always qualifies in exact arithmetic; roundoff can hide it
+    rho = int(above[-1]) + 1 if above.size else 1
+    theta = shifted[rho - 1] / rho
+    return np.maximum(z - theta, 0.0)
+
+
+def l1_project_sort(z, s):
+    """Projection onto the l1 ball by soft-thresholding with the sorted
+    simplex threshold of |z|."""
+    z = np.asarray(z, dtype=float)
+    if np.abs(z).sum() <= s:
+        return z.copy()
+    return np.sign(z) * simplex_project_sort(np.abs(z), s)
 
 
 def fd_gradient(fun, x, h=1e-6):

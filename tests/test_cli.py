@@ -309,6 +309,28 @@ def test_generic_section_not_object_is_config_error(tmp_path, capsys, section):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("f", {"kind": "quadratic"}, "section 'f' is missing required key 'Q'"),
+    ("A", {"kind": "identity"}, "section 'A' is missing required key 'dim'"),
+    ("ry", {"kind": "product"}, "section 'ry' is missing required key 'parts'"),
+    ("rx", {"kind": "product", "parts": ["x"]},
+     "section 'rx.parts[0]' must be a JSON object"),
+    ("rx", {"kind": "product", "parts": [{"kind": "l1_ball", "dim": 3}]},
+     "section 'rx.parts[0]' is missing required key 'radius'"),
+    ("rx", {"kind": "product", "parts": "x"}, "'parts' must be a JSON array"),
+])
+def test_generic_missing_key_is_config_error(tmp_path, capsys, section, value,
+                                             message):
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    prob[section] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generic_problem_not_object_is_config_error(tmp_path, capsys):
     path = tmp_path / "prob.json"
     path.write_text("[1, 2]")

@@ -8,7 +8,9 @@ from bruteforce import (
     jacobi_eigh,
     jacobi_svd,
     l1_project_bruteforce,
+    l1_project_sort,
     simplex_project_bruteforce,
+    simplex_project_sort,
 )
 from wpmm.linalg import (
     ConvergenceError,
@@ -301,6 +303,88 @@ def test_l1_idempotent(zs, s):
 def test_l1_rejects_bad_radius():
     with pytest.raises(ValueError):
         project_l1_ball(np.array([1.0]), -1.0)
+
+
+# exactness against the kept sort-based reference
+
+
+def assert_matches_reference(got, ref, z):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, float(np.abs(z).max()))
+
+
+# a few repeated values make ties, and whole vectors of one value occur
+_entries = st.one_of(st.floats(min_value=-50, max_value=50),
+                     st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0]))
+_vectors = st.one_of(
+    st.lists(_entries, min_size=1, max_size=40),
+    st.builds(lambda v, n: [v] * n, _entries, st.integers(1, 40)),
+)
+
+
+@given(_vectors, st.floats(min_value=0.01, max_value=20))
+def test_simplex_matches_sort_reference(zs, tau):
+    z = np.array(zs)
+    assert_matches_reference(project_simplex(z, tau),
+                             simplex_project_sort(z, tau), z)
+
+
+@given(_vectors, st.floats(min_value=0.01, max_value=2.0))
+def test_l1_matches_sort_reference(zs, frac):
+    # radii up to twice ||z||_1 put some points inside the ball
+    z = np.array(zs)
+    s = max(frac * float(np.abs(z).sum()), 1e-3)
+    assert_matches_reference(project_l1_ball(z, s), l1_project_sort(z, s), z)
+
+
+def test_projections_match_sort_reference_at_covariance_size():
+    # the covariance y-oracle projects d*d = 160,000 entries at d = 400
+    z = np.random.default_rng(16).standard_normal(160_000)
+    for radius in (1e-3, 1.0, 10.0, 1e3, 1e5, 2e5):
+        assert_matches_reference(project_l1_ball(z, radius),
+                                 l1_project_sort(z, radius), z)
+        assert_matches_reference(project_simplex(z, radius),
+                                 simplex_project_sort(z, radius), z)
+
+
+@pytest.mark.parametrize("z, radius", [
+    # the threshold rounds to the largest entry: the active set would empty
+    (1e150 * (1.0 + np.random.default_rng(17).random(1000)), 1e-6),
+    (np.full(160_000, 1.0), 1e-12),
+])
+def test_projections_of_degenerate_inputs(z, radius):
+    for project, reference in ((project_l1_ball, l1_project_sort),
+                               (project_simplex, simplex_project_sort)):
+        got = project(z, radius)
+        assert np.isfinite(got).all()
+        assert_matches_reference(got, reference(z, radius), z)
+
+
+def test_projections_when_sums_overflow():
+    # finite entries whose sums overflow; 2**-1000 scales exactly
+    z = np.array([1.7e308, -1.7e308, 1.7e308, 9e307, -4e307, 1.0])
+    scale = 2.0**-1000
+    for radius in (1.0, 1e300, 1.5e308):
+        want = l1_project_sort(z * scale, radius * scale) / scale
+        assert_matches_reference(project_l1_ball(z, radius), want, z)
+        want = simplex_project_sort(z * scale, radius * scale) / scale
+        assert_matches_reference(project_simplex(z, radius), want, z)
+    for project in (project_l1_ball, project_simplex):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                project(np.array([1.0, bad, 1e308]), 1.0)
+
+
+def test_projections_reject_nan_radius():
+    for project, name in ((project_l1_ball, "s"), (project_simplex, "tau")):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            project(np.array([3.0, -1.0]), np.nan)
+
+
+def test_l1_memory_is_a_few_input_sized_arrays():
+    # the sort-based projection held about seven 160,000-entry arrays
+    z = np.random.default_rng(18).standard_normal(160_000)
+    assert traced_peak_mb(project_l1_ball, z, 10.0) < 3 * z.nbytes / 2**20
 
 
 # ---------------------------------------------------------------------------
