@@ -431,9 +431,25 @@ def cmd_maxcut(params):
 # declarative problems
 
 
+_REQUIRED = object()
+
+
+def _numeric(value):
+    """Whether value is a JSON number or a (nested) array of numbers."""
+    try:
+        return np.asarray(value).dtype.kind in "iuf"
+    except ValueError:  # ragged nesting
+        return False
+
+
 class _Section(dict):
-    """A JSON object of a problem file whose missing keys are configuration
-    errors naming the file, the section and the key."""
+    """A JSON object of a problem file whose missing or wrongly typed keys
+    are configuration errors naming the file, the section and the key.
+    ``name`` None is the file's top level.
+
+    The typed readers return ``default`` for an absent key, and None for a
+    null one whose default is None; without a default the key is required.
+    """
 
     def __init__(self, path, name, doc):
         if not isinstance(doc, dict):
@@ -441,34 +457,57 @@ class _Section(dict):
                               f"got {json.dumps(doc)}")
         super().__init__(doc)
         self.path, self.name = path, name
+        self.where = path if name is None else f"{path}: section {name!r}"
 
     def __missing__(self, key):
-        raise ConfigError(f"{self.path}: section {self.name!r} is missing "
-                          f"required key {key!r}")
+        raise ConfigError(f"{self.where} is missing required key {key!r}")
+
+    def _typed(self, key, default, ok, what):
+        value = self[key] if default is _REQUIRED else self.get(key, default)
+        if value is None and default is None:
+            return None
+        if not ok(value):
+            got = json.dumps(value)
+            got = got if len(got) <= 60 else got[:57] + "..."
+            raise ConfigError(f"{self.where}: {key!r} must be {what}, got {got}")
+        return value
+
+    def integer(self, key, default=_REQUIRED):
+        return self._typed(key, default, lambda v: type(v) is int, "int")
+
+    def number(self, key, default=_REQUIRED):
+        value = self._typed(key, default, lambda v: type(v) in (int, float),
+                            "a number")
+        return None if value is None else float(value)
+
+    def array(self, key, default=_REQUIRED):
+        """A number or an array of numbers, as a float array."""
+        value = self._typed(key, default, _numeric,
+                            "a number or an array of numbers")
+        return None if value is None else np.asarray(value, dtype=float)
 
     def parts(self):
         """The sections listed under the key ``parts``."""
-        parts = self["parts"]
-        if not isinstance(parts, list):
-            raise ConfigError(f"{self.path}: section {self.name!r}: 'parts' must "
-                              f"be a JSON array, got {json.dumps(parts)}")
+        parts = self._typed("parts", _REQUIRED, lambda v: isinstance(v, list),
+                            "a JSON array")
         return [_Section(self.path, f"{self.name}.parts[{i}]", p)
                 for i, p in enumerate(parts)]
 
 
 def _build_smooth(doc):
+    if not isinstance(doc, _Section):  # a plain dict, read as section 'f'
+        doc = _Section("problem", "f", doc)
     kind = doc.get("kind")
     if kind == "quadratic":
-        return SmoothTerm.quadratic(np.asarray(doc["Q"], dtype=float),
-                                    doc.get("b"), doc.get("c0", 0.0))
+        return SmoothTerm.quadratic(doc.array("Q"), doc.array("b", None),
+                                    doc.number("c0", 0.0))
     if kind == "half_sq_distance":
-        return SmoothTerm.half_sq_distance(np.asarray(doc["target"], dtype=float))
+        return SmoothTerm.half_sq_distance(doc.array("target"))
     if kind == "linear":
-        return SmoothTerm.linear(np.asarray(doc["g"], dtype=float))
+        return SmoothTerm.linear(doc.array("g"))
     if kind == "least_squares":
         # f(x) = 0.5 ||M x - b||^2 declared by its data
-        M = np.asarray(doc["M"], dtype=float)
-        b = np.asarray(doc["b"], dtype=float)
+        M, b = doc.array("M"), doc.array("b")
         return SmoothTerm.quadratic(M.T @ M, -(M.T @ b), 0.5 * float(b @ b))
     raise ConfigError(f"unsupported smooth-term kind {kind!r}")
 
@@ -476,56 +515,58 @@ def _build_smooth(doc):
 def _build_map(doc):
     kind = doc.get("kind")
     if kind == "identity":
-        return LinearMap.identity(int(doc["dim"]))
+        return LinearMap.identity(doc.integer("dim"))
     if kind == "dense":
-        return LinearMap.from_dense(np.asarray(doc["entries"], dtype=float))
+        return LinearMap.from_dense(doc.array("entries"))
     if kind == "diagonal":
-        return LinearMap.diagonal(np.asarray(doc["entries"], dtype=float))
+        return LinearMap.diagonal(doc.array("entries"))
     if kind == "stacked_identity":
-        return LinearMap.stacked_identity(int(doc["dim"]), int(doc["copies"]))
+        return LinearMap.stacked_identity(doc.integer("dim"),
+                                          doc.integer("copies"))
     raise ConfigError(f"unsupported linear-map kind {kind!r}")
 
 
 def _build_component(doc):
     kind = doc.get("kind")
     if kind == "zero":
-        return ZeroReg(int(doc["dim"]))
+        return ZeroReg(doc.integer("dim"))
     if kind == "l1_ball":
-        return L1BallIndicator(int(doc["dim"]), float(doc["radius"]))
+        return L1BallIndicator(doc.integer("dim"), doc.number("radius"))
     if kind == "simplex":
-        return SimplexIndicator(int(doc["dim"]), float(doc["radius"]))
+        return SimplexIndicator(doc.integer("dim"), doc.number("radius"))
     if kind == "box":
-        return BoxIndicator(int(doc["dim"]), doc.get("lo", 0.0), doc.get("hi", 1.0))
+        return BoxIndicator(doc.integer("dim"), doc.array("lo", 0.0),
+                            doc.array("hi", 1.0))
     if kind == "diag_ones":
-        return DiagOnesIndicator(int(doc["n"]))
+        return DiagOnesIndicator(doc.integer("n"))
     if kind == "nuclear_reg":
-        return NuclearNormReg((int(doc["rows"]), int(doc["cols"])),
-                              float(doc["nu"]), int(doc["rank"]),
-                              svd_tol=float(doc.get("svd_tol", 1e-9)))
+        return NuclearNormReg((doc.integer("rows"), doc.integer("cols")),
+                              doc.number("nu"), doc.integer("rank"),
+                              svd_tol=doc.number("svd_tol", 1e-9))
     if kind == "nuclear_ball":
-        return NuclearBallIndicator((int(doc["rows"]), int(doc["cols"])),
-                                    float(doc["radius"]), int(doc["rank"]),
-                                    svd_tol=float(doc.get("svd_tol", 1e-9)))
+        return NuclearBallIndicator((doc.integer("rows"), doc.integer("cols")),
+                                    doc.number("radius"), doc.integer("rank"),
+                                    svd_tol=doc.number("svd_tol", 1e-9))
     if kind == "spectrahedron":
-        return SpectrahedronIndicator(int(doc["n"]), float(doc["radius"]),
-                                      int(doc["rank"]),
-                                      svd_tol=float(doc.get("svd_tol", 1e-9)))
+        return SpectrahedronIndicator(doc.integer("n"), doc.number("radius"),
+                                      doc.integer("rank"),
+                                      svd_tol=doc.number("svd_tol", 1e-9))
     if kind == "hypercube_polytope":
-        dim = int(doc["dim"])
-        lo, hi = float(doc.get("lo", 0.0)), float(doc.get("hi", 1.0))
+        dim = doc.integer("dim")
+        lo, hi = doc.number("lo", 0.0), doc.number("hi", 1.0)
         return PolytopeIndicator(
             dim, hypercube_lmo(lo, hi), PolytopeState.at_vertex(np.full(dim, lo)),
-            lam=doc.get("lambda", 1.0),
+            lam=doc.number("lambda", 1.0),
             dist_fn=BoxIndicator(dim, lo, hi).distance,
         )
     if kind == "simplex_polytope":
-        dim = int(doc["dim"])
-        radius = float(doc.get("radius", 1.0))
+        dim = doc.integer("dim")
+        radius = doc.number("radius", 1.0)
         start = np.zeros(dim)
         start[0] = radius
         return PolytopeIndicator(
             dim, scaled_simplex_lmo(radius, dim), PolytopeState.at_vertex(start),
-            lam=doc.get("lambda", 1.0),
+            lam=doc.number("lambda", 1.0),
             dist_fn=SimplexIndicator(dim, radius).distance,
         )
     if kind == "product":
@@ -561,23 +602,26 @@ def _load_problem(path):
             raise ConfigError(f"{path}: missing required section {key!r}")
     sections = {key: _Section(path, key, doc[key])
                 for key in ("f", "A", "rx", "ry", "solver") if key in doc}
+    top = _Section(path, None, doc)
     f = _build_smooth(sections["f"])
     A = _build_map(sections["A"])
     rx = _build_component(sections["rx"])
     ry = _build_component(sections["ry"])
     spec = ProblemSpec(f=f, A=A, rx=rx, ry=ry,
-                       pqg_alpha=doc.get("pqg_alpha"))
-    x0 = (np.asarray(doc["x0"], dtype=float) if "x0" in doc
-          else _default_start(rx))
-    if "y0" in doc:
-        y0 = np.asarray(doc["y0"], dtype=float)
-    elif isinstance(ry, PolytopeIndicator) or isinstance(ry, ProductComponent):
-        y0 = _default_start(ry)
-    else:
-        prox = getattr(ry, "prox", None)
-        y0 = prox(spec.A.apply(x0), 1.0) if prox else _default_start(ry)
-    w0 = (np.asarray(doc["w0"], dtype=float) if "w0" in doc
-          else np.zeros(A.dim_out))
+                       pqg_alpha=top.number("pqg_alpha", None))
+    x0 = top.array("x0", None)
+    if x0 is None:
+        x0 = _default_start(rx)
+    y0 = top.array("y0", None)
+    if y0 is None:
+        if isinstance(ry, (PolytopeIndicator, ProductComponent)):
+            y0 = _default_start(ry)
+        else:
+            prox = getattr(ry, "prox", None)
+            y0 = prox(spec.A.apply(x0), 1.0) if prox else _default_start(ry)
+    w0 = top.array("w0", None)
+    if w0 is None:
+        w0 = np.zeros(A.dim_out)
     return (spec, PrimalPoint(x0, y0), w0), sections.get("solver", {})
 
 

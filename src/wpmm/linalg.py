@@ -229,19 +229,35 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     )
 
 
-_PANEL = 64  # rows per panel of the symmetry check
+_PANEL = 64  # rows per panel of the symmetry checks
+
+
+def _exactly_symmetric(M):
+    """Whether the square matrix M equals its transpose entry for entry,
+    compared a row panel of the upper triangle at a time, so no d x d array
+    is made. A NaN entry compares unequal."""
+    return all(np.array_equal(M[i:i + _PANEL, i:], M[i:, i:i + _PANEL].T)
+               for i in range(0, len(M), _PANEL))
 
 
 def _symmetric_part(M):
-    """``0.5 * (M + M.T)`` of a finite square matrix whose entries differ
-    from their transposes by at most 1e-10 * max(1, max |M|), checked from
-    the result: ``M - M.T`` is twice ``M`` minus its symmetric part, and a
-    non-finite entry of M leaves a non-finite difference. Raises ValueError
-    otherwise."""
+    """``(S, ||S||)`` for the symmetric part S = 0.5 * (M + M.T) of a finite
+    square matrix whose entries differ from their transposes by at most
+    1e-10 * max(1, max |M|). An exactly symmetric M is its own symmetric part
+    and is returned as it is, without a d x d copy; any other M is
+    symmetrized into one new d x d array and checked from it: ``M - M.T`` is
+    twice ``M`` minus its symmetric part, and a non-finite entry of M leaves
+    a non-finite difference (or, in an exactly symmetric M, a non-finite
+    norm). Raises ValueError otherwise."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         _check_matrix(M)
         raise ValueError(f"expected a square matrix, got {M.shape}")
+    if _exactly_symmetric(M):
+        fro = float(np.linalg.norm(M))
+        if not math.isfinite(fro):  # an infinite entry, or an overflowed sum
+            _check_matrix(M)
+        return M, fro
     with np.errstate(invalid="ignore", over="ignore"):  # reported below
         Ms = M + M.T
         Ms *= 0.5
@@ -252,7 +268,7 @@ def _symmetric_part(M):
         _check_matrix(M)
     if asym > 1e-10 and asym > 1e-10 * float(np.abs(M).max()):
         raise ValueError("matrix is not symmetric to tolerance")
-    return Ms
+    return Ms, float(np.linalg.norm(Ms))
 
 
 def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
@@ -262,14 +278,16 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     extraction. Every basis vector keeps its product with M, formed once by
     the recurrence; the projected matrix and the residuals are assembled
     from those products, so a sweep multiplies by M only for the vectors it
-    adds, and the basis takes O(d * Krylov dimension) memory beside one
-    d x d work array (the symmetric part of M). A pair is accepted once
+    adds, and the basis takes O(d * Krylov dimension) memory. An exactly
+    symmetric M is used as it is, with no d x d copy; any other is
+    symmetrized into one d x d work array, from which its symmetry is
+    checked (see ``_symmetric_part``). A pair is accepted once
     ``||M u - lam u|| <= tol * max(1, |lam_1|)``.
 
     Returns ``(U, lam)`` with U of shape (d, k) orthonormal and lam sorted
     algebraically largest first.
     """
-    Ms = _symmetric_part(M)
+    Ms, fro = _symmetric_part(M)
     d = len(Ms)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range for dimension {d}")
@@ -279,7 +297,7 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
         max_sweeps = max(4 * k, 30)
 
     rng = np.random.default_rng(seed)
-    breakdown = 1e-13 * max(1.0, float(np.linalg.norm(Ms)))
+    breakdown = 1e-13 * max(1.0, fro)
 
     target = min(d, max(2 * k + 6, 12))
     q0 = rng.standard_normal(d)

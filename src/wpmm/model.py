@@ -128,6 +128,7 @@ class SmoothTerm:
         return 0.5 * self.curvature(x) + float(self.b @ x) + self.c0
 
     def gradient(self, x):
+        """grad f(x) = H x + b, as a new array."""
         return self.b.copy() if self.hess is None else self.hess(x) + self.b
 
     @classmethod
@@ -208,7 +209,8 @@ def _check_point(spec, q):
 
 
 def k_apply(spec, q):
-    """Constraint map K q = A x - y (zero exactly on feasible points)."""
+    """Constraint map K q = A x - y (zero exactly on feasible points), as a
+    new array."""
     _check_point(spec, q)
     return spec.A.apply(q.x) - q.y
 
@@ -227,9 +229,13 @@ def smooth_grad(spec, q, w, rho):
     (grad f(x) + A^T (w + rho Kq), -(w + rho Kq))."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    kq = k_apply(spec, q)
-    r = w + rho * kq
-    return spec.f.gradient(q.x) + spec.A.adjoint(r), -r
+    # r, then -r, in the one new array K q returns
+    r = k_apply(spec, q)
+    r *= rho
+    r += w
+    gx = spec.f.gradient(q.x)
+    gx += spec.A.adjoint(r)
+    return gx, np.negative(r, out=r)
 
 
 def al_value(spec, q, w, rho):

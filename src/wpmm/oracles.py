@@ -83,7 +83,9 @@ def prox_exact(component, center, p, c):
         raise OracleError(
             f"{type(component).__name__} has no exact prox routine"
         )
-    return prox(center - p / c, c)
+    point = np.divide(p, c)
+    np.subtract(center, point, out=point)
+    return prox(point, c)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,11 @@ class WpoComponent:
 
     def compute(self, center, p, coeff):
         """Return a candidate block for the objective Phi_1 at this center;
-        by default the exact prox of a component that has one."""
+        by default the exact prox of a component that has one. The caller
+        owns the returned array: the solver writes the next iterate into it,
+        so it must be a new array, sharing memory with neither argument nor
+        with anything the component keeps (one that shares memory with
+        ``center`` or ``p`` is copied first)."""
         return prox_exact(self, center, p, coeff)
 
     def value(self, v):
@@ -262,7 +268,11 @@ class _MatrixComponent(WpoComponent):
         return U, s, Vt.T
 
     def compute(self, center, p, coeff):
-        U, s, V = self._top(self._mat(center) - self._mat(p) / coeff)
+        # the shifted center in one new buffer, which _top may overwrite
+        M = self._mat(p) / coeff
+        np.subtract(self._mat(center), M, out=M)
+        U, s, V = self._top(M)
+        del M
         return ((U * self._spectral(s, coeff)) @ V.T).ravel()
 
     def prox(self, point, scale):
@@ -331,7 +341,9 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         self.tau = float(tau)
 
     def _top(self, M):
-        U, lam = linalg.truncated_eigh(0.5 * (M + M.T), self.k, self.svd_tol)
+        # M is the oracle's own buffer: symmetrized in place, it reaches
+        # truncated_eigh exactly symmetric and is used there without a copy
+        U, lam = linalg.truncated_eigh(_symmetrize(M), self.k, self.svd_tol)
         return U, lam, U
 
     def _full(self, M):
@@ -346,11 +358,29 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
 
     def distance(self, v):
         # X - project(X) is the skew part plus U diag(lam - P(lam)) U^T, and
-        # the two are orthogonal
+        # the two are orthogonal; one buffer holds the symmetric part and
+        # then the skew part
         M = self._mat(v)
-        lam = np.linalg.eigvalsh(0.5 * (M + M.T))
-        skew = 0.5 * np.linalg.norm(M - M.T)
+        S = M + M.T
+        S *= 0.5
+        lam = np.linalg.eigvalsh(S)
+        skew = np.linalg.norm(np.subtract(M, S, out=S))
         return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
+
+
+_PANEL = 64  # rows per panel of the in-place symmetrization
+
+
+def _symmetrize(M):
+    """Overwrite the square matrix M with ``0.5 * (M + M.T)``, entry for
+    entry the same values, a row panel of the upper triangle at a time so
+    that no second d x d array is made. Returns M."""
+    for i in range(0, len(M), _PANEL):
+        s = M[i:i + _PANEL, i:] + M[i:, i:i + _PANEL].T
+        s *= 0.5
+        M[i:i + _PANEL, i:] = s
+        M[i:, i:i + _PANEL] = s.T
+    return M
 
 
 # ---------------------------------------------------------------------------

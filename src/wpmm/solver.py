@@ -336,47 +336,69 @@ class Step(NamedTuple):
     k_norm: float
 
 
+def _owned(v, *inputs):
+    """The oracle output v as a float array the step may overwrite: v itself
+    unless it is read-only or may share memory with one of the oracle's
+    inputs, a copy then."""
+    out = np.asarray(v, dtype=float)
+    if not out.flags.writeable or any(np.may_share_memory(out, a)
+                                      for a in inputs):
+        out = out.copy()
+    return out
+
+
 def _step(spec, state, config, base_eta, coeff):
     # a plain function, not inlined into the generator: its block-sized
-    # temporaries are freed before the caller sees the new state
+    # temporaries are freed before the caller sees the new state. Each new
+    # block value goes into an array the step owns: the iterate into the
+    # oracle outputs, the multiplier into the new K q.
     q, w = state.q, state.w
     px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
     try:
-        vx = state.rx.compute(q.x, px, coeff)
-        vy = state.ry.compute(q.y, py, coeff)
+        vx = _owned(state.rx.compute(q.x, px, coeff), q.x, px)
+        vy = _owned(state.ry.compute(q.y, py, coeff), q.y, py)
     except Exception as exc:
         raise SolverError(
             f"oracle failure at iteration {state.t}: {exc}", iteration=state.t
         ) from exc
-    v = PrimalPoint(np.asarray(vx, dtype=float), np.asarray(vy, dtype=float))
 
     eta = base_eta
     fallback = False
     if config.step_policy == "line_search":
         try:
-            eta = line_search_eta(spec, q, v, (px, py), config.mu,
-                                  config.rho, base_eta=base_eta)
+            eta = line_search_eta(spec, q, PrimalPoint(vx, vy), (px, py),
+                                  config.mu, config.rho, base_eta=base_eta)
         except LineSearchError:
             fallback = True
+    del px, py
 
-    xn = (1.0 - eta) * q.x + eta * v.x
-    yn = (1.0 - eta) * q.y + eta * v.y
+    # (1 - eta) q + eta v
+    vx *= eta
+    vx += (1.0 - eta) * q.x
+    vy *= eta
+    vy += (1.0 - eta) * q.y
     state.rx.commit(eta)
     state.ry.commit(eta)
-    kqn = spec.A.apply(xn) - yn
-    state.q = PrimalPoint(xn, yn)
-    state.w = w + config.mu * kqn
-    state.running_sum.x += xn
-    state.running_sum.y += yn
+    kqn = spec.A.apply(vx) - vy
+    k_norm = float(np.linalg.norm(kqn))
+    # w + mu K q
+    kqn *= config.mu
+    kqn += w
+    state.q = PrimalPoint(vx, vy)
+    state.w = kqn
+    state.running_sum.x += vx
+    state.running_sum.y += vy
     state.t += 1
-    return Step(eta, fallback, float(np.linalg.norm(kqn)))
+    return Step(eta, fallback, k_norm)
 
 
 def iterate(spec, q0, w0, config):
     """Step the solver ``config.iters`` times from (q0, w0), yielding
     ``(state, step)`` after each iteration. The start point and the step
     sizes are checked before this returns. ``state`` is advanced in place by
-    the next step; oracle failures raise SolverError."""
+    the next step, which rebinds ``state.q`` and ``state.w`` to new arrays:
+    the arrays of ``state.q.x``, ``state.q.y`` and ``state.w`` yielded once
+    are never modified afterwards. Oracle failures raise SolverError."""
     for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
         dist = comp.distance(block)
         if dist > indicator_tol(block):
@@ -400,17 +422,19 @@ def iterate(spec, q0, w0, config):
     return steps()
 
 
-def record_values(spec, q, w, rho, audit=False):
+def record_values(spec, q, w, rho, audit=False, kq=None):
     """(objective, flagged, al_value) at q as a run record logs them, from
     each block's ``logged_value``: unless ``audit``, q lies in its indicator
     domains (also inside a product), which contribute 0 unchecked; an audit
-    that finds a violation flags the objective and the AL value is +inf."""
+    that finds a violation flags the objective and the AL value is +inf.
+    ``kq`` is K q when the caller has already formed it."""
     fval = float(spec.f.value(q.x))
     (vx, fx), (vy, fy) = (spec.rx.logged_value(q.x, audit),
                           spec.ry.logged_value(q.y, audit))
     if fx or fy:
         return fval + vx + vy, True, float("inf")
-    kq = k_apply(spec, q)
+    if kq is None:
+        kq = k_apply(spec, q)
     al = fval + float(w @ kq) + 0.5 * rho * float(kq @ kq) + vx + vy
     return fval + vx + vy, False, al
 
@@ -447,11 +471,14 @@ def run(spec, q0, w0, config):
             if config.trace_mean:
                 qb = PrimalPoint(state.running_sum.x / state.t,
                                  state.running_sum.y / state.t)
-                mobj, mflag, mal = record_values(spec, qb, w, config.rho, audit)
+                kqb = k_apply(spec, qb)
+                mobj, mflag, mal = record_values(spec, qb, w, config.rho, audit,
+                                                 kq=kqb)
                 rec.objective_flagged |= mflag
                 rec.mean_objective = mobj
-                rec.mean_feasibility = float(np.linalg.norm(k_apply(spec, qb)))
+                rec.mean_feasibility = float(np.linalg.norm(kqb))
                 rec.mean_al_value = mal
+                del qb, kqb
             records.append(rec)
     except SolverError as exc:
         exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config)

@@ -331,6 +331,23 @@ def test_generic_missing_key_is_config_error(tmp_path, capsys, section, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("A", "dim", [3], "section 'A': 'dim' must be int, got [3]"),
+    ("rx", "lo", None, "section 'rx': 'lo' must be a number, got null"),
+    (None, "pqg_alpha", "0.05", "'pqg_alpha' must be a number, got \"0.05\""),
+])
+def test_generic_wrongly_typed_value_is_config_error(tmp_path, capsys, section,
+                                                     key, value, message):
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    (prob if section is None else prob[section])[key] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generic_problem_not_object_is_config_error(tmp_path, capsys):
     path = tmp_path / "prob.json"
     path.write_text("[1, 2]")

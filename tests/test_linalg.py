@@ -219,6 +219,19 @@ def test_eigh_memory_is_one_work_array_plus_krylov_bases():
     assert traced_peak_mb(truncated_eigh, M, 13, 1e-2) < 8.0
 
 
+def test_eigh_memory_on_exactly_symmetric_input_is_krylov_bases():
+    # an exactly symmetric input is used as it is: a 4.9 MB copy of it
+    # would pass 3 MB
+    rng = np.random.default_rng(15)
+    d = 800
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.concatenate([1.0 + 1e-3 * np.arange(13.0)[::-1],
+                          rng.uniform(-0.5, 0.9, d - 13)])
+    M = (Q * lam) @ Q.T
+    M = 0.5 * (M + M.T)
+    assert traced_peak_mb(truncated_eigh, M, 13, 1e-2) < 3.0
+
+
 # ---------------------------------------------------------------------------
 # projections
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,65 @@ def test_run_record_times_nondecreasing():
     times = [r.elapsed for r in log.records]
     assert all(b >= a for a, b in zip(times, times[1:]))
     assert [r.t for r in log.records] == list(range(1, 21))
+
+
+# ---------------------------------------------------------------------------
+# buffer ownership: each step writes into arrays it owns
+
+
+class AliasingOracle(FrozenOracle):
+    """Test double: proposes the center, returning the argument itself."""
+
+    def compute(self, center, p, coeff):
+        return center
+
+
+@pytest.mark.parametrize("policy", ["fixed", "line_search"])
+def test_yielded_arrays_are_never_modified(policy):
+    spec, q0, w0 = build_maxcut_problem(
+        laplacian(gen_er_graph(12, 0.3, seed=4)) / 4.0, 3)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=5, step_policy=policy)
+    kept = [(state.q.x, state.q.y, state.w,
+             state.q.x.copy(), state.q.y.copy(), state.w.copy())
+            for state, _ in iterate(spec, q0, w0, config)]
+    assert len({id(a) for entry in kept for a in entry[:3]}) == 15
+    for x, y, w, x_then, y_then, w_then in kept:
+        assert np.array_equal(x, x_then)
+        assert np.array_equal(y, y_then)
+        assert np.array_equal(w, w_then)
+
+
+def test_oracle_returning_its_center_matches_one_returning_a_copy():
+    def records(oracle):
+        spec = ProblemSpec(f=SmoothTerm.linear(np.array([1.0, -2.0])),
+                           A=LinearMap.identity(2), rx=oracle(2), ry=oracle(2))
+        q0 = q_of([1.0, 0.5], [0.0, 0.25])
+        config = SolverConfig(rho=1.0, mu=0.2, eta=0.3, iters=6,
+                              step_policy="fixed", trace_mean=True)
+        log = run(spec, q0, np.zeros(2), config)
+        assert np.array_equal(q0.x, [1.0, 0.5])
+        return [(r.t, r.objective, r.feasibility, r.al_value, r.mean_objective,
+                 r.mean_feasibility, r.mean_al_value) for r in log.records]
+
+    assert records(AliasingOracle) == records(FrozenOracle)
+
+
+def test_run_peak_memory_is_at_most_eleven_blocks():
+    # the iterate, the multiplier and the running sum take 5 blocks of n^2
+    # floats; each step and record forms its new values in a few more
+    n = 300
+    spec, q0, w0 = build_maxcut_problem(
+        laplacian(gen_er_graph(n, 0.06, seed=3)) / 4.0, 13)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
+                          step_policy="fixed", trace_mean=True)
+    run(spec, q0, w0, config)  # one-time allocations out of the peak
+    tracemalloc.start()
+    try:
+        run(spec, q0, w0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= 11.0
 
 
 def test_theoretical_policy_enforces_dual_cap():
