@@ -478,7 +478,7 @@ def run(spec, q0, w0, config):
                 rec.mean_objective = mobj
                 rec.mean_feasibility = float(np.linalg.norm(kqb))
                 rec.mean_al_value = mal
-                del qb, kqb
+                del qb, kqb  # not held through the next step
             records.append(rec)
     except SolverError as exc:
         exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config)
