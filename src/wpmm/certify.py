@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 from .harness import build_box_toy, reference_solution
-from .model import PrimalPoint, k_apply, objective_h
+from .model import PrimalPoint, k_apply
 from .linalg import project_l1_ball, project_simplex
 from .oracles import (
     NuclearBallIndicator,
@@ -29,6 +29,7 @@ from .solver import (
     check_obj_feas_split,
     ergodic_bound,
     iterate,
+    record_values,
     run,
     step_constants,
 )
@@ -95,10 +96,14 @@ def _oracle_output(kind, center, p, c, param, k):
     return out, 0.0 if comp.is_indicator else comp.value(out)
 
 
-def matrix_oracle_audit(kind, trials=30, shape=(12, 10), seed=0,
-                        fro_tol=1e-6, phi_tol=1e-8):
+FRO_TOL = 1e-6  # relative Frobenius gap between the oracle and the prox
+PHI_TOL = 1e-8  # excess of Phi_1 at the oracle output over the prox's
+LAM_CAP = 10.0  # largest polytope oracle parameter the audit accepts
+
+
+def matrix_oracle_audit(kind, trials=30, shape=(12, 10), seed=0):
     """Rank-k oracle output vs the full-decomposition prox on instances whose
-    prox optimum has known rank <= k."""
+    prox optimum has known rank <= k, within FRO_TOL and PHI_TOL."""
     rng = np.random.default_rng(seed)
     m, n = shape if kind != "spectrahedron" else (max(shape), max(shape))
     worst_fro, worst_phi = 0.0, -np.inf
@@ -111,7 +116,7 @@ def matrix_oracle_audit(kind, trials=30, shape=(12, 10), seed=0,
         phi_out = phi_value(out_reg, out.ravel(), p.ravel(), center.ravel(), c)
         phi_full = phi_value(full_reg, full.ravel(), p.ravel(), center.ravel(), c)
         worst_phi = max(worst_phi, phi_out - phi_full)
-    passed = worst_fro <= fro_tol and worst_phi <= phi_tol
+    passed = worst_fro <= FRO_TOL and worst_phi <= PHI_TOL
     return Certificate(
         f"oracle_vs_prox[{kind}]", passed,
         details=f"worst Frobenius gap {worst_fro:.2e}, worst Phi gap {worst_phi:.2e}",
@@ -119,9 +124,9 @@ def matrix_oracle_audit(kind, trials=30, shape=(12, 10), seed=0,
     )
 
 
-def polytope_audit(kind="hypercube", trials=25, seed=0, lam_cap=10.0):
+def polytope_audit(kind="hypercube", trials=25, seed=0):
     """Oracle condition on an enumerable polytope: Phi_1 at the output must
-    not exceed Phi_lam at any vertex for some finite lam <= lam_cap; the
+    not exceed Phi_lam at any vertex for some finite lam <= LAM_CAP; the
     smallest sufficient lam is reported."""
     rng = np.random.default_rng(seed)
     if kind == "hypercube":
@@ -155,10 +160,10 @@ def polytope_audit(kind="hypercube", trials=25, seed=0, lam_cap=10.0):
                     lam_measured = np.inf
             else:
                 lam_measured = max(lam_measured, (phi1 - lin) / (0.5 * c * d2))
-    passed = lam_measured <= lam_cap
+    passed = lam_measured <= LAM_CAP
     return Certificate(
         f"polytope_wpo[{kind}]", passed,
-        details=f"measured lam {lam_measured:.4f} (cap {lam_cap})",
+        details=f"measured lam {lam_measured:.4f} (cap {LAM_CAP})",
         data={"lam_measured": lam_measured, "trials": trials},
     )
 
@@ -177,27 +182,28 @@ def suite_oracles(seed=0):
 # decay and ergodic suites on the strongly convex toy
 
 
-def _toy_setup(rho=1.0, iters=300, ref_tol=1e-10):
+def _toy_setup():
+    # theoretical steps at rho = 1 and the largest admissible mu
+    rho = 1.0
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     consts = step_constants(spec, rho)
     mu = consts.mu_cap()
-    ref = reference_solution(spec, ref_tol, q0=q0, w0=w0, rho=rho)
-    config = SolverConfig(rho=rho, mu=mu, iters=iters,
-                          step_policy="theoretical")
+    ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
+    config = SolverConfig(rho=rho, mu=mu, iters=300)
     log = run(spec, q0, w0, config)
     return spec, (q0, w0), ref, log, dict(rho=rho, mu=mu, eta=consts.eta(mu),
                                           a_s=consts.alpha_s, norm_a=consts.norm_a)
 
 
-def suite_decay(iters=300):
-    spec, _, ref, log, c = _toy_setup(iters=iters)
+def suite_decay():
+    spec, _, ref, log, c = _toy_setup()
     cert = check_linear_decay([r.al_value for r in log.records],
                               ref.h_value, c["eta"])
     return [cert]
 
 
-def suite_ergodic(iters=300):
-    spec, (q0, w0), ref, log, c = _toy_setup(iters=iters)
+def suite_ergodic():
+    spec, (q0, w0), ref, log, c = _toy_setup()
     # c >= 2||w*||, from the reference run's converged multiplier
     cdual = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     d1 = log.records[0].al_value - ref.h_value
@@ -212,8 +218,11 @@ def suite_ergodic(iters=300):
         rs_x += state.q.x
         rs_y += state.q.y
         qbar = PrimalPoint(rs_x / i, rs_y / i)
-        h_gap = objective_h(spec, qbar) - ref.h_value
-        k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
+        kq = k_apply(spec, qbar)
+        h, flagged, _ = record_values(spec, qbar, state.w, c["rho"],
+                                      audit=True, kq=kq)
+        h_gap = (float("inf") if flagged else h) - ref.h_value
+        k_norm = float(np.linalg.norm(kq))
         worst_h = max(worst_h, h_gap - bound / i)
         worst_k = max(worst_k, k_norm - 2.0 * bound / (cdual * i))
     # h_gap and k_norm now hold the values at the final ergodic point

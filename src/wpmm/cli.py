@@ -556,7 +556,7 @@ def _build_component(doc):
         lo, hi = doc.number("lo", 0.0), doc.number("hi", 1.0)
         return PolytopeIndicator(
             dim, hypercube_lmo(lo, hi), PolytopeState.at_vertex(np.full(dim, lo)),
-            lam=doc.number("lambda", 1.0),
+            lam=doc.number("lambda", None),
             dist_fn=BoxIndicator(dim, lo, hi).distance,
         )
     if kind == "simplex_polytope":
@@ -566,7 +566,7 @@ def _build_component(doc):
         start[0] = radius
         return PolytopeIndicator(
             dim, scaled_simplex_lmo(radius, dim), PolytopeState.at_vertex(start),
-            lam=doc.number("lambda", 1.0),
+            lam=doc.number("lambda", None),
             dist_fn=SimplexIndicator(dim, radius).distance,
         )
     if kind == "product":
@@ -617,8 +617,10 @@ def _load_problem(path):
         if isinstance(ry, (PolytopeIndicator, ProductComponent)):
             y0 = _default_start(ry)
         else:
+            # prox may write into its point, and A x0 may be x0 itself
             prox = getattr(ry, "prox", None)
-            y0 = prox(spec.A.apply(x0), 1.0) if prox else _default_start(ry)
+            y0 = (prox(np.array(spec.A.apply(x0)), 1.0) if prox
+                  else _default_start(ry))
     w0 = top.array("w0", None)
     if w0 is None:
         w0 = np.zeros(A.dim_out)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import project_l1_ball
-from .model import (
-    LinearMap,
-    PrimalPoint,
-    ProblemSpec,
-    SmoothTerm,
-    al_value,
-    objective_h,
-)
+from .model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
 from .oracles import (
     BoxIndicator,
     DiagOnesIndicator,
@@ -39,7 +32,6 @@ __all__ = [
     "ReferenceSolution",
     "gen_cme_instance",
     "load_gset",
-    "save_gset",
     "gen_er_graph",
     "laplacian",
     "build_cme_problem",
@@ -67,6 +59,8 @@ class CmeConfig:
             raise ValueError("need d >= r >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.entry_threshold >= 1:  # no U[-1, 1] entry exceeds it
+            raise ValueError("entry_threshold must be below 1")
 
 
 @dataclass
@@ -130,7 +124,7 @@ def gen_cme_instance(cfg):
                 u = cand
                 break
         if u is None:
-            raise RuntimeError(
+            raise ValueError(
                 "degenerate block: all entries thresholded away in 100 attempts"
             )
         Sigma[pos:pos + bs, pos:pos + bs] = np.outer(u, u)
@@ -194,21 +188,15 @@ def load_gset(path):
     return GsetGraph(n=n, edges=edges)
 
 
-def save_gset(graph, path):
-    """Write a graph in the exact Gset text format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{graph.n} {len(graph.edges)}\n")
-        for u, v, w in graph.edges:
-            fh.write(f"{u} {v} {int(w)}\n")
-
-
-def gen_er_graph(n, p, seed=0, weight=1):
-    """Erdos-Renyi G(n, p) with constant integer edge weights: one uniform
-    draw per vertex pair u < v, pairs taken in row-major order."""
+def gen_er_graph(n, p, seed=0):
+    """Erdos-Renyi G(n, p) with unit edge weights: one uniform draw per
+    vertex pair u < v, pairs taken in row-major order."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p:g} outside [0, 1]")
     rng = np.random.default_rng(seed)
     us, vs = np.triu_indices(n, 1)
     keep = rng.random(us.size) < p
-    edges = [(u + 1, v + 1, weight)
+    edges = [(u + 1, v + 1, 1)
              for u, v in zip(us[keep].tolist(), vs[keep].tolist())]
     return GsetGraph(n=n, edges=edges)
 
@@ -324,43 +312,34 @@ def metrics_maxcut(S, C):
 # reference oracle
 
 
-def reference_solution(spec, tol, *, q0, w0, rho=1.0, mu=None, eta=None,
-                       policy=None, max_iters=1_000_000):
+def reference_solution(spec, tol, *, q0, w0, config=None):
     """High-accuracy reference point via the same solver loop with exact
     full-decomposition prox oracles (lam = 1).
 
-    By default the steps come from the curvature-based formulas when the
-    problem carries a curvature parameter (policy "theoretical") and fall
-    back to fixed eta = mu = 0.2 otherwise (e.g. a linear objective). Passing
-    policy "line_search" or "fixed" with an explicit mu trades the
-    conservative theoretical dual step for much faster convergence on larger
-    instances; the stopping criterion is unchanged either way. Stops once the
-    constraint residual and the successive objective change both drop below
-    ``tol``; raises after ``max_iters`` iterations otherwise.
+    Runs ``config``, whose ``iters`` is the budget. The default takes
+    theoretical steps at rho = 1 and the largest admissible mu when the
+    problem carries a curvature parameter, fixed eta = mu = 0.2 otherwise,
+    for 10^6 iterations; a line-search config with a larger mu converges
+    much faster on larger instances. Stops once the constraint residual and
+    the successive objective change both drop below ``tol``; raises when
+    the budget is spent.
 
     Returns a ReferenceSolution carrying the point, the converged multiplier,
-    the objective value and the augmented-Lagrangian value at the pair.
+    and h (+inf outside the domains) and the augmented-Lagrangian value at
+    the pair, from one audited ``record_values``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if policy not in (None, "theoretical", "fixed", "line_search"):
-        raise ValueError(f"unknown reference policy {policy!r}")
     spec_e = ProblemSpec(f=spec.f, A=spec.A, rx=spec.rx.exact(),
                          ry=spec.ry.exact(), pqg_alpha=spec.pqg_alpha)
-    consts = step_constants(spec_e, rho)
-    if policy is None:
-        policy = "theoretical" if consts.alpha_s is not None else "fixed"
-    if policy == "theoretical":
-        if consts.alpha_s is None:
-            raise ValueError("theoretical reference steps need curvature")
-        mu = consts.mu_cap() if mu is None else mu
-        eta = consts.eta(mu) if eta is None else eta
-    mu = 0.2 if mu is None else mu
-    if policy == "fixed" and eta is None:
-        eta = 0.2
-    config = SolverConfig(
-        rho=rho, mu=mu, iters=max_iters, eta=eta, variant="last",
-        step_policy="line_search" if policy == "line_search" else "fixed")
+    if config is None:
+        consts = step_constants(spec_e, 1.0)
+        if consts.alpha_s is not None:
+            config = SolverConfig(rho=1.0, mu=consts.mu_cap(), iters=10**6)
+        else:
+            config = SolverConfig(rho=1.0, mu=0.2, iters=10**6,
+                                  step_policy="fixed", eta=0.2)
+    rho = config.rho
 
     h_prev = record_values(spec_e, q0, w0, rho)[0]
     k_norm = np.inf
@@ -368,16 +347,18 @@ def reference_solution(spec, tol, *, q0, w0, rho=1.0, mu=None, eta=None,
         k_norm = step.k_norm
         h_cur = record_values(spec_e, state.q, state.w, rho)[0]
         if k_norm <= tol and abs(h_cur - h_prev) <= tol:
+            h, flagged, al = record_values(spec_e, state.q, state.w, rho,
+                                           audit=True)
             return ReferenceSolution(
                 q=state.q.copy(),
                 w=state.w.copy(),
-                h_value=objective_h(spec_e, state.q),
-                al_value=al_value(spec_e, state.q, state.w, rho),
+                h_value=float("inf") if flagged else h,
+                al_value=al,
                 iterations=state.t,
                 k_norm=k_norm,
             )
         h_prev = h_cur
     raise RuntimeError(
-        f"reference solve did not converge in {max_iters} iterations "
+        f"reference solve did not converge in {config.iters} iterations "
         f"(constraint residual {k_norm:.3e})"
     )

@@ -3,9 +3,10 @@
 The problem is  min f(x) + R_x(x) + R_y(y)  subject to  A x = y,  over a pair
 of flat real vectors (matrix variables are vectorized with explicit shape
 metadata carried by their regularizer components). The constraint map is
-K q = A x - y for q = (x, y); this module provides K and its adjoint, the
-augmented Lagrangian and its smooth part, their gradients, and the smoothness
-and curvature constants the solver's step-size formulas consume.
+K q = A x - y for q = (x, y); this module provides K, the gradient of the
+smooth part of the augmented Lagrangian, and the smoothness and curvature
+constants the solver's step-size formulas consume. The objective and the
+augmented Lagrangian are evaluated in one place, ``solver.record_values``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ __all__ = [
     "PrimalPoint",
     "ProblemSpec",
     "k_apply",
-    "al_value",
-    "smooth_value",
     "smooth_grad",
     "beta_S",
     "alpha_S_strongly_convex",
-    "objective_h",
 ]
 
 # A point counts as inside an indicator set when its distance to the set is
@@ -58,12 +56,6 @@ class LinearMap:
     @classmethod
     def identity(cls, dim):
         return cls(lambda v: v, lambda w: w, dim, dim, 1.0)
-
-    @classmethod
-    def zero(cls, dim_in, dim_out):
-        z_out = np.zeros(dim_out)
-        z_in = np.zeros(dim_in)
-        return cls(lambda v: z_out.copy(), lambda w: z_in.copy(), dim_in, dim_out, 0.0)
 
     @classmethod
     def diagonal(cls, diag):
@@ -139,10 +131,10 @@ class SmoothTerm:
                    beta=1.0, alpha=1.0)
 
     @classmethod
-    def linear(cls, g, beta_floor=1e-6):
+    def linear(cls, g):
         """f(x) = <g, x>. beta has no meaning for a linear map; a small
         positive floor keeps the smoothness-based formulas finite."""
-        return cls(None, g, 0.0, beta=beta_floor)
+        return cls(None, g, 0.0, beta=1e-6)
 
     @classmethod
     def quadratic(cls, Q, b=None, c0=0.0):
@@ -215,17 +207,9 @@ def k_apply(spec, q):
     return spec.A.apply(q.x) - q.y
 
 
-def smooth_value(spec, q, w, rho):
-    """Smooth part of the augmented Lagrangian:
-    f(x) + <w, Kq> + (rho/2) ||Kq||^2. Always finite for finite inputs."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    kq = k_apply(spec, q)
-    return float(spec.f.value(q.x)) + float(w @ kq) + 0.5 * rho * float(kq @ kq)
-
-
 def smooth_grad(spec, q, w, rho):
-    """Gradient of the smooth part w.r.t. q, as an (x-part, y-part) pair:
+    """Gradient w.r.t. q of the augmented Lagrangian's smooth part
+    f(x) + <w, Kq> + (rho/2) ||Kq||^2, as an (x-part, y-part) pair:
     (grad f(x) + A^T (w + rho Kq), -(w + rho Kq))."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -236,23 +220,6 @@ def smooth_grad(spec, q, w, rho):
     gx = spec.f.gradient(q.x)
     gx += spec.A.adjoint(r)
     return gx, np.negative(r, out=r)
-
-
-def al_value(spec, q, w, rho):
-    """Augmented Lagrangian value; +inf when an indicator regularizer is
-    violated beyond its feasibility tolerance."""
-    rq = spec.rx.value(q.x) + spec.ry.value(q.y)
-    if not np.isfinite(rq):
-        return float("inf")
-    return smooth_value(spec, q, w, rho) + rq
-
-
-def objective_h(spec, q):
-    """Objective value h(q) = f(x) + R_x(x) + R_y(y) (extended real)."""
-    rq = spec.rx.value(q.x) + spec.ry.value(q.y)
-    if not np.isfinite(rq):
-        return float("inf")
-    return float(spec.f.value(q.x)) + rq
 
 
 def beta_S(beta, rho, norm_a):

@@ -14,7 +14,6 @@ call plus a small simplex QP, with a geometry-dependent lam.
 from __future__ import annotations
 
 import copy
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -123,10 +122,8 @@ class WpoComponent:
         return prox_exact(self, center, p, coeff)
 
     def value(self, v):
-        """Regularizer value at v (extended real): an indicator is 0 within
-        tolerance of its set and +inf outside."""
-        if self.is_indicator:
-            return 0.0 if self.distance(v) <= indicator_tol(v) else float("inf")
+        """Regularizer value at v, for a component that is not an indicator
+        (an indicator is read through ``distance`` and ``logged_value``)."""
         raise NotImplementedError
 
     def distance(self, v):
@@ -228,7 +225,11 @@ class DiagOnesIndicator(_IndicatorComponent):
         self.n = int(n)
 
     def project(self, v):
-        out = np.array(v, dtype=float).reshape(self.n, self.n)
+        return self.prox(np.array(v, dtype=float), 1.0)
+
+    def prox(self, point, scale):
+        # writes into the point, a buffer prox_exact forms for the call
+        out = point.reshape(self.n, self.n)
         np.fill_diagonal(out, 1.0)
         return out.ravel()
 
@@ -280,10 +281,10 @@ class _MatrixComponent(WpoComponent):
         return ((U * self._spectral(s, scale)) @ V.T).ravel()
 
     def exact(self):
-        """Exact-prox view: the same component with ``compute`` replaced by
-        the full-decomposition prox."""
+        """Exact-prox view: the same component with the full decomposition
+        in place of the rank-k one."""
         view = copy.copy(self)
-        view.compute = functools.partial(prox_exact, view)
+        view._top = view._full
         return view
 
 
@@ -414,12 +415,12 @@ class PolytopeState:
         return cls([np.asarray(vertex, dtype=float)], np.array([1.0]))
 
 
-def simplex_qp(M, p, center, c, tol=1e-12, max_iters=10000, init=None):
+def simplex_qp(M, p, center, c, init=None):
     """Minimize <M g, p> + (c/2) ||M g - center||^2 over the unit simplex.
 
     Accelerated projected gradient with step 1/L for L = c*||M||^2, stopped
-    when the Frank-Wolfe gap drops below ``tol * max(1, |objective|)`` or
-    after ``max_iters`` iterations. Columns of M are polytope vertices.
+    when the Frank-Wolfe gap drops below ``1e-12 * max(1, |objective|)`` or
+    after 10^4 iterations. Columns of M are polytope vertices.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] == 0:
@@ -448,10 +449,10 @@ def simplex_qp(M, p, center, c, tol=1e-12, max_iters=10000, init=None):
         gamma = np.full(t1, 1.0 / t1)
     prev = gamma
     tk = 1.0
-    for _ in range(max_iters):
+    for _ in range(10000):
         gr = grad(gamma)
         gap = float(gr @ gamma) - float(gr.min())
-        if gap <= tol * max(1.0, abs(objective(gamma))):
+        if gap <= 1e-12 * max(1.0, abs(objective(gamma))):
             break
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         mom = (tk - 1.0) / tk_next
@@ -620,9 +621,6 @@ class ProductComponent(WpoComponent):
             [part.compute(center[s], p[s], coeff)
              for part, s in zip(self.parts, self.slices)]
         )
-
-    def value(self, v):
-        return float(sum(part.value(v[s]) for part, s in zip(self.parts, self.slices)))
 
     def distance(self, v):
         return float(np.sqrt(sum(part.distance(v[s]) ** 2

@@ -12,11 +12,13 @@ gradient since the smooth term is quadratic.
 ``IterateState`` and a ``Step`` record (eta used, line-search fallback,
 constraint residual norm) after each of ``config.iters`` steps. ``run`` drives
 it and logs every iteration; the reference solver in ``harness`` drives it
-with exact oracles and its own stopping rule. ``step_constants`` holds the
-curvature constants all step sizes derive from. The iterate stays in its
-indicator domains: ``iterate`` checks the start point and every step mixes it
-with an oracle output, a member by the oracle contract. Line search and
-logging assume this; ``run`` audits it once, on its final record.
+with exact oracles and its own stopping rule; both read the objective h and
+the augmented Lagrangian from ``record_values``, their one evaluator.
+``step_constants`` holds the curvature constants all step sizes derive from.
+The iterate stays in its indicator domains: ``iterate`` checks the start
+point and every step mixes it with an oracle output, a member by the oracle
+contract. Line search and logging assume this; ``run`` audits it once, on
+its final record.
 
 Also houses the runtime convergence certificates: per-iteration linear decay
 of the augmented-Lagrangian gap, the objective/feasibility split, and the
@@ -493,17 +495,17 @@ def run(spec, q0, w0, config):
 # certificates
 
 
-def check_linear_decay(al_values, l_star, eta, rtol=1e-8):
+def check_linear_decay(al_values, l_star, eta):
     """Certificate for per-iteration linear decay of the AL gap.
 
     With d_t = al_values[t] - l_star, checks d_{t+1} <= (1 - eta) d_t + tol
-    for every consecutive pair, tol = rtol * (1 + |d_1|). Passes iff every
+    for every consecutive pair, tol = 1e-8 * (1 + |d_1|). Passes iff every
     iteration passes; the first offending index is reported.
     """
     d = [float(a) - l_star for a in al_values]
     if len(d) < 2:
         return Certificate("linear_decay", True, details="fewer than two points")
-    tol = rtol * (1.0 + abs(d[0]))
+    tol = 1e-8 * (1.0 + abs(d[0]))
     first_bad = None
     worst = -math.inf
     for i in range(len(d) - 1):

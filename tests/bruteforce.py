@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: dense
 decompositions use Jacobi rotations instead of Lanczos, projections use
 exhaustive active-set / sign-pattern enumeration or sorting instead of a
-pivot iteration, and gradients use central finite differences.
+pivot iteration, gradients use central finite differences, and the
+augmented Lagrangian's smooth part is summed term by term from the problem's
+callables.
 """
 
 import numpy as np
@@ -182,13 +184,29 @@ def dykstra_two_sets(z, project_a, project_b, iters=5000, tol=1e-12):
     return x
 
 
-def er_graph_loop(n, p, seed=0, weight=1):
+def smooth_part(spec, q, w, rho):
+    """The augmented Lagrangian's smooth part f(x) + <w, Kq> + (rho/2)||Kq||^2
+    with K q = A x - y."""
+    kq = spec.A.apply(q.x) - q.y
+    return float(spec.f.value(q.x)) + float(w @ kq) + 0.5 * rho * float(kq @ kq)
+
+
+def er_graph_loop(n, p, seed=0):
     """Erdos-Renyi G(n, p) edge list drawn pair by pair: one scalar uniform
-    draw per vertex pair u < v in row-major order, 1-based vertices."""
+    draw per vertex pair u < v in row-major order, 1-based vertices, unit
+    weights."""
     rng = np.random.default_rng(seed)
     edges = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             if rng.random() < p:
-                edges.append((u, v, weight))
+                edges.append((u, v, 1))
     return edges
+
+
+def write_gset(graph, path):
+    """Write a graph in the Gset text format: 'n m', then 'u v w' lines."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{graph.n} {len(graph.edges)}\n")
+        for u, v, w in graph.edges:
+            fh.write(f"{u} {v} {int(w)}\n")

@@ -13,7 +13,13 @@ from bruteforce import (
     l1_project_bruteforce,
     simplex_project_bruteforce,
 )
-from wpmm.certify import matrix_oracle_audit, polytope_audit
+from wpmm.certify import (
+    FRO_TOL,
+    LAM_CAP,
+    PHI_TOL,
+    matrix_oracle_audit,
+    polytope_audit,
+)
 from wpmm.harness import (
     CmeConfig,
     build_box_toy,
@@ -37,7 +43,6 @@ from wpmm.model import (
     alpha_S_strongly_convex,
     beta_S,
     k_apply,
-    objective_h,
 )
 from wpmm.solver import (
     SolverConfig,
@@ -45,6 +50,7 @@ from wpmm.solver import (
     ergodic_bound,
     iterate,
     max_dual_step,
+    record_values,
     run,
     theoretical_eta,
 )
@@ -68,7 +74,7 @@ def toy_run():
     b_s = beta_S(spec.f.beta, rho, norm_a)
     mu = max_dual_step(a_s, b_s, 1.0, norm_a)
     eta = theoretical_eta(a_s, b_s, 1.0, mu, norm_a)
-    ref = reference_solution(spec, 1e-10, q0=q0, w0=w0, rho=rho)
+    ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
     config = SolverConfig(rho=rho, mu=mu, iters=500,
                           step_policy="theoretical")
     log = run(spec, q0, w0, config)
@@ -83,11 +89,11 @@ def toy_run():
 def test_criterion_1_oracle_vs_prox_equivalence():
     start = time.time()
     details = []
+    assert (FRO_TOL, PHI_TOL) == (1e-6, 1e-8)
     for kind, shape in (("nuclear_reg", (20, 15)),
                         ("nuclear_ball", (20, 15)),
                         ("spectrahedron", (20, 20))):
-        cert = matrix_oracle_audit(kind, trials=100, shape=shape, seed=101,
-                                   fro_tol=1e-6, phi_tol=1e-8)
+        cert = matrix_oracle_audit(kind, trials=100, shape=shape, seed=101)
         assert cert.passed, cert.details
         details.append(f"{kind}: {cert.data['worst_fro']:.1e}")
     elapsed = time.time() - start
@@ -102,8 +108,9 @@ def test_criterion_1_oracle_vs_prox_equivalence():
 def test_criterion_2_polytope_wpo_condition():
     start = time.time()
     lams = []
+    assert LAM_CAP == 10.0
     for kind in ("hypercube", "simplex"):
-        cert = polytope_audit(kind, trials=50, seed=202, lam_cap=10.0)
+        cert = polytope_audit(kind, trials=50, seed=202)
         assert cert.passed, cert.details
         lams.append(f"{kind}: lam={cert.data['lam_measured']:.3f}")
     elapsed = time.time() - start
@@ -118,8 +125,7 @@ def test_criterion_2_polytope_wpo_condition():
 def test_criterion_3_linear_decay(toy_run):
     start = time.time()
     cert = check_linear_decay([r.al_value for r in toy_run["log"].records],
-                              toy_run["ref"].h_value, toy_run["eta"],
-                              rtol=1e-8)
+                              toy_run["ref"].h_value, toy_run["eta"])
     assert cert.data["checked"] == 499  # all 500 logged values audited
     assert cert.passed, cert.details
     elapsed = time.time() - start
@@ -148,7 +154,10 @@ def test_criterion_4_ergodic_bounds(toy_run):
         rs_x += state.q.x
         rs_y += state.q.y
         qbar = PrimalPoint(rs_x / i, rs_y / i)
-        h_gap = objective_h(spec, qbar) - ref.h_value
+        h, flagged, _ = record_values(spec, qbar, state.w, toy_run["rho"],
+                                      audit=True)
+        assert not flagged
+        h_gap = h - ref.h_value
         k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
         worst_h = max(worst_h, h_gap - bound / i)
         worst_k = max(worst_k, k_norm - 2.0 * bound / c)
@@ -173,8 +182,10 @@ def test_criterion_5_desk_scale_cme():
     # oracle character while making the optimum representable
     Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=d, r=3, seed=7))
     spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat=10)
-    ref = reference_solution(spec, 1e-6, q0=q0, w0=w0, rho=1.0,
-                             policy="line_search", mu=1.0, max_iters=200_000)
+    ref = reference_solution(
+        spec, 1e-6, q0=q0, w0=w0,
+        config=SolverConfig(rho=1.0, mu=1.0, iters=200_000,
+                            step_policy="line_search"))
     ref_nobj = metrics_cme(ref.q.x.reshape(d, d), Sigma, SigmaHat,
                            s).normalized_objective
     feas_target = 1e-3 * float(np.linalg.norm(SigmaHat))
@@ -220,9 +231,10 @@ def test_criterion_6_desk_scale_maxcut():
     g = gen_er_graph(40, 0.2, seed=3)
     C = laplacian(g)
     spec, q0, w0 = build_maxcut_problem(C, k_hat=10)
-    ref = reference_solution(spec, 1e-7, q0=q0, w0=w0, rho=1.0,
-                             policy="fixed", mu=0.2, eta=0.2,
-                             max_iters=200_000)
+    ref = reference_solution(
+        spec, 1e-7, q0=q0, w0=w0,
+        config=SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=200_000,
+                            step_policy="fixed"))
     ref_obj = metrics_maxcut(ref.q.x.reshape(40, 40), C).objective
 
     finals = {}

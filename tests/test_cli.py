@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bruteforce import write_gset
 from wpmm.cli import (
     CME_DEFAULTS,
     CSV_HEADER,
@@ -12,10 +13,11 @@ from wpmm.cli import (
     EXIT_IO,
     EXIT_OK,
     _cme_plan,
+    _load_problem,
     _merge_params,
     main,
 )
-from wpmm.harness import gen_er_graph, save_gset
+from wpmm.harness import gen_er_graph
 
 
 DATA = Path(__file__).parent / "data"
@@ -131,6 +133,20 @@ def test_cme_config_file_merge_and_unknown_keys(tmp_path):
     assert main(["cme", "--config", str(bad), "--outdir", str(out)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("threshold, message", [
+    ("1.5", "entry_threshold must be below 1"),
+    # below 1, but every draw of 100 attempts is thresholded away
+    ("0.9999999999", "degenerate block"),
+])
+def test_cme_unreachable_entry_threshold_is_config_error(tmp_path, capsys,
+                                                         threshold, message):
+    out = tmp_path / "run"
+    assert main(["cme", "--d", "8", "--r", "2", "--iters", "3",
+                 "--entry-threshold", threshold, "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cme_unknown_preset_is_config_error(tmp_path):
     assert main(["cme", "--preset", "nope",
                  "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -166,11 +182,20 @@ def test_maxcut_gset_file_and_data_dir(tmp_path, monkeypatch):
     g = gen_er_graph(10, 0.4, seed=2)
     data = tmp_path / "data"
     data.mkdir()
-    save_gset(g, data / "g10.txt")
+    write_gset(g, data / "g10.txt")
     monkeypatch.setenv("WPMM_DATA_DIR", str(data))
     out = tmp_path / "run"
     assert main(["maxcut", "--graph", "g10.txt", "--iters", "10",
                  "--rank", "3", "--outdir", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1"])
+def test_maxcut_edge_probability_outside_unit_interval(tmp_path, capsys, p):
+    out = tmp_path / "run"
+    assert main(["maxcut", "--random-n", "20", "--random-p", p, "--iters", "3",
+                 "--outdir", str(out)]) == EXIT_CONFIG
+    assert "outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_maxcut_missing_graph_is_io_error(tmp_path, monkeypatch):
@@ -275,6 +300,33 @@ def test_cme_preset_plan_end_to_end(tmp_path):
         {"mean": 5.0, "last": 25.0}
     _, rows = read_csv(out / "trace.csv")
     assert len(rows) == 20  # 10 iterations x 2 per-variant runs
+
+
+@pytest.mark.parametrize("kind", ["hypercube_polytope", "simplex_polytope"])
+def test_generic_polytope_without_lambda_warns(tmp_path, kind):
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    prob["rx"] = {"kind": kind, "dim": 3}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    with pytest.warns(UserWarning, match="without a configured lam"):
+        assert main(["generic", str(path), "--iters", "2",
+                     "--outdir", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_load_problem_leaves_start_point_unchanged(tmp_path):
+    # under the identity map the y-start is projected from x0 itself
+    x0 = np.arange(9.0)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({
+        "f": {"kind": "linear", "g": [0.0] * 9},
+        "A": {"kind": "identity", "dim": 9},
+        "rx": {"kind": "zero", "dim": 9},
+        "ry": {"kind": "diag_ones", "n": 3},
+        "x0": x0.tolist(),
+    }))
+    (_spec, q0, _w0), _ = _load_problem(str(path))
+    assert np.array_equal(q0.x, x0)
+    assert np.array_equal(q0.y.reshape(3, 3).diagonal(), np.ones(3))
 
 
 def test_generic_malformed_json(tmp_path, capsys):

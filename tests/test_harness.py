@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bruteforce import er_graph_loop, write_gset
 from wpmm.harness import (
     CmeConfig,
     GsetGraph,
@@ -13,12 +14,11 @@ from wpmm.harness import (
     metrics_cme,
     metrics_maxcut,
     reference_solution,
-    save_gset,
     build_box_toy,
 )
 from wpmm.linalg import project_l1_ball
-from wpmm.model import alpha_S_strongly_convex, objective_h
-from wpmm.solver import SolverConfig, iterate, run
+from wpmm.model import alpha_S_strongly_convex
+from wpmm.solver import SolverConfig, iterate, record_values, run, step_constants
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +57,12 @@ def test_cme_instance_bit_reproducible():
 
 
 def test_cme_degenerate_block_errors():
-    with pytest.raises(RuntimeError):
-        gen_cme_instance(CmeConfig(d=10, r=1, entry_threshold=1.0, seed=4))
+    # no entry of U[-1, 1] exceeds a threshold of 1 or more
+    with pytest.raises(ValueError, match="entry_threshold"):
+        CmeConfig(d=10, r=1, entry_threshold=1.0, seed=4)
+    # all 10 entries fall below 1 - 1e-9 in each of the 100 attempts
+    with pytest.raises(ValueError, match="degenerate block"):
+        gen_cme_instance(CmeConfig(d=10, r=1, entry_threshold=1 - 1e-9, seed=4))
 
 
 def test_cme_config_validation():
@@ -80,7 +84,7 @@ def test_load_gset_minimal(tmp_path):
 def test_gset_roundtrip(tmp_path):
     g = gen_er_graph(15, 0.3, seed=5)
     path = tmp_path / "rt.txt"
-    save_gset(g, path)
+    write_gset(g, path)
     g2 = load_gset(path)
     assert g2.n == g.n
     assert sorted(g2.edges) == sorted(g.edges)
@@ -106,7 +110,7 @@ def test_gset_parses_full_size_graph(tmp_path):
     # same node count as the standard benchmark graphs
     g = gen_er_graph(800, 0.005, seed=17)
     path = tmp_path / "g800.txt"
-    save_gset(g, path)
+    write_gset(g, path)
     loaded = load_gset(path)
     assert loaded.n == 800
     assert sorted(loaded.edges) == sorted(g.edges)
@@ -148,11 +152,9 @@ def test_laplacian_rows_sum_to_zero_and_psd():
                                       (30, 0.2, 1), (57, 0.06, 7),
                                       (120, 0.5, 11), (200, 0.0, 2)])
 def test_er_graph_matches_pairwise_loop(n, p, seed):
-    from bruteforce import er_graph_loop
-
-    g = gen_er_graph(n, p, seed=seed, weight=2)
+    g = gen_er_graph(n, p, seed=seed)
     assert g.n == n
-    assert g.edges == er_graph_loop(n, p, seed=seed, weight=2)
+    assert g.edges == er_graph_loop(n, p, seed=seed)
     assert all(type(x) is int for edge in g.edges for x in edge)
 
 
@@ -242,17 +244,25 @@ def test_metrics_maxcut_cases():
 # reference oracle
 
 
+# line-search steps with a large dual step: much faster than the
+# theoretical default on the covariance instances
+FAST_REFERENCE = SolverConfig(rho=1.0, mu=1.0, iters=10**6,
+                              step_policy="line_search")
+
+
 def test_reference_on_cme_toy():
     Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=10, r=2, seed=15))
     spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat=2)
-    ref = reference_solution(spec, 1e-8, q0=q0, w0=w0, rho=1.0,
-                             policy="line_search", mu=1.0)
+    ref = reference_solution(spec, 1e-8, q0=q0, w0=w0, config=FAST_REFERENCE)
     assert ref.k_norm <= 1e-8
     # optimality audit: solver outputs cannot undercut the reference
     for rho in (0.5, 1.0):
         log = run(spec, q0, w0, SolverConfig(rho=rho, mu=0.2, iters=300,
                                              step_policy="line_search"))
-        assert objective_h(spec, log.last_point) >= ref.h_value - 1e-6
+        h, flagged, _ = record_values(spec, log.last_point, log.w_final, rho,
+                                      audit=True)
+        assert not flagged
+        assert h >= ref.h_value - 1e-6
 
 
 def test_reference_matches_dykstra_projection():
@@ -264,8 +274,7 @@ def test_reference_matches_dykstra_projection():
     d = 12
     Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=d, r=2, seed=18))
     spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat=d)
-    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0, rho=1.0,
-                             policy="line_search", mu=1.0)
+    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0, config=FAST_REFERENCE)
     star = dykstra_two_sets(SigmaHat.ravel(), spec.rx.project,
                             lambda v: project_l1_ball(v, s), iters=20000)
     h_star = 0.5 * float(np.linalg.norm(star - SigmaHat.ravel()) ** 2)
@@ -276,7 +285,7 @@ def test_reference_matches_dykstra_projection():
 def test_reference_matches_analytic_toy_optimum():
     # a = (1.5, 0.7) over [0,1]^2 boxes: x* = (1, 0.7), h* = 0.125 exactly
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    ref = reference_solution(spec, 1e-10, q0=q0, w0=w0, rho=1.0)
+    ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
     assert abs(ref.h_value - 0.125) <= 1e-8
     assert np.linalg.norm(ref.q.x - np.array([1.0, 0.7])) <= 1e-5
 
@@ -284,21 +293,23 @@ def test_reference_matches_analytic_toy_optimum():
 def test_reference_stability_under_tighter_tol():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     tol = 1e-6
-    a = reference_solution(spec, tol, q0=q0, w0=w0, rho=1.0)
-    b = reference_solution(spec, tol / 10, q0=q0, w0=w0, rho=1.0)
+    a = reference_solution(spec, tol, q0=q0, w0=w0)
+    b = reference_solution(spec, tol / 10, q0=q0, w0=w0)
     assert abs(a.h_value - b.h_value) <= 10 * tol
 
 
 def test_reference_nonconvergence_raises():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     with pytest.raises(RuntimeError, match="did not converge"):
-        reference_solution(spec, 1e-12, q0=q0, w0=w0, rho=1.0, max_iters=10)
+        mu = step_constants(spec, 1.0).mu_cap()
+        reference_solution(spec, 1e-12, q0=q0, w0=w0,
+                           config=SolverConfig(rho=1.0, mu=mu, iters=10))
 
 
 def test_reference_saddle_value_consistency():
     # at the saddle the augmented Lagrangian equals the plain objective
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0, rho=1.0)
+    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0)
     assert ref.al_value == pytest.approx(ref.h_value, abs=1e-7)
 
 
@@ -314,3 +325,16 @@ def test_last_variant_feasibility_trend():
     head = min(feas[: len(feas) // 10])
     tail = min(feas[-len(feas) // 10:])
     assert tail <= head
+
+
+def test_reference_default_is_theoretical_at_the_dual_step_cap():
+    # the default steps equal a fixed step at the theoretical eta, bit for bit
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    consts = step_constants(spec, 1.0)
+    fixed = SolverConfig(rho=1.0, mu=consts.mu_cap(), iters=10**6,
+                         step_policy="fixed", eta=consts.eta(consts.mu_cap()))
+    a = reference_solution(spec, 1e-9, q0=q0, w0=w0)
+    b = reference_solution(spec, 1e-9, q0=q0, w0=w0, config=fixed)
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.q.x, b.q.x) and np.array_equal(a.q.y, b.q.y)
+    assert np.array_equal(a.w, b.w) and a.al_value == b.al_value

@@ -412,7 +412,3 @@ def test_opnorm_identity():
 def test_opnorm_diagonal():
     val = LinearMap.diagonal([3.0, 1.0]).norm_bound
     assert 3.0 * (1 - 1e-6) <= val <= 3.0 * 1.01 + 1e-12
-
-
-def test_opnorm_zero():
-    assert LinearMap.zero(3, 5).norm_bound == 0.0

@@ -1,23 +1,20 @@
 import numpy as np
 import pytest
 
-from bruteforce import fd_gradient
+from bruteforce import fd_gradient, smooth_part
 from wpmm.cli import _build_smooth
 from wpmm.model import (
     LinearMap,
     PrimalPoint,
     ProblemSpec,
     SmoothTerm,
-    al_value,
     alpha_S_strongly_convex,
     beta_S,
     k_apply,
-    objective_h,
     smooth_grad,
-    smooth_value,
 )
 from wpmm.oracles import BoxIndicator, NuclearNormReg, ZeroReg
-from wpmm.solver import SolverConfig, run
+from wpmm.solver import SolverConfig, record_values, run
 
 
 def zero_smooth(dim):
@@ -36,6 +33,13 @@ def make_spec(dim=2, f=None, A=None, rx=None, ry=None, **kw):
 
 def q_of(x, y):
     return PrimalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def audited_al(spec, q, w, rho):
+    """The audited augmented-Lagrangian value of a point inside its domains."""
+    _, flagged, al = record_values(spec, q, w, rho, audit=True)
+    assert not flagged
+    return al
 
 
 def k_adjoint(spec, w):
@@ -104,7 +108,7 @@ def test_k_apply_dimension_mismatch():
 def test_al_value_feasible_reduces_to_objective():
     spec = make_spec(f=SmoothTerm.half_sq_distance(np.array([1.0, 1.0])))
     q = q_of([0.5, 0.5], [0.5, 0.5])
-    assert al_value(spec, q, np.array([3.0, -2.0]), 2.0) == pytest.approx(0.25)
+    assert audited_al(spec, q, np.array([3.0, -2.0]), 2.0) == pytest.approx(0.25)
 
 
 def test_al_value_direct_arithmetic():
@@ -112,21 +116,23 @@ def test_al_value_direct_arithmetic():
     q = q_of([1, 0], [0, 0])
     w = np.array([1.0, 1.0])
     # 0.5 + <w, Kq> + (rho/2)||Kq||^2 = 0.5 + 1 + 1
-    assert al_value(spec, q, w, 2.0) == pytest.approx(2.5)
+    assert audited_al(spec, q, w, 2.0) == pytest.approx(2.5)
 
 
 def test_al_value_indicator_violation_is_inf():
     spec = make_spec(rx=BoxIndicator(2, 0.0, 1.0), ry=ZeroReg(2))
     q = q_of([2.0, 0.0], [2.0, 0.0])
-    assert al_value(spec, q, np.zeros(2), 1.0) == np.inf
+    _, flagged, al = record_values(spec, q, np.zeros(2), 1.0, audit=True)
+    assert flagged and al == np.inf
 
 
 def test_smooth_value_examples():
     spec = make_spec(f=SmoothTerm.half_sq_distance(np.zeros(2)))
     q = q_of([1, 0], [0, 0])
-    assert smooth_value(spec, q, np.array([1.0, 1.0]), 2.0) == pytest.approx(2.5)
+    # R = 0 on both blocks, so the AL value is its smooth part
+    assert audited_al(spec, q, np.array([1.0, 1.0]), 2.0) == pytest.approx(2.5)
     q_feas = q_of([1, 0], [1, 0])
-    assert smooth_value(spec, q_feas, np.zeros(2), 0.0) == pytest.approx(0.5)
+    assert audited_al(spec, q_feas, np.zeros(2), 0.0) == pytest.approx(0.5)
 
 
 def test_smooth_grad_simple_cases():
@@ -154,9 +160,9 @@ def test_smooth_grad_matches_finite_differences():
         q = q_of(rng.standard_normal(4), rng.standard_normal(3))
         gx, gy = smooth_grad(spec, q, w, rho)
         fx = fd_gradient(
-            lambda x: smooth_value(spec, q_of(x, q.y), w, rho), q.x)
+            lambda x: smooth_part(spec, q_of(x, q.y), w, rho), q.x)
         fy = fd_gradient(
-            lambda y: smooth_value(spec, q_of(q.x, y), w, rho), q.y)
+            lambda y: smooth_part(spec, q_of(q.x, y), w, rho), q.y)
         scale = max(1.0, np.linalg.norm(np.concatenate([gx, gy])))
         assert np.linalg.norm(gx - fx) <= 1e-5 * scale
         assert np.linalg.norm(gy - fy) <= 1e-5 * scale
@@ -202,8 +208,8 @@ def test_al_decomposition_exact():
     for _ in range(10):
         q = q_of(rng.standard_normal(4), rng.standard_normal(4))
         w = rng.standard_normal(4)
-        total = al_value(spec, q, w, 1.5)
-        parts = (smooth_value(spec, q, w, 1.5)
+        total = audited_al(spec, q, w, 1.5)
+        parts = (smooth_part(spec, q, w, 1.5)
                  + spec.rx.value(q.x) + spec.ry.value(q.y))
         assert total == parts
 
@@ -221,9 +227,9 @@ def test_descent_lemma_bound():
         qp = q_of(rng.standard_normal(3), rng.standard_normal(3))
         gx, gy = smooth_grad(spec, q, w, rho)
         dx, dy = qp.x - q.x, qp.y - q.y
-        lin = smooth_value(spec, q, w, rho) + gx @ dx + gy @ dy
+        lin = smooth_part(spec, q, w, rho) + gx @ dx + gy @ dy
         quad = 0.5 * bs * (dx @ dx + dy @ dy)
-        lhs = smooth_value(spec, qp, w, rho)
+        lhs = smooth_part(spec, qp, w, rho)
         assert lhs <= lin + quad + 1e-9 * max(1.0, abs(lhs))
 
 
@@ -240,13 +246,13 @@ def test_saddle_inequality_analytic_instance():
     qstar = q_of([1.0], [1.0])
     wstar = np.array([0.25])
     rho = 1.0
-    lstar = al_value(spec, qstar, wstar, rho)
+    lstar = audited_al(spec, qstar, wstar, rho)
     rng = np.random.default_rng(4)
     for _ in range(100):
         w = rng.standard_normal(1) * 3
-        assert al_value(spec, qstar, w, rho) <= lstar + 1e-12
+        assert audited_al(spec, qstar, w, rho) <= lstar + 1e-12
         q = q_of(rng.uniform(0, 1, 1), rng.uniform(0, 1, 1))
-        assert al_value(spec, q, wstar, rho) >= lstar - 1e-12
+        assert audited_al(spec, q, wstar, rho) >= lstar - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +285,19 @@ def test_constants_reject_bad_inputs():
 # objective
 
 
+def audited_h(spec, q):
+    """(h, flagged) at q as the audited record reads them."""
+    h, flagged, _ = record_values(spec, q, np.zeros(spec.A.dim_out), 1.0,
+                                  audit=True)
+    return h, flagged
+
+
 def test_objective_h_cases():
     spec = make_spec(f=SmoothTerm.half_sq_distance(np.zeros(2)),
                      rx=BoxIndicator(2, -1.0, 1.0), ry=ZeroReg(2))
-    assert objective_h(spec, q_of([0.5, 0], [0, 0])) == pytest.approx(0.125)
-    assert objective_h(spec, q_of([2.0, 0], [0, 0])) == np.inf
+    h, flagged = audited_h(spec, q_of([0.5, 0], [0, 0]))
+    assert h == pytest.approx(0.125) and not flagged
+    assert audited_h(spec, q_of([2.0, 0], [0, 0]))[1]
 
     nuc = make_spec(
         dim=4,
@@ -292,7 +306,8 @@ def test_objective_h_cases():
         ry=ZeroReg(4),
     )
     q = q_of(np.diag([2.0, 3.0]).ravel(), np.zeros(4))
-    assert objective_h(nuc, q) == pytest.approx(5.0, rel=1e-10)
+    h, flagged = audited_h(nuc, q)
+    assert h == pytest.approx(5.0, rel=1e-10) and not flagged
 
 
 def test_objective_h_logged_substitutes_distance():
@@ -322,8 +337,7 @@ def test_linear_map_norm_bound_is_upper_bound():
         return np.column_stack([A.apply(e) for e in np.eye(A.dim_in)])
 
     rng = np.random.default_rng(5)
-    maps = [LinearMap.identity(4), LinearMap.zero(3, 5),
-            LinearMap.diagonal([3.0, -1.0, 0.5]),
+    maps = [LinearMap.identity(4), LinearMap.diagonal([3.0, -1.0, 0.5]),
             LinearMap.stacked_identity(3, 4)]
     maps += [LinearMap.from_dense(rng.standard_normal((5, 7)))
              for _ in range(5)]

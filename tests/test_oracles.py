@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -504,7 +505,7 @@ def test_product_component_concatenates():
     out = comp.compute(center, p, 1.0)
     assert np.allclose(out[:2], np.clip(center[:2], 0, 1))
     assert np.allclose(out[2:], project_simplex(center[2:], 1.0))
-    assert comp.value(out) == 0.0
+    assert comp.logged_value(out) == (0.0, False)
     assert comp.distance(np.array([2.0, 0.5, 0.2, 0.3, 0.5])) > 0.9
 
 
@@ -557,6 +558,35 @@ def test_polytope_state_invariants():
 def test_diag_ones_component():
     comp = DiagOnesIndicator(3)
     v = np.eye(3).ravel()
-    assert comp.value(v) == 0.0
+    assert comp.distance(v) == 0.0
     bad = np.zeros(9)
     assert comp.distance(bad) == pytest.approx(np.sqrt(3.0))
+
+
+def test_diag_ones_project_leaves_input_unchanged():
+    comp = DiagOnesIndicator(3)
+    v = np.arange(9.0)
+    out = comp.project(v)
+    assert np.array_equal(v, np.arange(9.0))
+    assert np.array_equal(np.diag(out.reshape(3, 3)), np.ones(3))
+    assert np.array_equal(out.reshape(3, 3)[~np.eye(3, dtype=bool)],
+                          v.reshape(3, 3)[~np.eye(3, dtype=bool)])
+
+
+def test_diag_ones_oracle_allocates_one_block():
+    # the answer is written into the shifted center prox_exact forms, so the
+    # oracle's peak is one n x n block, not two
+    n = 300
+    comp = DiagOnesIndicator(n)
+    rng = np.random.default_rng(0)
+    center, p = rng.standard_normal(n * n), rng.standard_normal(n * n)
+    c0, p0 = center.copy(), p.copy()
+    tracemalloc.start()
+    try:
+        out = comp.compute(center, p, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * n * n * 8
+    assert np.array_equal(center, c0) and np.array_equal(p, p0)
+    assert np.array_equal(out, comp.project(center - p / 2.0))

@@ -19,11 +19,9 @@ from wpmm.model import (
     PrimalPoint,
     ProblemSpec,
     SmoothTerm,
-    al_value,
     alpha_S_strongly_convex,
     beta_S,
     k_apply,
-    objective_h,
     smooth_grad,
 )
 from wpmm.oracles import (
@@ -45,6 +43,7 @@ from wpmm.solver import (
     iterate,
     line_search_eta,
     max_dual_step,
+    record_values,
     run,
     step_constants,
     theoretical_eta,
@@ -211,7 +210,8 @@ def test_line_search_beats_endpoints():
         def merit(e):
             qe = blend(q, v, e)
             ke = k_apply(spec, qe)
-            return 0.2 * ke @ ke + al_value(spec, qe, w, 1.0)
+            return 0.2 * ke @ ke + record_values(spec, qe, w, 1.0,
+                                                 audit=True)[2]
 
         assert merit(eta) <= merit(0.0) + 1e-12
         assert merit(eta) <= merit(1.0) + 1e-12
@@ -518,7 +518,8 @@ def test_line_search_dominates_base_step():
         def merit(e):
             qe = blend(state_q, v, e)
             ke = k_apply(spec, qe)
-            return mu * ke @ ke + al_value(spec, qe, w, rho)
+            return mu * ke @ ke + record_values(spec, qe, w, rho,
+                                                audit=True)[2]
 
         assert merit(eta) <= merit(base) + 1e-12
         state_q = blend(state_q, v, eta)
@@ -655,7 +656,7 @@ def test_check_linear_decay_on_toy():
     b_s = beta_S(1.0, rho, 1.0)
     mu = max_dual_step(a_s, b_s, 1.0, 1.0)
     eta = theoretical_eta(a_s, b_s, 1.0, mu, 1.0)
-    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0, rho=rho)
+    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0)
     log = run(spec, q0, w0, SolverConfig(rho=rho, mu=mu, iters=120,
                                          step_policy="theoretical"))
     cert = check_linear_decay([r.al_value for r in log.records],
@@ -670,10 +671,13 @@ def test_check_obj_feas_split_cases():
     assert not cert.applicable
     # measured split from a toy run
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0, rho=1.0)
+    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0)
     log = run(spec, q0, w0, SolverConfig(rho=1.0, mu=1e-4, iters=200,
                                          step_policy="theoretical"))
-    h_gap = objective_h(spec, log.mean_point) - ref.h_value
+    h, flagged, _ = record_values(spec, log.mean_point, log.w_final, 1.0,
+                                  audit=True)
+    assert not flagged
+    h_gap = h - ref.h_value
     k_norm = float(np.linalg.norm(k_apply(spec, log.mean_point)))
     c = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     delta = max(h_gap + c * k_norm + 0.5 * k_norm**2, 0.0)
