@@ -15,19 +15,18 @@ from .linalg import project_l1_ball, project_simplex
 from .oracles import (
     NuclearBallIndicator,
     NuclearNormReg,
+    PolytopeIndicator,
     PolytopeState,
     SpectrahedronIndicator,
     hypercube_lmo,
     phi_value,
     scaled_simplex_lmo,
-    wpo_polytope,
 )
 from .solver import (
     Certificate,
     SolverConfig,
     check_linear_decay,
     check_obj_feas_split,
-    ergodic_bound,
     iterate,
     record_values,
     run,
@@ -145,12 +144,14 @@ def polytope_audit(kind="hypercube", trials=25, seed=0):
         nsup = int(rng.integers(1, min(3, len(vertices)) + 1))
         idx = rng.choice(len(vertices), size=nsup, replace=False)
         wts = rng.dirichlet(np.ones(nsup))
-        support = [vertices[i].copy() for i in idx]
+        support = [vertices[i] for i in idx]
         center = sum(w * v for w, v in zip(wts, support))
-        state = PolytopeState(support, wts)
+        # the declared lam is not read by the oracle; the audit measures it
+        comp = PolytopeIndicator(dim, lmo, PolytopeState(support, wts),
+                                 lam=LAM_CAP)
         p = rng.standard_normal(dim)
         c = 10 ** rng.uniform(-1.5, 1.5)
-        v, _ = wpo_polytope(state, p, center, c, lmo)
+        v = comp.compute(center, p, c)
         phi1 = phi_value(0.0, v, p, center, c)
         for u in vertices:
             d2 = float((u - center) @ (u - center))
@@ -183,32 +184,30 @@ def suite_oracles(seed=0):
 
 
 def _toy_setup():
-    # theoretical steps at rho = 1 and the largest admissible mu
-    rho = 1.0
+    """The box toy solved once for the decay and ergodic suites: its
+    reference optimum and a 300-step run at theoretical steps, rho = 1 and
+    the largest admissible mu, with the run's step constants."""
     spec, q0, w0 = build_box_toy([1.5, 0.7])
-    consts = step_constants(spec, rho)
-    mu = consts.mu_cap()
+    consts = step_constants(spec, 1.0)
     ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
-    config = SolverConfig(rho=rho, mu=mu, iters=300)
-    log = run(spec, q0, w0, config)
-    return spec, (q0, w0), ref, log, dict(rho=rho, mu=mu, eta=consts.eta(mu),
-                                          a_s=consts.alpha_s, norm_a=consts.norm_a)
+    log = run(spec, q0, w0,
+              SolverConfig(rho=1.0, mu=consts.mu_cap(), iters=300))
+    return spec, q0, w0, ref, log, consts
 
 
-def suite_decay():
-    spec, _, ref, log, c = _toy_setup()
-    cert = check_linear_decay([r.al_value for r in log.records],
-                              ref.h_value, c["eta"])
-    return [cert]
+def suite_decay(toy=None):
+    _, _, _, ref, log, consts = toy or _toy_setup()
+    return [check_linear_decay([r.al_value for r in log.records], ref.h_value,
+                               consts.eta(log.config.mu))]
 
 
-def suite_ergodic():
-    spec, (q0, w0), ref, log, c = _toy_setup()
+def suite_ergodic(toy=None):
+    spec, q0, w0, ref, log, consts = toy or _toy_setup()
+    rho = log.config.rho
     # c >= 2||w*||, from the reference run's converged multiplier
     cdual = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     d1 = log.records[0].al_value - ref.h_value
-    bound = ergodic_bound(cdual, 0.0, d1, spec.f.beta, c["rho"], c["mu"],
-                          c["norm_a"], c["a_s"])
+    bound = consts.ergodic_bound(cdual, 0.0, d1, log.config.mu)
 
     worst_h, worst_k = -np.inf, -np.inf
     rs_x = np.zeros_like(q0.x)
@@ -219,8 +218,8 @@ def suite_ergodic():
         rs_y += state.q.y
         qbar = PrimalPoint(rs_x / i, rs_y / i)
         kq = k_apply(spec, qbar)
-        h, flagged, _ = record_values(spec, qbar, state.w, c["rho"],
-                                      audit=True, kq=kq)
+        h, flagged, _ = record_values(spec, qbar, state.w, rho, audit=True,
+                                      kq=kq)
         h_gap = (float("inf") if flagged else h) - ref.h_value
         k_norm = float(np.linalg.norm(kq))
         worst_h = max(worst_h, h_gap - bound / i)
@@ -237,8 +236,8 @@ def suite_ergodic():
 
     # objective/feasibility split at the final ergodic point, with the
     # antecedent measured from the run itself
-    delta = max(h_gap + cdual * k_norm + 0.5 * c["rho"] * k_norm**2, 0.0)
-    split_cert = check_obj_feas_split(h_gap, cdual, c["rho"], k_norm, delta)
+    delta = max(h_gap + cdual * k_norm + 0.5 * rho * k_norm**2, 0.0)
+    split_cert = check_obj_feas_split(h_gap, cdual, rho, k_norm, delta)
     return [ergodic_cert, split_cert]
 
 
@@ -258,8 +257,11 @@ def run_suites(name, seed=0):
     else:
         raise ValueError(f"unknown suite {name!r}; pick from "
                          f"{sorted(SUITES)} or 'all'")
-    certs = []
+    certs, toy = [], None
     for n in names:
-        # only the oracle audits draw random instances; the toy is fixed
-        certs.extend(SUITES[n](seed=seed) if n == "oracles" else SUITES[n]())
+        if n == "oracles":  # the only suite drawing random instances
+            certs.extend(suite_oracles(seed=seed))
+        else:  # the toy suites share one solve
+            toy = toy or _toy_setup()
+            certs.extend(SUITES[n](toy))
     return all(c.passed for c in certs), certs

@@ -435,11 +435,13 @@ _REQUIRED = object()
 
 
 def _numeric(value):
-    """Whether value is a JSON number or a (nested) array of numbers."""
+    """Whether value is a finite JSON number or a (nested) array of them;
+    NaN and Infinity, which Python's JSON reader accepts, are not."""
     try:
-        return np.asarray(value).dtype.kind in "iuf"
+        arr = np.asarray(value)
     except ValueError:  # ragged nesting
         return False
+    return arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
 
 
 class _Section(dict):
@@ -476,8 +478,8 @@ class _Section(dict):
         return self._typed(key, default, lambda v: type(v) is int, "int")
 
     def number(self, key, default=_REQUIRED):
-        value = self._typed(key, default, lambda v: type(v) in (int, float),
-                            "a number")
+        value = self._typed(key, default, lambda v: type(v) is int or (
+            type(v) is float and np.isfinite(v)), "a number")
         return None if value is None else float(value)
 
     def array(self, key, default=_REQUIRED):

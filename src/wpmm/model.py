@@ -3,10 +3,11 @@
 The problem is  min f(x) + R_x(x) + R_y(y)  subject to  A x = y,  over a pair
 of flat real vectors (matrix variables are vectorized with explicit shape
 metadata carried by their regularizer components). The constraint map is
-K q = A x - y for q = (x, y); this module provides K, the gradient of the
-smooth part of the augmented Lagrangian, and the smoothness and curvature
-constants the solver's step-size formulas consume. The objective and the
-augmented Lagrangian are evaluated in one place, ``solver.record_values``.
+K q = A x - y for q = (x, y); this module provides K and the gradient of
+the smooth part of the augmented Lagrangian. The step-size constants built
+from f's smoothness and curvature and from ||A|| live in
+``solver.StepConstants``; the objective and the augmented Lagrangian are
+evaluated in one place, ``solver.record_values``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "ProblemSpec",
     "k_apply",
     "smooth_grad",
-    "beta_S",
-    "alpha_S_strongly_convex",
 ]
 
 # A point counts as inside an indicator set when its distance to the set is
@@ -167,10 +166,10 @@ class ProblemSpec:
     """The full problem: smooth term, constraint map, two oracle blocks.
 
     ``pqg_alpha`` is the primal-quadratic-gap curvature parameter. When it is
-    absent and f carries a strong-convexity constant, the solver derives it
-    from alpha_S_strongly_convex at its penalty value. For polytope problems
-    the underlying Hoffman-type constant is not computable in general, so it
-    must be supplied by the user here (or step sizes must be fixed).
+    absent and f carries a strong-convexity constant, ``solver.step_constants``
+    derives it at the solver's penalty value. For polytope problems the
+    underlying Hoffman-type constant is not computable in general, so it must
+    be supplied by the user here (or step sizes must be fixed).
     """
 
     f: SmoothTerm
@@ -221,24 +220,3 @@ def smooth_grad(spec, q, w, rho):
     gx += spec.A.adjoint(r)
     return gx, np.negative(r, out=r)
 
-
-def beta_S(beta, rho, norm_a):
-    """Smoothness constant of the smooth augmented-Lagrangian part:
-    beta + rho * (norm_a + 1)^2."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if rho < 0 or norm_a < 0:
-        raise ValueError("rho and norm_a must be nonnegative")
-    return beta + rho * (norm_a + 1.0) ** 2
-
-
-def alpha_S_strongly_convex(alpha, rho, norm_a):
-    """Primal-quadratic-gap parameter when f is alpha-strongly convex:
-    min(alpha/2, alpha*rho / (alpha + 2*rho*norm_a^2)). Strictly positive."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if norm_a < 0:
-        raise ValueError("norm_a must be nonnegative")
-    return min(0.5 * alpha, alpha * rho / (alpha + 2.0 * rho * norm_a**2))

@@ -9,6 +9,10 @@ An exact prox minimizes Phi_1 (declared parameter lam = 1); the low-rank
 matrix oracles reach the same minimizer whenever the minimizer's rank is at
 most their budget k; the polytope oracle trades exactness for a single LMO
 call plus a small simplex QP, with a geometry-dependent lam.
+
+Each component's ``compute`` is its one oracle entry point: an exact-prox
+component supplies ``prox`` to the default one; the polytope oracle holds its
+output's vertex representation until ``commit``.
 """
 
 from __future__ import annotations
@@ -36,10 +40,7 @@ __all__ = [
     "PolytopeState",
     "PolytopeIndicator",
     "ProductComponent",
-    "prox_exact",
     "simplex_qp",
-    "wpo_polytope",
-    "beta_hat",
     "phi_value",
     "hypercube_lmo",
     "scaled_simplex_lmo",
@@ -54,37 +55,11 @@ class OracleError(RuntimeError):
 # shared helpers
 
 
-def beta_hat(beta_s, mu, norm_a):
-    """Oracle curvature coefficient beta_s + 2*mu*(norm_a + 1)^2.
-
-    The (norm_a + 1)^2 factor is the cheap upper bound on the squared norm of
-    the constraint map; using it keeps every step-size formula conservative.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    return beta_s + 2.0 * mu * (norm_a + 1.0) ** 2
-
-
 def phi_value(reg_value, v, p, center, c, lam=1.0):
     """Prox-style objective R(v) + <v, p> + lam*(c/2)*||v - center||^2,
     given the regularizer value at v."""
     d = v - center
     return reg_value + float(v @ p) + 0.5 * lam * c * float(d @ d)
-
-
-def prox_exact(component, center, p, c):
-    """Exact minimizer of Phi_1 for a proximal-friendly regularizer:
-    prox_{R/c}(center - p/c). Declared lam = 1."""
-    if c <= 0:
-        raise ValueError("step coefficient must be positive")
-    prox = getattr(component, "prox", None)
-    if prox is None:
-        raise OracleError(
-            f"{type(component).__name__} has no exact prox routine"
-        )
-    point = np.divide(p, c)
-    np.subtract(center, point, out=point)
-    return prox(point, c)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +89,21 @@ class WpoComponent:
 
     def compute(self, center, p, coeff):
         """Return a candidate block for the objective Phi_1 at this center;
-        by default the exact prox of a component that has one. The caller
+        by default the exact minimizer prox_{R/c}(center - p/c) of a
+        component that has a ``prox`` routine (declared lam = 1). The caller
         owns the returned array: the solver writes the next iterate into it,
         so it must be a new array, sharing memory with neither argument nor
         with anything the component keeps (one that shares memory with
         ``center`` or ``p`` is copied first)."""
-        return prox_exact(self, center, p, coeff)
+        if coeff <= 0:
+            raise ValueError("step coefficient must be positive")
+        prox = getattr(self, "prox", None)
+        if prox is None:
+            raise OracleError(f"{type(self).__name__} has no exact prox routine")
+        # the shifted center in one new buffer, which prox may overwrite
+        point = np.divide(p, coeff)
+        np.subtract(center, point, out=point)
+        return prox(point, coeff)
 
     def value(self, v):
         """Regularizer value at v, for a component that is not an indicator
@@ -228,7 +212,7 @@ class DiagOnesIndicator(_IndicatorComponent):
         return self.prox(np.array(v, dtype=float), 1.0)
 
     def prox(self, point, scale):
-        # writes into the point, a buffer prox_exact forms for the call
+        # writes into the point, a buffer compute forms for the call
         out = point.reshape(self.n, self.n)
         np.fill_diagonal(out, 1.0)
         return out.ravel()
@@ -253,6 +237,8 @@ class _MatrixComponent(WpoComponent):
         super().__init__(rows * cols)
         if not 1 <= k <= min(rows, cols):
             raise ValueError(f"k={k} out of range for shape {shape}")
+        if not 0.0 < svd_tol < np.inf:
+            raise ValueError("svd_tol must be positive and finite")
         self.shape = (int(rows), int(cols))
         self.k = int(k)
         self.svd_tol = float(svd_tol)
@@ -477,34 +463,6 @@ def _pruned_state(vertices, weights):
                          kept / kept.sum())
 
 
-def wpo_polytope(state, p, center, c, lmo):
-    """Polytope weak proximal oracle: one LMO call plus a simplex QP.
-
-    ``state`` must represent ``center`` as an explicit convex combination of
-    polytope vertices. The vertex returned by ``lmo(p)`` is appended, the QP
-    over the enlarged support is solved, and the candidate M @ gamma* is
-    returned together with a state representing it (pruned of weights below
-    1e-12). The support grows by at most one vertex per call.
-    """
-    state.validate()
-    center = np.asarray(center, dtype=float)
-    rep = state.point()
-    if np.linalg.norm(rep - center) > 1e-9 * (1.0 + np.linalg.norm(center)):
-        raise OracleError("polytope state does not represent the center")
-    try:
-        z = np.asarray(lmo(p), dtype=float)
-    except Exception as exc:  # noqa: BLE001 - report LMO failures uniformly
-        raise OracleError(f"LMO callback failed: {exc}") from exc
-    if z.shape != center.shape:
-        raise OracleError(f"LMO returned shape {z.shape}, expected {center.shape}")
-
-    vertices = [v for v in state.vertices] + [z]
-    M = np.column_stack(vertices)
-    init = np.append(state.weights, 0.0)
-    gamma = simplex_qp(M, p, center, c, init=init)
-    return M @ gamma, _pruned_state(vertices, gamma)
-
-
 class PolytopeIndicator(WpoComponent):
     """Indicator of a compact polytope accessed through an LMO callback.
 
@@ -551,9 +509,34 @@ class PolytopeIndicator(WpoComponent):
         return clone
 
     def compute(self, center, p, coeff):
-        v, new_state = wpo_polytope(self.state, p, center, coeff, self.lmo)
-        self._pending = new_state
-        return v
+        """Weak proximal oracle: one LMO call plus a simplex QP.
+
+        ``state`` must represent ``center`` as an explicit convex combination
+        of polytope vertices. The vertex returned by ``lmo(p)`` is appended,
+        the QP over the enlarged support is solved, and the candidate
+        M @ gamma* is returned; the state representing it, pruned of weights
+        below PRUNE_TOL, waits for ``commit``. The support grows by at most
+        one vertex per call.
+        """
+        state = self.state
+        state.validate()
+        center = np.asarray(center, dtype=float)
+        rep = state.point()
+        if np.linalg.norm(rep - center) > 1e-9 * (1.0 + np.linalg.norm(center)):
+            raise OracleError("polytope state does not represent the center")
+        try:
+            z = np.asarray(self.lmo(p), dtype=float)
+        except Exception as exc:  # noqa: BLE001 - report LMO failures uniformly
+            raise OracleError(f"LMO callback failed: {exc}") from exc
+        if z.shape != center.shape:
+            raise OracleError(f"LMO returned shape {z.shape}, expected {center.shape}")
+
+        vertices = state.vertices + [z]
+        M = np.column_stack(vertices)
+        gamma = simplex_qp(M, p, center, coeff,
+                           init=np.append(state.weights, 0.0))
+        self._pending = _pruned_state(vertices, gamma)
+        return M @ gamma
 
     def commit(self, eta):
         if self._pending is None:

@@ -1,9 +1,9 @@
 """Primal-dual solver loop with weak proximal oracle primal updates.
 
 One iteration: query both block oracles at the current point with the
-linearization vectors and the step coefficient eta*(beta_S + 2 mu (||A||+1)^2),
-move the primal point by a convex combination toward the oracle output, then
-ascend the multiplier along the constraint residual. Step sizes come either
+linearization vectors and the step coefficient eta * beta_hat(mu), move the
+primal point by a convex combination toward the oracle output, then ascend
+the multiplier along the constraint residual. Step sizes come either
 from the curvature-based formulas, from a fixed user value, or from an exact
 line search over the combination parameter, closed-form on the step's own
 gradient since the smooth term is quadratic.
@@ -14,15 +14,17 @@ constraint residual norm) after each of ``config.iters`` steps. ``run`` drives
 it and logs every iteration; the reference solver in ``harness`` drives it
 with exact oracles and its own stopping rule; both read the objective h and
 the augmented Lagrangian from ``record_values``, their one evaluator.
-``step_constants`` holds the curvature constants all step sizes derive from.
+``StepConstants`` is the step-size rule: ``step_constants`` builds it from
+the problem's curvature constants, and it gives the primal step, the dual-step
+cap, the oracle coefficient beta_hat(mu) = beta_S + 2 mu (||A||+1)^2 and the
+constant of the ergodic O(1/T) bound.
 The iterate stays in its indicator domains: ``iterate`` checks the start
 point and every step mixes it with an oracle output, a member by the oracle
 contract. Line search and logging assume this; ``run`` audits it once, on
 its final record.
 
 Also houses the runtime convergence certificates: per-iteration linear decay
-of the augmented-Lagrangian gap, the objective/feasibility split, and the
-ergodic O(1/T) bound.
+of the augmented-Lagrangian gap and the objective/feasibility split.
 """
 
 from __future__ import annotations
@@ -34,15 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import (
-    PrimalPoint,
-    alpha_S_strongly_convex,
-    beta_S,
-    indicator_tol,
-    k_apply,
-    smooth_grad,
-)
-from .oracles import beta_hat
+from .model import PrimalPoint, indicator_tol, k_apply, smooth_grad
 
 __all__ = [
     "SolverError",
@@ -55,9 +49,6 @@ __all__ = [
     "Step",
     "StepConstants",
     "step_constants",
-    "theoretical_eta",
-    "max_dual_step",
-    "ergodic_bound",
     "line_search_eta",
     "iterate",
     "record_values",
@@ -83,55 +74,6 @@ class LineSearchError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# step-size formulas
-
-
-def theoretical_eta(alpha_s, beta_s, lam, mu, norm_a):
-    """Curvature-based primal step size
-    alpha_s / (2*lam*(beta_s + 2*mu*(norm_a+1)^2)), guaranteed in (0, 1]."""
-    if alpha_s <= 0 or beta_s <= 0 or mu <= 0:
-        raise ValueError("alpha_s, beta_s and mu must be positive")
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    if norm_a < 0:
-        raise ValueError("norm_a must be nonnegative")
-    eta = alpha_s / (2.0 * lam * (beta_s + 2.0 * mu * (norm_a + 1.0) ** 2))
-    if eta > 1.0:
-        raise ValueError(
-            f"step size {eta:g} > 1 signals inconsistent curvature constants"
-        )
-    return eta
-
-
-def max_dual_step(alpha_s, beta_s, lam, norm_a):
-    """Largest dual step admitted by the rate guarantee:
-    (sqrt(lam*alpha_s^2 + lam^2*beta_s^2) - lam*beta_s) / (4*lam*(norm_a+1)^2)."""
-    if alpha_s <= 0 or beta_s <= 0:
-        raise ValueError("alpha_s and beta_s must be positive")
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    if norm_a < 0:
-        raise ValueError("norm_a must be nonnegative")
-    root = math.sqrt(lam * alpha_s**2 + lam**2 * beta_s**2)
-    # rationalized form of (root - lam*beta_s) / (4*lam*(norm_a+1)^2):
-    # avoids the cancellation that would round the bound down to zero when
-    # alpha_s << beta_s
-    return (lam * alpha_s**2 /
-            ((root + lam * beta_s) * 4.0 * lam * (norm_a + 1.0) ** 2))
-
-
-def ergodic_bound(c, w0_norm, d1, beta, rho, mu, norm_a, alpha_s):
-    """Constant of the O(1/T) ergodic guarantee:
-    (c + ||w0||)^2/(2 mu) + max{0, 2 d1 (beta + (rho+2mu)(norm_a+1)^2)/alpha_s}
-    for any c >= twice the norm of a dual optimum."""
-    if c <= 0 or mu <= 0 or alpha_s <= 0:
-        raise ValueError("c, mu and alpha_s must be positive")
-    head = (c + w0_norm) ** 2 / (2.0 * mu)
-    tail = 2.0 * d1 * (beta + (rho + 2.0 * mu) * (norm_a + 1.0) ** 2) / alpha_s
-    return head + max(0.0, tail)
-
-
-# ---------------------------------------------------------------------------
 # configuration and state
 
 
@@ -140,10 +82,10 @@ class SolverConfig:
     """Run parameters.
 
     step_policy is one of "theoretical" (eta from the curvature formula, mu
-    checked against max_dual_step), "fixed" (eta required), or "line_search"
-    (oracle still receives the base eta -- the configured value, or the
-    theoretical one when available -- and the combination parameter is then
-    optimized exactly over [0, 1]). The curvature-based steps assume the
+    checked against ``StepConstants.mu_cap``), "fixed" (eta required), or
+    "line_search" (oracle still receives the base eta -- the configured
+    value, or the theoretical one when available -- and the combination
+    parameter is then optimized exactly over [0, 1]). The curvature-based steps assume the
     oracle parameter max(1, rx.lam, ry.lam) the components declare.
     """
 
@@ -156,10 +98,10 @@ class SolverConfig:
     trace_mean: bool = False
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         if self.iters < 0:
             raise ValueError("iters must be nonnegative")
         if self.step_policy not in ("theoretical", "line_search", "fixed"):
@@ -228,43 +170,103 @@ class Certificate:
 
 @dataclass(frozen=True)
 class StepConstants:
-    """Curvature constants behind the step-size formulas for one problem at
-    one penalty value. ``alpha_s`` is None when the problem carries no
-    curvature parameter; ``lam`` is the oracle parameter the steps assume."""
+    """The step-size rule for one problem at one penalty value: its
+    curvature constants, checked when built, and the formulas the rate
+    guarantee draws from them. ``alpha_s`` is None when the problem carries
+    no curvature parameter; ``lam`` is the oracle parameter the steps
+    assume."""
 
     alpha_s: Optional[float]
     beta_s: float
     norm_a: float
     lam: float
 
+    def __post_init__(self):
+        if self.alpha_s is not None and not self.alpha_s > 0:
+            raise ValueError("alpha_s must be positive")
+        if not self.beta_s > 0:
+            raise ValueError("beta_s must be positive")
+        if self.norm_a < 0:
+            raise ValueError("norm_a must be nonnegative")
+        if self.lam < 1:
+            raise ValueError("lam must be >= 1")
+
+    @property
+    def _k_sq(self):
+        # (norm_a + 1)^2, the cheap upper bound on ||K||^2; using it keeps
+        # every formula conservative
+        return (self.norm_a + 1.0) ** 2
+
+    def _alpha(self):
+        if self.alpha_s is None:
+            raise ValueError("the step-size formulas need a curvature "
+                             "parameter (pqg_alpha or a strongly convex f)")
+        return self.alpha_s
+
+    def beta_hat(self, mu):
+        """Oracle curvature coefficient beta_s + 2 mu (norm_a + 1)^2."""
+        if mu < 0:
+            raise ValueError("mu must be nonnegative")
+        return self.beta_s + 2.0 * mu * self._k_sq
+
     def mu_cap(self):
-        """Largest dual step admitted by the rate guarantee."""
-        return max_dual_step(self.alpha_s, self.beta_s, self.lam, self.norm_a)
+        """Largest dual step admitted by the rate guarantee:
+        (sqrt(lam alpha_s^2 + lam^2 beta_s^2) - lam beta_s)
+        / (4 lam (norm_a + 1)^2)."""
+        a, b, lam = self._alpha(), self.beta_s, self.lam
+        root = math.sqrt(lam * a**2 + lam**2 * b**2)
+        # rationalized form: avoids the cancellation that would round the
+        # bound down to zero when alpha_s << beta_s
+        return lam * a**2 / ((root + lam * b) * 4.0 * lam * self._k_sq)
 
     def eta(self, mu):
-        """Curvature-based primal step for dual step mu."""
-        return theoretical_eta(self.alpha_s, self.beta_s, self.lam, mu,
-                               self.norm_a)
+        """Curvature-based primal step alpha_s / (2 lam beta_hat(mu)) for
+        dual step mu, guaranteed in (0, 1]."""
+        if mu <= 0:
+            raise ValueError("mu must be positive")
+        eta = self._alpha() / (2.0 * self.lam * self.beta_hat(mu))
+        if eta > 1.0:
+            raise ValueError(
+                f"step size {eta:g} > 1 signals inconsistent curvature constants"
+            )
+        return eta
+
+    def ergodic_bound(self, c, w0_norm, d1, mu):
+        """Constant of the O(1/T) ergodic guarantee:
+        (c + ||w0||)^2 / (2 mu) + max{0, 2 d1 beta_hat(mu) / alpha_s}
+        for any c >= twice the norm of a dual optimum."""
+        if c <= 0 or mu <= 0:
+            raise ValueError("c and mu must be positive")
+        head = (c + w0_norm) ** 2 / (2.0 * mu)
+        return head + max(0.0, 2.0 * d1 * self.beta_hat(mu) / self._alpha())
 
 
 def step_constants(spec, rho):
-    """Step constants of ``spec`` at penalty rho. The oracle parameter is the
-    larger of the two components' declared ``lam`` (each at least 1), so a
-    weak oracle always gets the smaller steps its guarantee needs."""
-    norm_a = spec.A.norm_bound
-    if spec.pqg_alpha is not None:
-        alpha_s = spec.pqg_alpha
-    elif spec.f.alpha is not None and spec.f.alpha > 0:
-        alpha_s = alpha_S_strongly_convex(spec.f.alpha, rho, norm_a)
-    else:
-        alpha_s = None
-    return StepConstants(alpha_s, beta_S(spec.f.beta, rho, norm_a), norm_a,
+    """Step constants of ``spec`` at penalty rho. beta_s = beta + rho
+    (norm_a + 1)^2 is the smoothness constant of the augmented Lagrangian's
+    smooth part. alpha_s is ``pqg_alpha`` when given, else, for an
+    alpha-strongly convex f, min(alpha/2, alpha rho / (alpha + 2 rho
+    norm_a^2)). The oracle parameter is the larger of the two components'
+    declared ``lam`` (each at least 1), so a weak oracle always gets the
+    smaller steps its guarantee needs."""
+    f, norm_a = spec.f, spec.A.norm_bound
+    if f.beta <= 0:
+        raise ValueError("beta must be positive")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    alpha_s = spec.pqg_alpha
+    if alpha_s is None and f.alpha is not None and f.alpha > 0:
+        if rho == 0:
+            raise ValueError("rho must be positive")
+        alpha_s = min(0.5 * f.alpha,
+                      f.alpha * rho / (f.alpha + 2.0 * rho * norm_a**2))
+    return StepConstants(alpha_s, f.beta + rho * (norm_a + 1.0) ** 2, norm_a,
                          max(1.0, spec.rx.lam, spec.ry.lam))
 
 
 def _base_step(spec, config):
     """(eta, coeff): the base primal step of the configured policy and the
-    oracle coefficient eta * beta_hat."""
+    oracle coefficient eta * beta_hat(mu)."""
     consts = step_constants(spec, config.rho)
     policy = config.step_policy
     if policy == "fixed":
@@ -292,7 +294,7 @@ def _base_step(spec, config):
                 "line_search policy needs either eta or a curvature parameter "
                 "for the oracle's base step"
             )
-    return base, base * beta_hat(consts.beta_s, config.mu, consts.norm_a)
+    return base, base * consts.beta_hat(config.mu)
 
 
 def line_search_eta(spec, q, v, grad, mu, rho, base_eta=None):

@@ -38,21 +38,16 @@ from wpmm.linalg import (
     truncated_eigh,
     truncated_svd,
 )
-from wpmm.model import (
-    PrimalPoint,
-    alpha_S_strongly_convex,
-    beta_S,
-    k_apply,
-)
+from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm, k_apply
+from wpmm.oracles import ZeroReg
 from wpmm.solver import (
     SolverConfig,
+    StepConstants,
     check_linear_decay,
-    ergodic_bound,
     iterate,
-    max_dual_step,
     record_values,
     run,
-    theoretical_eta,
+    step_constants,
 )
 
 
@@ -69,17 +64,15 @@ def toy_run():
     """Strongly convex 2-D toy with theoretical steps, plus its reference."""
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     rho = 1.0
-    norm_a = spec.A.norm_bound
-    a_s = alpha_S_strongly_convex(spec.f.alpha, rho, norm_a)
-    b_s = beta_S(spec.f.beta, rho, norm_a)
-    mu = max_dual_step(a_s, b_s, 1.0, norm_a)
-    eta = theoretical_eta(a_s, b_s, 1.0, mu, norm_a)
+    consts = step_constants(spec, rho)
+    mu = consts.mu_cap()
+    eta = consts.eta(mu)
     ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
     config = SolverConfig(rho=rho, mu=mu, iters=500,
                           step_policy="theoretical")
     log = run(spec, q0, w0, config)
     return dict(spec=spec, q0=q0, w0=w0, config=config, ref=ref, log=log,
-                rho=rho, mu=mu, eta=eta, a_s=a_s, b_s=b_s, norm_a=norm_a)
+                rho=rho, mu=mu, eta=eta, consts=consts)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +136,7 @@ def test_criterion_4_ergodic_bounds(toy_run):
     spec, ref, log = toy_run["spec"], toy_run["ref"], toy_run["log"]
     c = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     d1 = log.records[0].al_value - ref.h_value
-    bound = ergodic_bound(c, 0.0, d1, spec.f.beta, toy_run["rho"],
-                          toy_run["mu"], toy_run["norm_a"], toy_run["a_s"])
+    bound = toy_run["consts"].ergodic_bound(c, 0.0, d1, toy_run["mu"])
     q0 = toy_run["q0"]
     rs_x = np.zeros_like(q0.x)
     rs_y = np.zeros_like(q0.y)
@@ -261,26 +253,37 @@ def test_criterion_6_desk_scale_maxcut():
 # 7. constant formulas reproduce hand-derived values
 
 
+def constants_at(beta, rho, norm_a, alpha=None):
+    """step_constants at penalty rho of a one-coordinate problem whose f has
+    smoothness beta and strong convexity alpha, with ||A|| = norm_a."""
+    f = SmoothTerm(None, np.zeros(1), 0.0, beta=beta, alpha=alpha)
+    return step_constants(ProblemSpec(f=f, A=LinearMap.diagonal([norm_a]),
+                                      rx=ZeroReg(1), ry=ZeroReg(1)), rho)
+
+
 def test_criterion_7_constant_formulas():
     start = time.time()
     # smoothness constant
-    assert beta_S(1.0, 1.0, 1.0) == pytest.approx(5.0, rel=1e-12)
-    assert beta_S(2.0, 3.0, 0.0) == pytest.approx(5.0, rel=1e-12)
-    assert beta_S(7.25, 0.0, 3.0) == pytest.approx(7.25, rel=1e-12)
+    assert constants_at(1.0, 1.0, 1.0).beta_s == pytest.approx(5.0, rel=1e-12)
+    assert constants_at(2.0, 3.0, 0.0).beta_s == pytest.approx(5.0, rel=1e-12)
+    assert constants_at(7.25, 0.0, 3.0).beta_s == pytest.approx(7.25, rel=1e-12)
     # curvature constant
-    assert alpha_S_strongly_convex(1.0, 1.0, 1.0) == pytest.approx(1 / 3, rel=1e-12)
-    assert alpha_S_strongly_convex(2.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert constants_at(1.0, 1.0, 1.0, alpha=1.0).alpha_s == \
+        pytest.approx(1 / 3, rel=1e-12)
+    assert constants_at(1.0, 1.0, 1.0, alpha=2.0).alpha_s == \
+        pytest.approx(0.5, rel=1e-12)
     # primal step and dual cap at the alpha = rho = ||A|| = 1 instance
-    mu_cap = max_dual_step(1 / 3, 5.0, 1.0, 1.0)
+    consts = StepConstants(1 / 3, 5.0, 1.0, 1.0)
+    mu_cap = consts.mu_cap()
     assert mu_cap == pytest.approx((np.sqrt(1 / 9 + 25.0) - 5.0) / 16.0,
                                    rel=1e-12)
-    eta = theoretical_eta(1 / 3, 5.0, 1.0, mu_cap, 1.0)
+    eta = consts.eta(mu_cap)
     assert eta == pytest.approx((1 / 3) / (2 * (5.0 + 2 * mu_cap * 4.0)),
                                 rel=1e-12)
     # ergodic constant
-    assert ergodic_bound(2.0, 0.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1 / 3) == \
+    assert consts.ergodic_bound(2.0, 0.0, 1.0, 0.5) == \
         pytest.approx(58.0, rel=1e-12)
-    assert ergodic_bound(2.0, 0.0, -3.0, 1.0, 1.0, 0.5, 1.0, 1 / 3) == \
+    assert consts.ergodic_bound(2.0, 0.0, -3.0, 0.5) == \
         pytest.approx(4.0, rel=1e-12)
     # step size stays in (0, 1] whenever mu respects its cap
     rng = np.random.default_rng(707)
@@ -289,10 +292,11 @@ def test_criterion_7_constant_formulas():
         a_s = float(b_s * rng.uniform(1e-6, 1.0))
         lam = float(rng.uniform(1.0, 10.0))
         norm_a = float(10 ** rng.uniform(-3, 2))
-        cap = max_dual_step(a_s, b_s, lam, norm_a)
+        consts = StepConstants(a_s, b_s, norm_a, lam)
+        cap = consts.mu_cap()
         assert cap > 0
         mu = float(cap * rng.uniform(1e-3, 1.0))
-        eta = theoretical_eta(a_s, b_s, lam, mu, norm_a)
+        eta = consts.eta(mu)
         assert 0.0 < eta <= 1.0
     elapsed = time.time() - start
     report("criterion 7 (constant formulas)", elapsed)

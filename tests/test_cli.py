@@ -147,6 +147,20 @@ def test_cme_unreachable_entry_threshold_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--svd-tol", "-1", "svd_tol must be positive and finite"),
+    ("--svd-tol", "nan", "svd_tol must be positive and finite"),
+    ("--rho", "inf", "rho must be positive and finite"),
+])
+def test_cme_bad_number_flag_is_config_error(tmp_path, capsys, flag, value,
+                                             message):
+    out = tmp_path / "run"
+    assert main(["cme", "--d", "8", "--r", "2", "--iters", "2", flag, value,
+                 "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cme_unknown_preset_is_config_error(tmp_path):
     assert main(["cme", "--preset", "nope",
                  "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -370,6 +384,15 @@ def test_generic_section_not_object_is_config_error(tmp_path, capsys, section):
     ("rx", {"kind": "product", "parts": [{"kind": "l1_ball", "dim": 3}]},
      "section 'rx.parts[0]' is missing required key 'radius'"),
     ("rx", {"kind": "product", "parts": "x"}, "'parts' must be a JSON array"),
+    # JSON NaN and Infinity, which Python's reader accepts, are no numbers
+    ("f", {"kind": "quadratic", "Q": [[float("nan"), 0.0], [0.0, 1.0]]},
+     "'Q' must be a number or an array of numbers, got [[NaN"),
+    ("f", {"kind": "linear", "g": float("inf")},
+     "'g' must be a number or an array of numbers, got Infinity"),
+    ("rx", {"kind": "l1_ball", "dim": 3, "radius": float("inf")},
+     "'radius' must be a number, got Infinity"),
+    ("rx", {"kind": "spectrahedron", "n": 2, "radius": 1.0, "rank": 1,
+            "svd_tol": 0}, "svd_tol must be positive and finite"),
 ])
 def test_generic_missing_key_is_config_error(tmp_path, capsys, section, value,
                                              message):
@@ -483,6 +506,17 @@ def test_certify_all_suites_pass(capsys):
     assert main(["certify", "all"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "linear_decay" in out and "ergodic_rate" in out
+
+
+def test_certify_all_solves_the_toy_once(monkeypatch):
+    import wpmm.certify as certify
+
+    calls = []
+    solve = certify.reference_solution
+    monkeypatch.setattr(certify, "reference_solution",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    ok, _ = certify.run_suites("all")
+    assert ok and len(calls) == 1
 
 
 def test_certify_failure_exit_code(monkeypatch, capsys):

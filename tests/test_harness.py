@@ -17,7 +17,6 @@ from wpmm.harness import (
     build_box_toy,
 )
 from wpmm.linalg import project_l1_ball
-from wpmm.model import alpha_S_strongly_convex
 from wpmm.solver import SolverConfig, iterate, record_values, run, step_constants
 
 
@@ -178,8 +177,7 @@ def test_build_cme_problem_contract():
     # gradient vanishes at the observation itself
     assert np.allclose(spec.f.gradient(SigmaHat.ravel()), 0.0)
     assert spec.f.alpha == 1.0 and spec.f.beta == 1.0
-    assert alpha_S_strongly_convex(spec.f.alpha, 1.0, spec.A.norm_bound) == \
-        pytest.approx(1 / 3)
+    assert step_constants(spec, 1.0).alpha_s == pytest.approx(1 / 3)
     # spectrahedron start: PSD with trace tau
     X0 = q0.x.reshape(15, 15)
     assert abs(np.trace(X0) - tau) <= 1e-8

@@ -8,13 +8,17 @@ from wpmm.model import (
     PrimalPoint,
     ProblemSpec,
     SmoothTerm,
-    alpha_S_strongly_convex,
-    beta_S,
     k_apply,
     smooth_grad,
 )
 from wpmm.oracles import BoxIndicator, NuclearNormReg, ZeroReg
-from wpmm.solver import SolverConfig, record_values, run
+from wpmm.solver import (
+    SolverConfig,
+    StepConstants,
+    record_values,
+    run,
+    step_constants,
+)
 
 
 def zero_smooth(dim):
@@ -220,7 +224,7 @@ def test_descent_lemma_bound():
     spec = make_spec(f=SmoothTerm.half_sq_distance(np.zeros(3)), A=A,
                      rx=ZeroReg(3), ry=ZeroReg(3))
     rho = 1.3
-    bs = beta_S(spec.f.beta, rho, A.norm_bound)
+    bs = step_constants(spec, rho).beta_s
     w = rng.standard_normal(3)
     for _ in range(50):
         q = q_of(rng.standard_normal(3), rng.standard_normal(3))
@@ -259,26 +263,37 @@ def test_saddle_inequality_analytic_instance():
 # constants
 
 
+def constants_at(beta, rho, norm_a, alpha=None):
+    """step_constants at penalty rho of a one-coordinate problem whose f has
+    smoothness beta and strong convexity alpha, with ||A|| = norm_a."""
+    f = SmoothTerm(None, np.zeros(1), 0.0, beta=beta, alpha=alpha)
+    return step_constants(make_spec(dim=1, f=f, A=LinearMap.diagonal([norm_a])),
+                          rho)
+
+
 def test_beta_S_values():
-    assert beta_S(1.0, 1.0, 1.0) == pytest.approx(5.0, rel=1e-12)
-    assert beta_S(2.5, 0.0, 7.0) == pytest.approx(2.5, rel=1e-12)
-    assert beta_S(2.0, 3.0, 0.0) == pytest.approx(5.0, rel=1e-12)
+    assert constants_at(1.0, 1.0, 1.0).beta_s == pytest.approx(5.0, rel=1e-12)
+    assert constants_at(2.5, 0.0, 7.0).beta_s == pytest.approx(2.5, rel=1e-12)
+    assert constants_at(2.0, 3.0, 0.0).beta_s == pytest.approx(5.0, rel=1e-12)
 
 
 def test_alpha_S_values():
-    assert alpha_S_strongly_convex(1.0, 1.0, 1.0) == pytest.approx(1 / 3, rel=1e-12)
-    assert alpha_S_strongly_convex(2.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert constants_at(1.0, 1.0, 1.0, alpha=1.0).alpha_s == \
+        pytest.approx(1 / 3, rel=1e-12)
+    assert constants_at(1.0, 1.0, 1.0, alpha=2.0).alpha_s == \
+        pytest.approx(0.5, rel=1e-12)
     # with no coupling norm the curvature caps at alpha/2 once rho >= alpha/2
-    assert alpha_S_strongly_convex(1.0, 1.0, 0.0) == pytest.approx(0.5, rel=1e-12)
+    assert constants_at(1.0, 1.0, 0.0, alpha=1.0).alpha_s == \
+        pytest.approx(0.5, rel=1e-12)
 
 
 def test_constants_reject_bad_inputs():
     with pytest.raises(ValueError):
-        beta_S(0.0, 1.0, 1.0)
+        constants_at(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        alpha_S_strongly_convex(-1.0, 1.0, 1.0)
+        StepConstants(-1.0, 5.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        alpha_S_strongly_convex(1.0, 0.0, 1.0)
+        constants_at(1.0, 0.0, 1.0, alpha=1.0)
 
 
 # ---------------------------------------------------------------------------

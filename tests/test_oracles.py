@@ -19,15 +19,14 @@ from wpmm.oracles import (
     ProductComponent,
     SimplexIndicator,
     SpectrahedronIndicator,
+    WpoComponent,
     ZeroReg,
-    beta_hat,
     hypercube_lmo,
     phi_value,
-    prox_exact,
     scaled_simplex_lmo,
     simplex_qp,
-    wpo_polytope,
 )
+from wpmm.solver import StepConstants
 
 
 def q_of(x, y):
@@ -109,30 +108,27 @@ def test_prox_exact_zero_regularizer():
     comp = ZeroReg(3)
     center = np.array([1.0, 2.0, 3.0])
     p = np.array([0.5, 0.0, -0.5])
-    assert np.allclose(prox_exact(comp, center, p, 2.0), center - p / 2.0)
+    assert np.allclose(comp.compute(center, p, 2.0), center - p / 2.0)
 
 
 def test_prox_exact_l1_ball_is_projection():
     comp = L1BallIndicator(3, 1.0)
     center = np.array([1.0, -2.0, 0.5])
     p = np.array([0.2, 0.2, 0.2])
-    got = prox_exact(comp, center, p, 4.0)
+    got = comp.compute(center, p, 4.0)
     assert np.allclose(got, project_l1_ball(center - p / 4.0, 1.0))
 
 
 def test_prox_exact_fixed_point():
     comp = SimplexIndicator(3, 1.0)
     center = np.array([0.2, 0.3, 0.5])
-    got = prox_exact(comp, center, np.zeros(3), 1.0)
+    got = comp.compute(center, np.zeros(3), 1.0)
     assert np.allclose(got, center, atol=1e-12)
 
 
 def test_prox_exact_requires_prox_routine():
-    class NoProx:
-        pass
-
     with pytest.raises(OracleError):
-        prox_exact(NoProx(), np.zeros(2), np.zeros(2), 1.0)
+        WpoComponent(2).compute(np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_prox_optimality_via_projection_characterization():
@@ -141,7 +137,7 @@ def test_prox_optimality_via_projection_characterization():
         center = rng.standard_normal(5)
         p = rng.standard_normal(5)
         c = 3.0
-        v = prox_exact(comp, center, p, c)
+        v = comp.compute(center, p, c)
         assert np.allclose(v, comp.project(center - p / c), atol=1e-12)
 
 
@@ -367,9 +363,9 @@ def test_wpo_polytope_lmo_fixed_point():
     lmo = scaled_simplex_lmo(1.0, dim)
     e1 = np.zeros(dim)
     e1[0] = 1.0
-    state = PolytopeState.at_vertex(e1)
+    comp = PolytopeIndicator(dim, lmo, PolytopeState.at_vertex(e1), lam=1.0)
     p = np.array([-5.0, 1.0, 1.0])  # strictly smallest at coordinate 1
-    v, new_state = wpo_polytope(state, p, e1, 1.0, lmo)
+    v = comp.compute(e1, p, 1.0)
     assert np.allclose(v, e1, atol=1e-10)
 
 
@@ -383,10 +379,10 @@ def test_wpo_polytope_hypercube_full_support_audit():
         wts = rng.dirichlet(np.ones(4))
         support = [v.copy() for v in vertices]
         center = sum(w * v for w, v in zip(wts, support))
-        state = PolytopeState(support, wts)
+        comp = PolytopeIndicator(2, lmo, PolytopeState(support, wts), lam=1.0)
         p = rng.standard_normal(2)
         c = float(10 ** rng.uniform(-1, 1))
-        v, _ = wpo_polytope(state, p, center, c, lmo)
+        v = comp.compute(center, p, c)
         val = phi_value(0.0, v, p, center, c)
         for u in vertices:
             assert val <= phi_value(0.0, u, p, center, c) + 1e-9
@@ -406,10 +402,10 @@ def test_wpo_polytope_sparse_support_weak_contract():
         wts = rng.dirichlet(np.ones(2))
         support = [vertices[0].copy(), vertices[3].copy()]
         center = wts[0] * support[0] + wts[1] * support[1]
-        state = PolytopeState(support, wts)
+        comp = PolytopeIndicator(2, lmo, PolytopeState(support, wts), lam=1.0)
         p = rng.standard_normal(2)
         c = float(10 ** rng.uniform(-1, 1))
-        v, _ = wpo_polytope(state, p, center, c, lmo)
+        v = comp.compute(center, p, c)
         val = phi_value(0.0, v, p, center, c)
         for u in vertices:
             assert val <= phi_value(0.0, u, p, center, c, lam=lam_cap) + 1e-9
@@ -424,16 +420,19 @@ def test_wpo_polytope_prunes_zero_weights():
     state = PolytopeState(verts, weights)
     center = state.point()
     p = np.array([1.0, 1.0])  # LMO returns the origin, already optimal-ish
-    v, new_state = wpo_polytope(state, p, center, 1.0, hypercube_lmo(0.0, 1.0))
-    assert all(w > 1e-12 for w in new_state.weights)
-    assert np.linalg.norm(new_state.point() - v) <= 1e-10
+    comp = PolytopeIndicator(2, hypercube_lmo(0.0, 1.0), state, lam=1.0)
+    v = comp.compute(center, p, 1.0)
+    comp.commit(1.0)  # the state becomes the output's, as compute left it
+    assert all(w > 1e-12 for w in comp.state.weights)
+    assert np.linalg.norm(comp.state.point() - v) <= 1e-10
 
 
 def test_wpo_polytope_state_center_mismatch():
-    state = PolytopeState.at_vertex(np.array([1.0, 0.0]))
+    comp = PolytopeIndicator(2, hypercube_lmo(0.0, 1.0),
+                             PolytopeState.at_vertex(np.array([1.0, 0.0])),
+                             lam=1.0)
     with pytest.raises(OracleError):
-        wpo_polytope(state, np.zeros(2), np.array([0.0, 5.0]), 1.0,
-                     hypercube_lmo(0.0, 1.0))
+        comp.compute(np.array([0.0, 5.0]), np.zeros(2), 1.0)
 
 
 def test_polytope_component_warns_without_lam():
@@ -491,8 +490,9 @@ def test_prox_diag_ones():
 
 
 def test_beta_hat_dominates_beta_s():
-    assert beta_hat(5.0, 0.2, 1.0) == pytest.approx(5.0 + 2 * 0.2 * 4, rel=1e-12)
-    assert beta_hat(5.0, 0.0, 1.0) == 5.0
+    consts = StepConstants(None, 5.0, 1.0, 1.0)
+    assert consts.beta_hat(0.2) == pytest.approx(5.0 + 2 * 0.2 * 4, rel=1e-12)
+    assert consts.beta_hat(0.0) == 5.0
 
 
 def test_product_component_concatenates():
@@ -574,7 +574,7 @@ def test_diag_ones_project_leaves_input_unchanged():
 
 
 def test_diag_ones_oracle_allocates_one_block():
-    # the answer is written into the shifted center prox_exact forms, so the
+    # the answer is written into the shifted center compute forms, so the
     # oracle's peak is one n x n block, not two
     n = 300
     comp = DiagOnesIndicator(n)

@@ -19,8 +19,6 @@ from wpmm.model import (
     PrimalPoint,
     ProblemSpec,
     SmoothTerm,
-    alpha_S_strongly_convex,
-    beta_S,
     k_apply,
     smooth_grad,
 )
@@ -37,16 +35,14 @@ from wpmm.oracles import (
 from wpmm.solver import (
     SolverConfig,
     SolverError,
+    StepConstants,
     check_linear_decay,
     check_obj_feas_split,
-    ergodic_bound,
     iterate,
     line_search_eta,
-    max_dual_step,
     record_values,
     run,
     step_constants,
-    theoretical_eta,
 )
 
 
@@ -101,33 +97,33 @@ class EscapingOracle(WpoComponent):
 
 def test_theoretical_eta_hand_value():
     mu = 0.000694
-    val = theoretical_eta(1 / 3, 5.0, 1.0, mu, 1.0)
+    val = StepConstants(1 / 3, 5.0, 1.0, 1.0).eta(mu)
     hand = (1 / 3) / (2.0 * 1.0 * (5.0 + 2.0 * mu * 4.0))
     assert val == pytest.approx(hand, rel=1e-12)
     assert val == pytest.approx(0.03330, abs=5e-5)
 
 
 def test_theoretical_eta_small_mu_limit():
-    base = theoretical_eta(0.4, 3.0, 1.0, 1e-12, 1.0)
+    base = StepConstants(0.4, 3.0, 1.0, 1.0).eta(1e-12)
     assert base == pytest.approx(0.4 / (2 * 3.0), rel=1e-9)
 
 
 def test_theoretical_eta_lambda_homogeneity():
-    a = theoretical_eta(0.3, 4.0, 1.0, 0.01, 1.0)
-    b = theoretical_eta(0.3, 4.0, 2.0, 0.01, 1.0)
+    a = StepConstants(0.3, 4.0, 1.0, 1.0).eta(0.01)
+    b = StepConstants(0.3, 4.0, 1.0, 2.0).eta(0.01)
     # doubling lam both doubles the lam factor and leaves the bracket fixed
     assert b == pytest.approx(a / 2.0, rel=1e-12)
 
 
 def test_theoretical_eta_rejects_inconsistent():
     with pytest.raises(ValueError):
-        theoretical_eta(1000.0, 1.0, 1.0, 0.01, 0.0)
+        StepConstants(1000.0, 1.0, 0.0, 1.0).eta(0.01)
     with pytest.raises(ValueError):
-        theoretical_eta(-1.0, 1.0, 1.0, 0.01, 1.0)
+        StepConstants(-1.0, 1.0, 1.0, 1.0)
 
 
 def test_max_dual_step_hand_value():
-    val = max_dual_step(1 / 3, 5.0, 1.0, 1.0)
+    val = StepConstants(1 / 3, 5.0, 1.0, 1.0).mu_cap()
     hand = (math.sqrt(1 / 9 + 25.0) - 5.0) / 16.0
     assert val == pytest.approx(hand, rel=1e-12)
     # the admissible dual step is tiny in this regime
@@ -135,20 +131,22 @@ def test_max_dual_step_hand_value():
 
 
 def test_max_dual_step_vanishes_with_curvature():
-    assert max_dual_step(1e-9, 5.0, 1.0, 1.0) < 1e-10
+    assert StepConstants(1e-9, 5.0, 1.0, 1.0).mu_cap() < 1e-10
 
 
 def test_ergodic_bound_values():
-    assert ergodic_bound(2.0, 0.0, -1.0, 1.0, 1.0, 0.5, 1.0, 1 / 3) == \
+    # beta = rho = ||A|| = 1: beta_s = 1 + 1 * 4 = 5
+    consts = StepConstants(1 / 3, 5.0, 1.0, 1.0)
+    assert consts.ergodic_bound(2.0, 0.0, -1.0, 0.5) == \
         pytest.approx(4.0, rel=1e-12)
-    val = ergodic_bound(2.0, 0.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1 / 3)
+    val = consts.ergodic_bound(2.0, 0.0, 1.0, 0.5)
     assert val == pytest.approx(4.0 + 2 * (1 + 2 * 4) / (1 / 3), rel=1e-12)
     assert val == pytest.approx(58.0, rel=1e-12)
 
 
 def test_ergodic_bound_decreasing_in_alpha():
-    lo = ergodic_bound(1.0, 0.0, 1.0, 1.0, 1.0, 0.1, 1.0, 0.2)
-    hi = ergodic_bound(1.0, 0.0, 1.0, 1.0, 1.0, 0.1, 1.0, 0.4)
+    lo = StepConstants(0.2, 5.0, 1.0, 1.0).ergodic_bound(1.0, 0.0, 1.0, 0.1)
+    hi = StepConstants(0.4, 5.0, 1.0, 1.0).ergodic_bound(1.0, 0.0, 1.0, 0.1)
     assert hi < lo
 
 
@@ -501,17 +499,15 @@ def test_line_search_dominates_base_step():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     rho, mu = 1.0, 0.2
     norm_a = spec.A.norm_bound
-    a_s = alpha_S_strongly_convex(spec.f.alpha, rho, norm_a)
-    b_s = beta_S(spec.f.beta, rho, norm_a)
-    base = theoretical_eta(a_s, b_s, 1.0, mu, norm_a)
+    consts = step_constants(spec, rho)
+    base = consts.eta(mu)
 
-    from wpmm.oracles import prox_exact
     state_q, w = q0.copy(), w0.copy()
-    coeff = base * (b_s + 2 * mu * (norm_a + 1) ** 2)
+    coeff = base * (consts.beta_s + 2 * mu * (norm_a + 1) ** 2)
     for _ in range(15):
         px, py = smooth_grad(spec, state_q, w, rho + 2 * mu)
-        v = PrimalPoint(prox_exact(spec.rx, state_q.x, px, coeff),
-                        prox_exact(spec.ry, state_q.y, py, coeff))
+        v = PrimalPoint(spec.rx.compute(state_q.x, px, coeff),
+                        spec.ry.compute(state_q.y, py, coeff))
         eta = line_search_eta(spec, state_q, v, (px, py), mu, rho,
                               base_eta=base)
 
@@ -652,10 +648,10 @@ def test_check_linear_decay_flags_increase():
 def test_check_linear_decay_on_toy():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     rho = 1.0
-    a_s = alpha_S_strongly_convex(1.0, rho, 1.0)
-    b_s = beta_S(1.0, rho, 1.0)
-    mu = max_dual_step(a_s, b_s, 1.0, 1.0)
-    eta = theoretical_eta(a_s, b_s, 1.0, mu, 1.0)
+    consts = step_constants(spec, rho)  # alpha = beta = ||A|| = 1
+    assert (consts.alpha_s, consts.beta_s) == (pytest.approx(1 / 3), 5.0)
+    mu = consts.mu_cap()
+    eta = consts.eta(mu)
     ref = reference_solution(spec, 1e-9, q0=q0, w0=w0)
     log = run(spec, q0, w0, SolverConfig(rho=rho, mu=mu, iters=120,
                                          step_policy="theoretical"))
@@ -694,4 +690,11 @@ def test_solver_config_validation():
         SolverConfig(rho=1.0, mu=0.1, iters=1, step_policy="warp")
     with pytest.raises(ValueError):
         SolverConfig(rho=1.0, mu=0.1, iters=1, variant="median")
+
+
+@pytest.mark.parametrize("rho, mu", [(math.inf, 0.1), (math.nan, 0.1),
+                                     (1.0, math.inf), (1.0, math.nan)])
+def test_solver_config_rejects_non_finite(rho, mu):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(rho=rho, mu=mu, iters=1)
 
