@@ -57,8 +57,10 @@ class CmeConfig:
     def __post_init__(self):
         if not self.d >= self.r >= 1:
             raise ValueError("need d >= r >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be nonnegative and finite")
+        if not np.isfinite(self.entry_threshold):
+            raise ValueError("entry_threshold must be finite")
         if self.entry_threshold >= 1:  # no U[-1, 1] entry exceeds it
             raise ValueError("entry_threshold must be below 1")
 
@@ -324,9 +326,10 @@ def reference_solution(spec, tol, *, q0, w0, config=None):
     the successive objective change both drop below ``tol``; raises when
     the budget is spent.
 
-    Returns a ReferenceSolution carrying the point, the converged multiplier,
-    and h (+inf outside the domains) and the augmented-Lagrangian value at
-    the pair, from one audited ``record_values``.
+    Returns a ReferenceSolution carrying the point and the converged
+    multiplier, the solver's own arrays (no step writes them again), and h
+    (+inf outside the domains) and the augmented-Lagrangian value at the
+    pair, from one audited ``record_values``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -350,8 +353,8 @@ def reference_solution(spec, tol, *, q0, w0, config=None):
             h, flagged, al = record_values(spec_e, state.q, state.w, rho,
                                            audit=True)
             return ReferenceSolution(
-                q=state.q.copy(),
-                w=state.w.copy(),
+                q=state.q,
+                w=state.w,
                 h_value=float("inf") if flagged else h,
                 al_value=al,
                 iterations=state.t,

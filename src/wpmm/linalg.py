@@ -341,7 +341,7 @@ def _threshold(a, tau, total):
     """
     active, theta = a, (total - tau) / a.size
     while True:
-        kept = active[active > theta]
+        kept = np.compress(active > theta, active)
         n = kept.size
         if n == active.size or not n:
             return theta

@@ -144,7 +144,9 @@ class RunRecord:
 
 @dataclass
 class RunLog:
-    """Per-iteration trace plus the final Mean/Last outputs."""
+    """Per-iteration trace plus the final Mean/Last outputs. After steps,
+    ``last_point``, ``mean_point`` and ``w_final`` are the arrays the solver
+    formed, not copies of them."""
 
     records: list
     last_point: PrimalPoint
@@ -319,8 +321,10 @@ def line_search_eta(spec, q, v, grad, mu, rho, base_eta=None):
     px, py = grad
     dx = v.x - q.x
     dy = v.y - q.y
-    kd = spec.A.apply(dx) - dy
     lin = float(px @ dx) + float(py @ dy)
+    # A dx - dy into dy's buffer, which nothing reads after lin: two
+    # segment-sized arrays, not three
+    kd = np.subtract(spec.A.apply(dx), dy, out=dy)
     curv = 0.5 * spec.f.curvature(dx) + (mu + 0.5 * rho) * float(kd @ kd)
 
     candidates = [0.0, 1.0]
@@ -357,9 +361,12 @@ def _step(spec, state, config, base_eta, coeff):
     # block value goes into an array the step owns: the iterate into the
     # oracle outputs, the multiplier into the new K q.
     q, w = state.q, state.w
+    search = config.step_policy == "line_search"
     px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
     try:
         vx = _owned(state.rx.compute(q.x, px, coeff), q.x, px)
+        if not search:
+            px = None  # read by no one else: freed before the y-oracle runs
         vy = _owned(state.ry.compute(q.y, py, coeff), q.y, py)
     except Exception as exc:
         raise SolverError(
@@ -368,7 +375,7 @@ def _step(spec, state, config, base_eta, coeff):
 
     eta = base_eta
     fallback = False
-    if config.step_policy == "line_search":
+    if search:
         try:
             eta = line_search_eta(spec, q, PrimalPoint(vx, vy), (px, py),
                                   config.mu, config.rho, base_eta=base_eta)
@@ -450,7 +457,12 @@ def run(spec, q0, w0, config):
     variant the caller plans to read, except that an empty run has no mean.
     Only the final record audits domain membership (see ``record_values``),
     of the last and the traced mean point: ``objective_flagged`` is set on it
-    when either lies outside an indicator domain."""
+    when either lies outside an indicator domain.
+
+    The returned points and multiplier are the solver's own arrays, not
+    copies: the final iterate, and the running sum divided in place into the
+    mean on the final record. Only an empty run, and the partial log of a
+    SolverError, carry copies, since there they may be the caller's arrays."""
     steps = iterate(spec, q0, w0, config)
     if config.iters == 0 and config.variant in ("mean", "both"):
         raise ValueError("mean output undefined for an empty run")
@@ -460,8 +472,8 @@ def run(spec, q0, w0, config):
     try:
         for state, step in steps:
             q, w = state.q, state.w
-            audit = state.t == config.iters
-            obj, flagged, alv = record_values(spec, q, w, config.rho, audit)
+            final = state.t == config.iters
+            obj, flagged, alv = record_values(spec, q, w, config.rho, final)
             rec = RunRecord(
                 t=state.t,
                 objective=obj,
@@ -472,11 +484,16 @@ def run(spec, q0, w0, config):
                 eta_fallback=step.fallback,
                 elapsed=time.perf_counter() - start,
             )
+            if final:
+                # no step reads the running sum again: it becomes the mean
+                mean_point = state.running_sum
+                mean_point.x /= state.t
+                mean_point.y /= state.t
             if config.trace_mean:
-                qb = PrimalPoint(state.running_sum.x / state.t,
-                                 state.running_sum.y / state.t)
+                qb = mean_point if final else PrimalPoint(
+                    state.running_sum.x / state.t, state.running_sum.y / state.t)
                 kqb = k_apply(spec, qb)
-                mobj, mflag, mal = record_values(spec, qb, w, config.rho, audit,
+                mobj, mflag, mal = record_values(spec, qb, w, config.rho, final,
                                                  kq=kqb)
                 rec.objective_flagged |= mflag
                 rec.mean_objective = mobj
@@ -487,10 +504,9 @@ def run(spec, q0, w0, config):
     except SolverError as exc:
         exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config)
         raise
-    if records:
-        mean_point = PrimalPoint(state.running_sum.x / state.t,
-                                 state.running_sum.y / state.t)
-    return RunLog(records, q.copy(), mean_point, w.copy(), config)
+    if not records:  # q and w are still the caller's
+        q, w = q.copy(), w.copy()
+    return RunLog(records, q, mean_point, w, config)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,10 @@ def test_cme_unreachable_entry_threshold_is_config_error(tmp_path, capsys,
     ("--svd-tol", "-1", "svd_tol must be positive and finite"),
     ("--svd-tol", "nan", "svd_tol must be positive and finite"),
     ("--rho", "inf", "rho must be positive and finite"),
+    ("--noise-sigma", "inf", "noise_sigma must be nonnegative and finite"),
+    ("--noise-sigma", "nan", "noise_sigma must be nonnegative and finite"),
+    ("--entry-threshold", "nan", "entry_threshold must be finite"),
+    ("--entry-threshold", "inf", "entry_threshold must be finite"),
 ])
 def test_cme_bad_number_flag_is_config_error(tmp_path, capsys, flag, value,
                                              message):

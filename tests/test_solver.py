@@ -362,10 +362,16 @@ def test_oracle_failure_wraps_iteration_index():
     spec = ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
                        rx=Boom(2), ry=ZeroReg(2))
     config = SolverConfig(rho=1.0, mu=0.1, iters=5, step_policy="fixed", eta=0.5)
+    q0, w0 = q_of([0, 0], [0, 0]), np.zeros(2)
     with pytest.raises(SolverError) as exc:
-        run(spec, q_of([0, 0], [0, 0]), np.zeros(2), config)
+        run(spec, q0, w0, config)
     assert exc.value.iteration == 0
-    assert exc.value.partial_log is not None
+    partial = exc.value.partial_log
+    # copies: the partial log's arrays are still the caller's here
+    for got, given in ((partial.last_point.x, q0.x),
+                       (partial.last_point.y, q0.y), (partial.w_final, w0)):
+        assert np.array_equal(got, given)
+        assert not np.may_share_memory(got, given)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +387,10 @@ def test_run_empty_mean_is_error():
     log = run(spec, q0, w0, SolverConfig(rho=1.0, mu=0.1, iters=0,
                                          step_policy="fixed", eta=0.5,
                                          variant="last"))
-    assert np.array_equal(log.last_point.x, q0.x)
+    for got, given in ((log.last_point.x, q0.x), (log.last_point.y, q0.y),
+                       (log.w_final, w0)):
+        assert np.array_equal(got, given)
+        assert not np.may_share_memory(got, given)
     assert log.mean_point is None and log.records == []
 
 
@@ -470,14 +479,8 @@ def test_oracle_returning_its_center_matches_one_returning_a_copy():
     assert records(AliasingOracle) == records(FrozenOracle)
 
 
-def test_run_peak_memory_is_at_most_eleven_blocks():
-    # the iterate, the multiplier and the running sum take 5 blocks of n^2
-    # floats; each step and record forms its new values in a few more
-    n = 300
-    spec, q0, w0 = build_maxcut_problem(
-        laplacian(gen_er_graph(n, 0.06, seed=3)) / 4.0, 13)
-    config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
-                          step_policy="fixed", trace_mean=True)
+def traced_peak_blocks(spec, q0, w0, config, n):
+    """Peak traced memory of one ``run``, in blocks of n^2 floats."""
     run(spec, q0, w0, config)  # one-time allocations out of the peak
     tracemalloc.start()
     try:
@@ -485,7 +488,31 @@ def test_run_peak_memory_is_at_most_eleven_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= 11.0
+    return peak / (8 * n * n)
+
+
+def test_run_peak_memory_is_at_most_eight_and_a_half_blocks():
+    # the iterate, the multiplier and the running sum take 5 blocks of n^2
+    # floats, the gradient pair 2 and the x-oracle's shifted center 1; the
+    # rest is the rank-k kernel's O(n x Krylov dimension) work space, kept
+    # small here by a low rank and a loose tolerance
+    n = 500
+    spec, q0, w0 = build_maxcut_problem(
+        laplacian(gen_er_graph(n, 0.06, seed=3)) / 4.0, 5, svd_tol=1e-1)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
+                          step_policy="fixed", trace_mean=True)
+    assert traced_peak_blocks(spec, q0, w0, config, n) <= 8.5
+
+
+def test_line_search_run_peak_memory_is_at_most_eleven_blocks():
+    # line search holds the state's 5 blocks, the gradient pair, both
+    # oracle outputs and two segment-sized differences
+    d = 150
+    _sigma, sigma_hat, tau, s = gen_cme_instance(CmeConfig(d=d, r=3, seed=1))
+    spec, q0, w0 = build_cme_problem(sigma_hat, tau, s, 3, svd_tol=1e-2)
+    config = SolverConfig(rho=25.0, mu=0.2, iters=3, step_policy="line_search",
+                          trace_mean=True)
+    assert traced_peak_blocks(spec, q0, w0, config, d) <= 11.1
 
 
 def test_theoretical_policy_enforces_dual_cap():
