@@ -333,21 +333,19 @@ def _run_trials(command, fn, tasks, params, **extra):
 
 
 def _cme_plan(params):
-    """(variant, rho) pairs to run; rho None means look the per-variant value
-    up in the tabulated penalties (the full-size preset behavior)."""
-    variants = _variants(params)
-    if params["rho"] is None:
-        plan = []
-        r = params["r"]
-        for v in variants:
-            table = CME_RHO_TABLE[v]
-            if r not in table:
-                raise ConfigError(
-                    f"no tabulated rho for r={r}; pass --rho explicitly"
-                )
-            plan.append((v, table[r]))
-        return plan
-    return [(v, params["rho"]) for v in variants]
+    """{rho: [variants]}: one run per penalty, reporting the variants that
+    share it, Mean first. Without an explicit rho each variant's penalty is
+    looked up in the tabulated ones (the full-size preset behavior)."""
+    plan = {}
+    for v in _variants(params):
+        rho = params["rho"]
+        if rho is None:
+            rho = CME_RHO_TABLE[v].get(params["r"])
+            if rho is None:
+                raise ConfigError(f"no tabulated rho for r={params['r']}; "
+                                  "pass --rho explicitly")
+        plan.setdefault(rho, []).append(v)
+    return plan
 
 
 def _cme_trial(args):
@@ -360,11 +358,7 @@ def _cme_trial(args):
     Sigma, SigmaHat, tau, s = gen_cme_instance(cfg)
     k_hat = params["rank"] if params["rank"] is not None else params["r"]
     rows, finals = [], []
-    # group variants sharing a rho into one run
-    by_rho = {}
-    for variant, rho in plan:
-        by_rho.setdefault(rho, []).append(variant)
-    for rho, variants in sorted(by_rho.items()):
+    for rho, variants in plan.items():
         problem = build_cme_problem(SigmaHat, tau, s, k_hat,
                                     svd_tol=params["svd_tol"])
         log = _solve(problem, params, rho, variants)
@@ -381,7 +375,8 @@ def cmd_cme(params):
     plan = _cme_plan(params)
     tasks = [(params, plan, trial) for trial in range(params["trials"])]
     return _run_trials("cme", _cme_trial, tasks, params,
-                       plan=[{"variant": v, "rho": r} for v, r in plan])
+                       plan=[{"variant": v, "rho": r}
+                             for r, vs in plan.items() for v in vs])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +576,7 @@ def _default_start(component):
     if isinstance(component, ProductComponent):
         return np.concatenate([_default_start(p) for p in component.parts])
     if isinstance(component, PolytopeIndicator):
-        return component._state0.point()
+        return component.state.point()
     if isinstance(component, BoxIndicator):
         return np.clip(np.zeros(component.dim), component.lo, component.hi)
     if isinstance(component, SimplexIndicator):
@@ -620,9 +615,7 @@ def _load_problem(path):
             y0 = _default_start(ry)
         else:
             # prox may write into its point, and A x0 may be x0 itself
-            prox = getattr(ry, "prox", None)
-            y0 = (prox(np.array(spec.A.apply(x0)), 1.0) if prox
-                  else _default_start(ry))
+            y0 = ry.prox(np.array(spec.A.apply(x0)), 1.0)
     w0 = top.array("w0", None)
     if w0 is None:
         w0 = np.zeros(A.dim_out)

@@ -86,8 +86,8 @@ class _Basis:
     """Orthonormal Krylov vectors, one per row, each stored next to the
     operator's product with it, in buffers that grow with the basis.
 
-    A product is formed once, when the recurrence or the Rayleigh-Ritz
-    extraction first needs it, and reused from then on.
+    A product is formed when its vector is appended and reused by the
+    recurrence and the Rayleigh-Ritz extraction.
     """
 
     def __init__(self, apply, dim, out_dim, rows, first=None):
@@ -95,25 +95,20 @@ class _Basis:
         self.vecs = np.empty((rows, dim))
         self.prods = np.empty((rows, out_dim))
         self.count = 0
-        self.done = 0  # leading vectors whose product is stored
         if first is not None:
-            self.vecs[0] = first
-            self.count = 1
+            self._store(first)
 
     def reserve(self, rows):
         """Make room for ``rows`` vectors, keeping the stored ones."""
         if rows > len(self.vecs):
             self.vecs = _regrown(self.vecs, rows, self.count)
-            self.prods = _regrown(self.prods, rows, self.done)
+            self.prods = _regrown(self.prods, rows, self.count)
 
     def rows(self):
         return self.vecs[:self.count]
 
     def products(self):
         """The operator applied to each vector, row for row."""
-        while self.done < self.count:
-            self.prods[self.done] = self.apply(self.vecs[self.done])
-            self.done += 1
         return self.prods[:self.count]
 
     def append(self, w, rng, breakdown_tol):
@@ -125,7 +120,11 @@ class _Basis:
             w = _fresh_direction(rng, self.vecs, self.count, w.size)
         else:
             w = w / nw
-        self.vecs[self.count] = w
+        self._store(w)
+
+    def _store(self, v):
+        self.vecs[self.count] = v
+        self.prods[self.count] = self.apply(self.vecs[self.count])
         self.count += 1
 
 

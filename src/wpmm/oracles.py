@@ -367,6 +367,7 @@ def _symmetrize(M):
         s *= 0.5
         M[i:i + _PANEL, i:] = s
         M[i:, i:i + _PANEL] = s.T
+        del s  # freed before the next panel is formed
     return M
 
 

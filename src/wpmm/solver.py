@@ -3,10 +3,12 @@
 One iteration: query both block oracles at the current point with the
 linearization vectors and the step coefficient eta * beta_hat(mu), move the
 primal point by a convex combination toward the oracle output, then ascend
-the multiplier along the constraint residual. Step sizes come either
-from the curvature-based formulas, from a fixed user value, or from an exact
-line search over the combination parameter, closed-form on the step's own
-gradient since the smooth term is quadratic.
+the multiplier along the constraint residual. The step rule is decided once
+per run: the curvature-based formula, a fixed user value, or an exact line
+search over the combination parameter, closed-form on the step's own
+gradient since the smooth term is quadratic. Line search needs both blocks
+constant on segments; a run with any other block takes the base step every
+iteration and flags each step as a fallback.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
 ``IterateState`` and a ``Step`` record (eta used, line-search fallback,
@@ -40,7 +42,6 @@ from .model import PrimalPoint, indicator_tol, k_apply, smooth_grad
 
 __all__ = [
     "SolverError",
-    "LineSearchError",
     "SolverConfig",
     "IterateState",
     "RunRecord",
@@ -68,11 +69,6 @@ class SolverError(RuntimeError):
         self.partial_log = partial_log
 
 
-class LineSearchError(RuntimeError):
-    """Line search preconditions violated (regularizer not constant on the
-    candidate segment)."""
-
-
 # ---------------------------------------------------------------------------
 # configuration and state
 
@@ -83,9 +79,9 @@ class SolverConfig:
 
     step_policy is one of "theoretical" (eta from the curvature formula, mu
     checked against ``StepConstants.mu_cap``), "fixed" (eta required), or
-    "line_search" (oracle still receives the base eta -- the configured
-    value, or the theoretical one when available -- and the combination
-    parameter is then optimized exactly over [0, 1]). The curvature-based steps assume the
+    "line_search" (the oracle still receives the base eta -- the configured
+    value, else the theoretical one -- and the combination parameter is then
+    optimized exactly over [0, 1]). The curvature-based steps assume the
     oracle parameter max(1, rx.lam, ry.lam) the components declare.
     """
 
@@ -267,57 +263,41 @@ def step_constants(spec, rho):
 
 
 def _base_step(spec, config):
-    """(eta, coeff): the base primal step of the configured policy and the
-    oracle coefficient eta * beta_hat(mu)."""
+    """(eta, coeff, search): the run's step rule, decided once. eta is the
+    policy's base primal step -- the configured one, else (and always under
+    the theoretical policy, whose mu is checked against its cap) the
+    curvature-based one -- and coeff = eta * beta_hat(mu) the oracle
+    coefficient. search is whether each step line-searches instead: the
+    policy asks for it and both blocks are constant on segments."""
     consts = step_constants(spec, config.rho)
     policy = config.step_policy
-    if policy == "fixed":
-        base = config.eta
-    elif policy == "theoretical":
-        if consts.alpha_s is None:
-            raise ValueError(
-                "theoretical step policy needs a curvature parameter "
-                "(pqg_alpha or a strongly convex smooth term)"
-            )
+    if policy == "theoretical":
         mu_cap = consts.mu_cap()
         if config.mu > mu_cap * (1.0 + 1e-12):
             raise ValueError(
                 f"mu={config.mu:g} exceeds the dual step bound {mu_cap:g} "
                 "required by the theoretical policy"
             )
-        base = consts.eta(config.mu)
-    else:  # line_search
-        if config.eta is not None:
-            base = config.eta
-        elif consts.alpha_s is not None:
-            base = consts.eta(config.mu)
-        else:
-            raise ValueError(
-                "line_search policy needs either eta or a curvature parameter "
-                "for the oracle's base step"
-            )
-    return base, base * consts.beta_hat(config.mu)
+    base = (consts.eta(config.mu)
+            if policy == "theoretical" or config.eta is None else config.eta)
+    search = policy == "line_search" and all(
+        comp.constant_on_segments for comp in (spec.rx, spec.ry))
+    return base, base * consts.beta_hat(config.mu), search
 
 
-def line_search_eta(spec, q, v, grad, mu, rho, base_eta=None):
+def line_search_eta(spec, q, v, grad, mu, rho):
     """Exact step over the segment q -> v for the merit
     mu ||K q(eta)||^2 + L_rho(q(eta), w), eta in [0, 1].
 
     ``grad`` is the merit's gradient at q: the ``smooth_grad`` pair at
     penalty rho + 2 mu. Assumes, without checking, both endpoints inside every
-    indicator domain (true of the iterate and an oracle output), so a
-    regularizer constant on segments drops out; any other raises
-    LineSearchError. f is quadratic, so the merit moves by exactly
-    lin*eta + curv*eta^2 along the segment, with lin = <grad, v - q> and
-    curv = <dx, H dx>/2 + (mu + rho/2) ||A dx - dy||^2. The endpoints, the
-    optional base step and the clipped stationary point compete on it.
+    indicator domain (true of the iterate and an oracle output) and both
+    regularizers constant on segments, so they drop out. f is quadratic, so
+    the merit moves by exactly lin*eta + curv*eta^2 along the segment, with
+    lin = <grad, v - q> and curv = <dx, H dx>/2 + (mu + rho/2)
+    ||A dx - dy||^2 >= 0: the endpoints and the clipped stationary point
+    hold its minimizer.
     """
-    for comp in (spec.rx, spec.ry):
-        if not comp.constant_on_segments:
-            raise LineSearchError(
-                f"{type(comp).__name__} is not constant along segments"
-            )
-
     px, py = grad
     dx = v.x - q.x
     dy = v.y - q.y
@@ -328,16 +308,15 @@ def line_search_eta(spec, q, v, grad, mu, rho, base_eta=None):
     curv = 0.5 * spec.f.curvature(dx) + (mu + 0.5 * rho) * float(kd @ kd)
 
     candidates = [0.0, 1.0]
-    if base_eta is not None and 0.0 < base_eta <= 1.0:
-        candidates.append(float(base_eta))
     if curv > 0.0:
         candidates.append(min(1.0, max(0.0, -lin / (2.0 * curv))))
     return min(sorted(candidates), key=lambda eta: lin * eta + curv * eta * eta)
 
 
 class Step(NamedTuple):
-    """What one iteration did: the primal step taken, whether line search
-    fell back to the base step, and ||K q|| at the new point."""
+    """What one iteration did: the primal step taken, whether it is the base
+    step of a line-search run that cannot search (a block not constant on
+    segments), and ||K q|| at the new point."""
 
     eta: float
     fallback: bool
@@ -355,13 +334,12 @@ def _owned(v, *inputs):
     return out
 
 
-def _step(spec, state, config, base_eta, coeff):
+def _step(spec, state, config, eta, coeff, search):
     # a plain function, not inlined into the generator: its block-sized
     # temporaries are freed before the caller sees the new state. Each new
     # block value goes into an array the step owns: the iterate into the
     # oracle outputs, the multiplier into the new K q.
     q, w = state.q, state.w
-    search = config.step_policy == "line_search"
     px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
     try:
         vx = _owned(state.rx.compute(q.x, px, coeff), q.x, px)
@@ -373,14 +351,9 @@ def _step(spec, state, config, base_eta, coeff):
             f"oracle failure at iteration {state.t}: {exc}", iteration=state.t
         ) from exc
 
-    eta = base_eta
-    fallback = False
     if search:
-        try:
-            eta = line_search_eta(spec, q, PrimalPoint(vx, vy), (px, py),
-                                  config.mu, config.rho, base_eta=base_eta)
-        except LineSearchError:
-            fallback = True
+        eta = line_search_eta(spec, q, PrimalPoint(vx, vy), (px, py),
+                              config.mu, config.rho)
     del px, py
 
     # (1 - eta) q + eta v
@@ -400,7 +373,8 @@ def _step(spec, state, config, base_eta, coeff):
     state.running_sum.x += vx
     state.running_sum.y += vy
     state.t += 1
-    return Step(eta, fallback, k_norm)
+    return Step(eta, config.step_policy == "line_search" and not search,
+                k_norm)
 
 
 def iterate(spec, q0, w0, config):
@@ -423,11 +397,11 @@ def iterate(spec, q0, w0, config):
         rx=spec.rx.for_run(q0.x),
         ry=spec.ry.for_run(q0.y),
     )
-    base_eta, coeff = _base_step(spec, config)
+    rule = _base_step(spec, config)
 
     def steps():
         for _ in range(config.iters):
-            step = _step(spec, state, config, base_eta, coeff)
+            step = _step(spec, state, config, *rule)
             yield state, step
 
     return steps()

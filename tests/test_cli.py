@@ -98,16 +98,13 @@ def test_cme_paper_preset_parameters():
     assert params["trials"] == 20
     assert params["mu"] == 0.2
     assert params["svd_tol"] == 0.01
-    plan = dict()
-    for variant, rho in _cme_plan(params):
-        plan[variant] = rho
-    assert plan == {"mean": 5.0, "last": 25.0}
-    # per-variant penalties by block count
+    assert _cme_plan(params) == {5.0: ["mean"], 25.0: ["last"]}
+    # per-variant penalties by block count; variants sharing one share a run
     params["r"] = 20
-    assert dict(_cme_plan(params)) == {"mean": 1.0, "last": 1.0}
+    assert _cme_plan(params) == {1.0: ["mean", "last"]}
     # explicit rho overrides the table
     params = _merge_params(CME_DEFAULTS, "paper-cme", None, {"rho": 2.0})
-    assert dict(_cme_plan(params)) == {"mean": 2.0, "last": 2.0}
+    assert _cme_plan(params) == {2.0: ["mean", "last"]}
 
 
 def test_cme_rank_flag_overrides_default(tmp_path):
@@ -513,14 +510,20 @@ def test_certify_all_suites_pass(capsys):
 
 
 def test_certify_all_solves_the_toy_once(monkeypatch):
+    # one reference solve and one 300-step run, whose traced mean the
+    # ergodic suite reads instead of replaying the steps
     import wpmm.certify as certify
+    import wpmm.solver as solver
 
-    calls = []
-    solve = certify.reference_solution
+    refs, steps = [], []
+    solve, step = certify.reference_solution, solver._step
     monkeypatch.setattr(certify, "reference_solution",
-                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+                        lambda *a, **k: refs.append(solve(*a, **k)) or refs[-1])
+    monkeypatch.setattr(solver, "_step",
+                        lambda *a, **k: steps.append(a) or step(*a, **k))
     ok, _ = certify.run_suites("all")
-    assert ok and len(calls) == 1
+    assert ok and len(refs) == 1
+    assert len(steps) == refs[0].iterations + 300
 
 
 def test_certify_failure_exit_code(monkeypatch, capsys):

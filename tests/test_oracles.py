@@ -21,6 +21,7 @@ from wpmm.oracles import (
     SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
+    _symmetrize,
     hypercube_lmo,
     phi_value,
     scaled_simplex_lmo,
@@ -590,3 +591,20 @@ def test_diag_ones_oracle_allocates_one_block():
     assert peak <= 1.05 * n * n * 8
     assert np.array_equal(center, c0) and np.array_equal(p, p0)
     assert np.array_equal(out, comp.project(center - p / 2.0))
+
+
+def test_symmetrize_holds_one_panel_at_a_time():
+    # each row panel is freed before the next one is formed: the peak over
+    # the d x d buffer is one panel plus NumPy's transpose buffer (0.35
+    # blocks at d=300), not two panels (0.56)
+    d = 300
+    M = np.random.default_rng(0).standard_normal((d, d))
+    want = 0.5 * (M + M.T)
+    tracemalloc.start()
+    try:
+        out = _symmetrize(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * d * d * 8
+    assert out is M and np.array_equal(M, want)

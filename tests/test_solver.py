@@ -261,7 +261,7 @@ def test_line_search_calls_no_smooth_term_and_one_map_product():
     spec.f.value = counted("value", spec.f.value)
     spec.f.gradient = counted("gradient", spec.f.gradient)
     spec.A.apply = counted("apply", spec.A.apply)
-    line_search_eta(spec, q, v, grad, 0.2, 1.0, base_eta=0.3)
+    line_search_eta(spec, q, v, grad, 0.2, 1.0)
     assert calls["value"] == 0 and calls["gradient"] == 0
     assert calls["apply"] <= 1
 
@@ -535,8 +535,7 @@ def test_line_search_dominates_base_step():
         px, py = smooth_grad(spec, state_q, w, rho + 2 * mu)
         v = PrimalPoint(spec.rx.compute(state_q.x, px, coeff),
                         spec.ry.compute(state_q.y, py, coeff))
-        eta = line_search_eta(spec, state_q, v, (px, py), mu, rho,
-                              base_eta=base)
+        eta = line_search_eta(spec, state_q, v, (px, py), mu, rho)
 
         def merit(e):
             qe = blend(state_q, v, e)
@@ -549,15 +548,24 @@ def test_line_search_dominates_base_step():
         w = w + mu * k_apply(spec, state_q)
 
 
-def test_line_search_fallback_flagged():
+def test_line_search_fallback_flagged(monkeypatch):
+    # the rule is decided once per run: a block not constant on segments
+    # means every step takes the base step, and none line-searches
+    import wpmm.solver as solver
+
     class CurvedOracle(FrozenOracle):
         constant_on_segments = False
 
+    def no_search(*args, **kwargs):
+        raise AssertionError("line search ran on a run that cannot search")
+
+    monkeypatch.setattr(solver, "line_search_eta", no_search)
     spec = ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
                        rx=CurvedOracle(2), ry=BoxIndicator(2, 0.0, 1.0))
     config = SolverConfig(rho=1.0, mu=0.1, iters=2, step_policy="line_search",
                           eta=0.25)
     log = run(spec, q_of([0.5, 0.5], [0.5, 0.5]), np.zeros(2), config)
+    assert len(log.records) == 2
     assert all(r.eta_fallback for r in log.records)
     assert all(r.eta_used == 0.25 for r in log.records)
 
