@@ -1,10 +1,15 @@
-"""Desk-scale certificate suites: oracle contract audits, linear decay of the
-augmented-Lagrangian gap, and the ergodic O(1/T) bounds, each checked on
-instances with independently computed reference optima.
+"""Runtime convergence certificates and the desk-scale suites that run them:
+oracle contract audits, linear decay of the augmented-Lagrangian gap, and the
+ergodic O(1/T) bounds with the objective/feasibility split, each checked on
+instances with independently computed reference optima. The two toy suites
+read one run, which traces the ergodic mean and which ``run_suites`` solves
+once for both.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -21,17 +26,77 @@ from .oracles import (
     phi_value,
     scaled_simplex_lmo,
 )
-from .solver import (
-    Certificate,
-    SolverConfig,
-    check_linear_decay,
-    check_obj_feas_split,
-    run,
-    step_constants,
-)
+from .solver import SolverConfig, run, step_constants
 
-__all__ = ["suite_oracles", "suite_decay", "suite_ergodic", "run_suites",
-           "SUITES"]
+__all__ = ["Certificate", "check_linear_decay", "check_obj_feas_split",
+           "suite_oracles", "suite_decay", "suite_ergodic", "run_suites"]
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+@dataclass
+class Certificate:
+    """Outcome of a runtime convergence check."""
+
+    name: str
+    passed: bool
+    applicable: bool = True
+    details: str = ""
+    data: dict = field(default_factory=dict)
+
+
+def check_linear_decay(al_values, l_star, eta):
+    """Certificate for per-iteration linear decay of the AL gap.
+
+    With d_t = al_values[t] - l_star, checks d_{t+1} <= (1 - eta) d_t + tol
+    for every consecutive pair, tol = 1e-8 * (1 + |d_1|). Passes iff every
+    iteration passes; the first offending index is reported.
+    """
+    d = [float(a) - l_star for a in al_values]
+    if len(d) < 2:
+        return Certificate("linear_decay", True, details="fewer than two points")
+    tol = 1e-8 * (1.0 + abs(d[0]))
+    first_bad = None
+    worst = -math.inf
+    for i in range(len(d) - 1):
+        slack = d[i + 1] - ((1.0 - eta) * d[i] + tol)
+        worst = max(worst, slack)
+        if slack > 0 and first_bad is None:
+            first_bad = i + 1
+    passed = first_bad is None
+    details = ("all iterations decay" if passed
+               else f"decay violated first at t={first_bad}")
+    return Certificate("linear_decay", passed, details=details,
+                       data={"d1": d[0], "checked": len(d) - 1,
+                             "first_failure": first_bad, "worst_slack": worst})
+
+
+def check_obj_feas_split(h_gap, c, rho, k_norm, delta):
+    """Certificate for the objective/feasibility split: given
+    h_gap + c*||Kq|| + (rho/2)*||Kq||^2 <= delta, both h_gap <= delta and
+    ||Kq|| <= 2*delta/c must hold. Reports not-applicable when the antecedent
+    fails."""
+    if c <= 0:
+        raise ValueError("c must be positive")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    guard = 1e-12 * (1.0 + abs(delta))
+    lhs = h_gap + c * k_norm + 0.5 * rho * k_norm**2
+    if lhs > delta + guard:
+        return Certificate(
+            "obj_feas_split", False, applicable=False,
+            details=f"antecedent not satisfied ({lhs:.6g} > {delta:.6g})",
+            data={"lhs": lhs, "delta": delta},
+        )
+    ok = (h_gap <= delta + guard) and (k_norm <= 2.0 * delta / c + guard)
+    return Certificate(
+        "obj_feas_split", ok,
+        details="both consequents hold" if ok else "a consequent fails",
+        data={"h_gap": h_gap, "k_norm": k_norm, "delta": delta,
+              "feasibility_bound": 2.0 * delta / c},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +258,14 @@ def _toy_setup():
     return ref, log, consts
 
 
-def suite_decay(toy=None):
-    ref, log, consts = toy or _toy_setup()
+def suite_decay(toy):
+    ref, log, consts = toy
     return [check_linear_decay([r.al_value for r in log.records], ref.h_value,
                                consts.eta(log.config.mu))]
 
 
-def suite_ergodic(toy=None):
-    ref, log, consts = toy or _toy_setup()
+def suite_ergodic(toy):
+    ref, log, consts = toy
     rho = log.config.rho
     # c >= 2||w*||, from the reference run's converged multiplier
     cdual = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
@@ -232,27 +297,17 @@ def suite_ergodic(toy=None):
     return [ergodic_cert, split_cert]
 
 
-SUITES = {
-    "oracles": suite_oracles,
-    "decay": suite_decay,
-    "ergodic": suite_ergodic,
-}
-
-
 def run_suites(name, seed=0):
     """Run one suite or all of them; returns (all_passed, certificates)."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+    if name not in ("oracles", "decay", "ergodic", "all"):
         raise ValueError(f"unknown suite {name!r}; pick from "
-                         f"{sorted(SUITES)} or 'all'")
-    certs, toy = [], None
-    for n in names:
-        if n == "oracles":  # the only suite drawing random instances
-            certs.extend(suite_oracles(seed=seed))
-        else:  # the toy suites share one solve
-            toy = toy or _toy_setup()
-            certs.extend(SUITES[n](toy))
+                         "['decay', 'ergodic', 'oracles'] or 'all'")
+    # the oracle audits are the only suite drawing random instances
+    certs = suite_oracles(seed=seed) if name in ("oracles", "all") else []
+    if name != "oracles":  # the toy suites share one solve
+        toy = _toy_setup()
+        if name in ("decay", "all"):
+            certs.extend(suite_decay(toy))
+        if name in ("ergodic", "all"):
+            certs.extend(suite_ergodic(toy))
     return all(c.passed for c in certs), certs

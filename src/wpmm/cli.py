@@ -44,7 +44,7 @@ from .oracles import (
     hypercube_lmo,
     scaled_simplex_lmo,
 )
-from .solver import SolverConfig, SolverError, run
+from .solver import SolverConfig, SolverError, run, step_constants
 from .certify import run_suites
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ MAXCUT_DEFAULTS = {
 }
 
 GENERIC_DEFAULTS = {
-    "iters": 200, "rho": 1.0, "mu": 0.2, "eta": None,
+    "iters": 200, "rho": 1.0, "mu": None, "eta": None,
     "step_policy": None, "variant": "both", "outdir": "out",
 }
 
@@ -631,11 +631,15 @@ def _generic_trial(args):
 
 def cmd_generic(params, problem, problem_path):
     """Solve ``problem = (spec, q0, w0)`` as one trial. Unless set, the step
-    policy is theoretical with curvature, else fixed (eta 0.2 unless set)."""
-    spec = problem[0]
+    policy is theoretical with curvature, else fixed (eta 0.2 unless set),
+    and mu is the theoretical policy's cap under it, else 0.2."""
+    consts = step_constants(problem[0], params["rho"])
     if params["step_policy"] is None:
-        params["step_policy"] = ("theoretical" if (spec.pqg_alpha or spec.f.alpha)
+        params["step_policy"] = ("theoretical" if consts.alpha_s is not None
                                  else "fixed")
+    if params["mu"] is None:
+        params["mu"] = (consts.mu_cap() if params["step_policy"] == "theoretical"
+                        else 0.2)
     if params["step_policy"] == "fixed" and params["eta"] is None:
         params["eta"] = 0.2
     return _run_trials("generic", _generic_trial, [(problem, params)], params,

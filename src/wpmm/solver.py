@@ -11,11 +11,12 @@ constant on segments; a run with any other block takes the base step every
 iteration and flags each step as a fallback.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
-``IterateState`` and a ``Step`` record (eta used, line-search fallback,
-constraint residual norm) after each of ``config.iters`` steps. ``run`` drives
-it and logs every iteration; the reference solver in ``harness`` drives it
-with exact oracles and its own stopping rule; both read the objective h and
-the augmented Lagrangian from ``record_values``, their one evaluator.
+``IterateState`` (q, w and t, all the method carries) and a ``Step`` record
+(eta used, line-search fallback, constraint residual norm) after each of
+``config.iters`` steps. ``run`` drives it, logs every iteration and forms the
+ergodic mean; the reference solver in ``harness`` drives it with exact
+oracles and its own stopping rule; both read the objective h and the
+augmented Lagrangian from ``record_values``, their one evaluator.
 ``StepConstants`` is the step-size rule: ``step_constants`` builds it from
 the problem's curvature constants, and it gives the primal step, the dual-step
 cap, the oracle coefficient beta_hat(mu) = beta_S + 2 mu (||A||+1)^2 and the
@@ -24,16 +25,13 @@ The iterate stays in its indicator domains: ``iterate`` checks the start
 point and every step mixes it with an oracle output, a member by the oracle
 contract. Line search and logging assume this; ``run`` audits it once, on
 its final record.
-
-Also houses the runtime convergence certificates: per-iteration linear decay
-of the augmented-Lagrangian gap and the objective/feasibility split.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,7 +44,6 @@ __all__ = [
     "IterateState",
     "RunRecord",
     "RunLog",
-    "Certificate",
     "Step",
     "StepConstants",
     "step_constants",
@@ -54,8 +51,6 @@ __all__ = [
     "iterate",
     "record_values",
     "run",
-    "check_linear_decay",
-    "check_obj_feas_split",
 ]
 
 
@@ -112,15 +107,11 @@ class SolverConfig:
 
 @dataclass
 class IterateState:
-    """Mutable per-run state: current pair, ergodic accumulator, iteration
-    counter, and the run-owned oracle instances."""
+    """Mutable per-run state: the current pair and the iteration counter."""
 
     q: PrimalPoint
     w: np.ndarray
-    running_sum: PrimalPoint
     t: int = 0
-    rx: Optional[object] = None
-    ry: Optional[object] = None
 
 
 @dataclass
@@ -149,17 +140,6 @@ class RunLog:
     mean_point: Optional[PrimalPoint]
     w_final: np.ndarray
     config: SolverConfig
-
-
-@dataclass
-class Certificate:
-    """Outcome of a runtime convergence check."""
-
-    name: str
-    passed: bool
-    applicable: bool = True
-    details: str = ""
-    data: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +230,7 @@ def step_constants(spec, rho):
     f, norm_a = spec.f, spec.A.norm_bound
     if f.beta <= 0:
         raise ValueError("beta must be positive")
-    if rho < 0:
+    if not rho >= 0:  # nan too
         raise ValueError("rho must be nonnegative")
     alpha_s = spec.pqg_alpha
     if alpha_s is None and f.alpha is not None and f.alpha > 0:
@@ -334,18 +314,19 @@ def _owned(v, *inputs):
     return out
 
 
-def _step(spec, state, config, eta, coeff, search):
+def _step(spec, state, rx, ry, config, eta, coeff, search):
     # a plain function, not inlined into the generator: its block-sized
     # temporaries are freed before the caller sees the new state. Each new
     # block value goes into an array the step owns: the iterate into the
-    # oracle outputs, the multiplier into the new K q.
+    # oracle outputs, the multiplier into the new K q. Returns the step taken
+    # and ||K q|| at the new point.
     q, w = state.q, state.w
     px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
     try:
-        vx = _owned(state.rx.compute(q.x, px, coeff), q.x, px)
+        vx = _owned(rx.compute(q.x, px, coeff), q.x, px)
         if not search:
             px = None  # read by no one else: freed before the y-oracle runs
-        vy = _owned(state.ry.compute(q.y, py, coeff), q.y, py)
+        vy = _owned(ry.compute(q.y, py, coeff), q.y, py)
     except Exception as exc:
         raise SolverError(
             f"oracle failure at iteration {state.t}: {exc}", iteration=state.t
@@ -361,8 +342,8 @@ def _step(spec, state, config, eta, coeff, search):
     vx += (1.0 - eta) * q.x
     vy *= eta
     vy += (1.0 - eta) * q.y
-    state.rx.commit(eta)
-    state.ry.commit(eta)
+    rx.commit(eta)
+    ry.commit(eta)
     kqn = spec.A.apply(vx) - vy
     k_norm = float(np.linalg.norm(kqn))
     # w + mu K q
@@ -370,11 +351,8 @@ def _step(spec, state, config, eta, coeff, search):
     kqn += w
     state.q = PrimalPoint(vx, vy)
     state.w = kqn
-    state.running_sum.x += vx
-    state.running_sum.y += vy
     state.t += 1
-    return Step(eta, config.step_policy == "line_search" and not search,
-                k_norm)
+    return eta, k_norm
 
 
 def iterate(spec, q0, w0, config):
@@ -390,19 +368,15 @@ def iterate(spec, q0, w0, config):
             raise ValueError(
                 f"{name} lies outside the regularizer domain (distance {dist:g})"
             )
-    state = IterateState(
-        q=q0.copy(),
-        w=np.asarray(w0, dtype=float).copy(),
-        running_sum=PrimalPoint(np.zeros_like(q0.x), np.zeros_like(q0.y)),
-        rx=spec.rx.for_run(q0.x),
-        ry=spec.ry.for_run(q0.y),
-    )
-    rule = _base_step(spec, config)
+    state = IterateState(q=q0.copy(), w=np.asarray(w0, dtype=float).copy())
+    rx, ry = spec.rx.for_run(q0.x), spec.ry.for_run(q0.y)
+    rule = _base_step(spec, config)  # (eta, coeff, search)
+    fallback = config.step_policy == "line_search" and not rule[2]
 
     def steps():
         for _ in range(config.iters):
-            step = _step(spec, state, config, *rule)
-            yield state, step
+            eta, k_norm = _step(spec, state, rx, ry, config, *rule)
+            yield state, Step(eta, fallback, k_norm)
 
     return steps()
 
@@ -442,14 +416,18 @@ def run(spec, q0, w0, config):
         raise ValueError("mean output undefined for an empty run")
     records = []
     q, w, mean_point = q0, np.asarray(w0, dtype=float), None
+    # running sum of the post-step iterates, the ergodic mean times t
+    total = PrimalPoint(np.zeros_like(q0.x), np.zeros_like(q0.y))
     start = time.perf_counter()
     try:
         for state, step in steps:
-            q, w = state.q, state.w
-            final = state.t == config.iters
+            q, w, t = state.q, state.w, state.t
+            total.x += q.x
+            total.y += q.y
+            final = t == config.iters
             obj, flagged, alv = record_values(spec, q, w, config.rho, final)
             rec = RunRecord(
-                t=state.t,
+                t=t,
                 objective=obj,
                 objective_flagged=flagged,
                 feasibility=step.k_norm,
@@ -458,14 +436,13 @@ def run(spec, q0, w0, config):
                 eta_fallback=step.fallback,
                 elapsed=time.perf_counter() - start,
             )
-            if final:
-                # no step reads the running sum again: it becomes the mean
-                mean_point = state.running_sum
-                mean_point.x /= state.t
-                mean_point.y /= state.t
+            if final:  # no step adds to the running sum again: the mean
+                total.x /= t
+                total.y /= t
+                mean_point = total
             if config.trace_mean:
-                qb = mean_point if final else PrimalPoint(
-                    state.running_sum.x / state.t, state.running_sum.y / state.t)
+                qb = mean_point if final else PrimalPoint(total.x / t,
+                                                          total.y / t)
                 kqb = k_apply(spec, qb)
                 mobj, mflag, mal = record_values(spec, qb, w, config.rho, final,
                                                  kq=kqb)
@@ -481,59 +458,3 @@ def run(spec, q0, w0, config):
     if not records:  # q and w are still the caller's
         q, w = q.copy(), w.copy()
     return RunLog(records, q, mean_point, w, config)
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-def check_linear_decay(al_values, l_star, eta):
-    """Certificate for per-iteration linear decay of the AL gap.
-
-    With d_t = al_values[t] - l_star, checks d_{t+1} <= (1 - eta) d_t + tol
-    for every consecutive pair, tol = 1e-8 * (1 + |d_1|). Passes iff every
-    iteration passes; the first offending index is reported.
-    """
-    d = [float(a) - l_star for a in al_values]
-    if len(d) < 2:
-        return Certificate("linear_decay", True, details="fewer than two points")
-    tol = 1e-8 * (1.0 + abs(d[0]))
-    first_bad = None
-    worst = -math.inf
-    for i in range(len(d) - 1):
-        slack = d[i + 1] - ((1.0 - eta) * d[i] + tol)
-        worst = max(worst, slack)
-        if slack > 0 and first_bad is None:
-            first_bad = i + 1
-    passed = first_bad is None
-    details = ("all iterations decay" if passed
-               else f"decay violated first at t={first_bad}")
-    return Certificate("linear_decay", passed, details=details,
-                       data={"d1": d[0], "checked": len(d) - 1,
-                             "first_failure": first_bad, "worst_slack": worst})
-
-
-def check_obj_feas_split(h_gap, c, rho, k_norm, delta):
-    """Certificate for the objective/feasibility split: given
-    h_gap + c*||Kq|| + (rho/2)*||Kq||^2 <= delta, both h_gap <= delta and
-    ||Kq|| <= 2*delta/c must hold. Reports not-applicable when the antecedent
-    fails."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    guard = 1e-12 * (1.0 + abs(delta))
-    lhs = h_gap + c * k_norm + 0.5 * rho * k_norm**2
-    if lhs > delta + guard:
-        return Certificate(
-            "obj_feas_split", False, applicable=False,
-            details=f"antecedent not satisfied ({lhs:.6g} > {delta:.6g})",
-            data={"lhs": lhs, "delta": delta},
-        )
-    ok = (h_gap <= delta + guard) and (k_norm <= 2.0 * delta / c + guard)
-    return Certificate(
-        "obj_feas_split", ok,
-        details="both consequents hold" if ok else "a consequent fails",
-        data={"h_gap": h_gap, "k_norm": k_norm, "delta": delta,
-              "feasibility_bound": 2.0 * delta / c},
-    )

@@ -17,6 +17,7 @@ from wpmm.certify import (
     FRO_TOL,
     LAM_CAP,
     PHI_TOL,
+    check_linear_decay,
     matrix_oracle_audit,
     polytope_audit,
 )
@@ -38,14 +39,12 @@ from wpmm.linalg import (
     truncated_eigh,
     truncated_svd,
 )
-from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm, k_apply
+from wpmm.model import LinearMap, ProblemSpec, SmoothTerm
 from wpmm.oracles import ZeroReg
 from wpmm.solver import (
     SolverConfig,
     StepConstants,
-    check_linear_decay,
     iterate,
-    record_values,
     run,
     step_constants,
 )
@@ -61,7 +60,8 @@ def report(name, elapsed, detail=""):
 
 @pytest.fixture(scope="module")
 def toy_run():
-    """Strongly convex 2-D toy with theoretical steps, plus its reference."""
+    """Strongly convex 2-D toy with theoretical steps, tracing the ergodic
+    mean, plus its reference."""
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     rho = 1.0
     consts = step_constants(spec, rho)
@@ -69,10 +69,9 @@ def toy_run():
     eta = consts.eta(mu)
     ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
     config = SolverConfig(rho=rho, mu=mu, iters=500,
-                          step_policy="theoretical")
+                          step_policy="theoretical", trace_mean=True)
     log = run(spec, q0, w0, config)
-    return dict(spec=spec, q0=q0, w0=w0, config=config, ref=ref, log=log,
-                rho=rho, mu=mu, eta=eta, consts=consts)
+    return dict(ref=ref, log=log, mu=mu, eta=eta, consts=consts)
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +132,18 @@ def test_criterion_3_linear_decay(toy_run):
 
 def test_criterion_4_ergodic_bounds(toy_run):
     start = time.time()
-    spec, ref, log = toy_run["spec"], toy_run["ref"], toy_run["log"]
+    ref, log = toy_run["ref"], toy_run["log"]
     c = 2.0 * float(np.linalg.norm(ref.w)) + 0.1
     d1 = log.records[0].al_value - ref.h_value
     bound = toy_run["consts"].ergodic_bound(c, 0.0, d1, toy_run["mu"])
-    q0 = toy_run["q0"]
-    rs_x = np.zeros_like(q0.x)
-    rs_y = np.zeros_like(q0.y)
     worst_h, worst_k = -np.inf, -np.inf
-    for state, _ in iterate(spec, q0, toy_run["w0"], toy_run["config"]):
-        i = state.t
-        rs_x += state.q.x
-        rs_y += state.q.y
-        qbar = PrimalPoint(rs_x / i, rs_y / i)
-        h, flagged, _ = record_values(spec, qbar, state.w, toy_run["rho"],
-                                      audit=True)
-        assert not flagged
-        h_gap = h - ref.h_value
-        k_norm = float(np.linalg.norm(k_apply(spec, qbar)))
-        worst_h = max(worst_h, h_gap - bound / i)
-        worst_k = max(worst_k, k_norm - 2.0 * bound / c)
-    assert i == 500
+    for rec in log.records:
+        # the final record audits the mean point's domain membership
+        assert not rec.objective_flagged
+        h_gap = rec.mean_objective - ref.h_value
+        worst_h = max(worst_h, h_gap - bound / rec.t)
+        worst_k = max(worst_k, rec.mean_feasibility - 2.0 * bound / (c * rec.t))
+    assert rec.t == 500
     assert worst_h <= 1e-8
     assert worst_k <= 1e-8
     elapsed = time.time() - start

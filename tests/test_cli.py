@@ -17,7 +17,9 @@ from wpmm.cli import (
     _merge_params,
     main,
 )
+from wpmm.certify import Certificate
 from wpmm.harness import gen_er_graph
+from wpmm.solver import step_constants
 
 
 DATA = Path(__file__).parent / "data"
@@ -317,6 +319,40 @@ def test_cme_preset_plan_end_to_end(tmp_path):
     assert len(rows) == 20  # 10 iterations x 2 per-variant runs
 
 
+def test_generic_default_mu_is_the_theoretical_cap(tmp_path):
+    # both problems carry curvature, so the default policy is theoretical
+    # and the default mu its cap, far below 0.2
+    polytope = json.loads((DATA / "polytope2.json").read_text())
+    del polytope["solver"]
+    box = {"f": {"kind": "half_sq_distance", "target": [0.3, -0.2, 1.4]},
+           "A": {"kind": "identity", "dim": 3},
+           "rx": {"kind": "box", "dim": 3, "lo": 0.0, "hi": 1.0},
+           "ry": {"kind": "box", "dim": 3, "lo": 0.0, "hi": 1.0}}
+    for name, doc in (("polytope", polytope), ("box", box)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main(["generic", str(path), "--iters", "5",
+                     "--outdir", str(out)]) == EXIT_OK
+        config = json.loads((out / "summary.json").read_text())["config"]
+        cap = step_constants(_load_problem(path)[0][0], 1.0).mu_cap()
+        assert config["step_policy"] == "theoretical"
+        assert config["mu"] == cap < 1e-3
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf", "-1", "0"])
+def test_generic_bad_rho_is_config_error(tmp_path, capsys, rho):
+    doc = json.loads((DATA / "polytope2.json").read_text())
+    del doc["solver"]
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["generic", str(path), "--iters", "5", f"--rho={rho}",
+                 "--outdir", str(out)]) == EXIT_CONFIG
+    assert "rho must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["hypercube_polytope", "simplex_polytope"])
 def test_generic_polytope_without_lambda_warns(tmp_path, kind):
     prob = json.loads((DATA / "polytope2.json").read_text())
@@ -527,7 +563,6 @@ def test_certify_all_solves_the_toy_once(monkeypatch):
 
 
 def test_certify_failure_exit_code(monkeypatch, capsys):
-    from wpmm.solver import Certificate
     import wpmm.cli as cli
 
     monkeypatch.setattr(
@@ -539,6 +574,21 @@ def test_certify_failure_exit_code(monkeypatch, capsys):
 
 def test_certify_rejects_unknown_suite():
     assert main(["certify", "everything"]) == EXIT_CONFIG
+
+
+def test_certify_single_toy_suite_prints_its_lines_of_all(capsys):
+    def lines(suite):
+        assert main(["certify", suite]) == EXIT_OK
+        # the name column is padded to the longest name printed
+        return [" ".join(ln.split())
+                for ln in capsys.readouterr().out.splitlines()]
+
+    everything = lines("all")
+    for suite, names in (("decay", {"linear_decay"}),
+                         ("ergodic", {"ergodic_rate", "obj_feas_split"})):
+        expected = [ln for ln in everything if ln.split()[0] in names]
+        assert len(expected) == len(names)
+        assert lines(suite) == expected + ["all PASS"]
 
 
 def test_csv_floats_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wpmm.certify import check_linear_decay, check_obj_feas_split
 from wpmm.harness import (
     CmeConfig,
     build_box_toy,
@@ -36,8 +37,6 @@ from wpmm.solver import (
     SolverConfig,
     SolverError,
     StepConstants,
-    check_linear_decay,
-    check_obj_feas_split,
     iterate,
     line_search_eta,
     record_values,
@@ -479,16 +478,35 @@ def test_oracle_returning_its_center_matches_one_returning_a_copy():
     assert records(AliasingOracle) == records(FrozenOracle)
 
 
-def traced_peak_blocks(spec, q0, w0, config, n):
-    """Peak traced memory of one ``run``, in blocks of n^2 floats."""
-    run(spec, q0, w0, config)  # one-time allocations out of the peak
+def traced_peak_blocks(spec, q0, w0, config, n, solve=run):
+    """Peak traced memory of one ``solve`` (by default ``run``), in blocks
+    of n^2 floats."""
+    solve(spec, q0, w0, config)  # one-time allocations out of the peak
     tracemalloc.start()
     try:
-        run(spec, q0, w0, config)
+        solve(spec, q0, w0, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / (8 * n * n)
+
+
+def test_iterate_peak_memory_is_at_most_six_and_a_half_blocks():
+    # iterate carries only the method: the iterate and the multiplier take
+    # 3 blocks of n^2 floats, the gradient pair 2 and the x-oracle's shifted
+    # center 1, with no running sum; the rest is the rank-k kernel's work
+    # space, kept small by a low rank and a loose tolerance
+    n = 500
+    spec, q0, w0 = build_maxcut_problem(
+        laplacian(gen_er_graph(n, 0.1, seed=5)), 5, svd_tol=1e-1)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
+                          step_policy="fixed")
+
+    def steps(*args):
+        for _ in iterate(*args):
+            pass
+
+    assert traced_peak_blocks(spec, q0, w0, config, n, solve=steps) <= 6.5
 
 
 def test_run_peak_memory_is_at_most_eight_and_a_half_blocks():
