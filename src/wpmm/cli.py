@@ -122,13 +122,6 @@ def _read_json(path, kind):
         ) from exc
 
 
-def _options():
-    """Option name -> its argparse action, over every command."""
-    subs = next(a for a in build_parser()._actions if a.dest == "command")
-    return {a.dest: a for sub in subs.choices.values()
-            for a in sub._actions if a.option_strings}
-
-
 def _checked_layer(source, doc, keys, defaults):
     """Return ``doc`` after checking that every key is in ``keys`` and every
     value is one its flag accepts (an int also for a float flag, and null
@@ -138,35 +131,32 @@ def _checked_layer(source, doc, keys, defaults):
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ConfigError(f"{source}: unknown keys {unknown}")
-    options = _options()
     for k, v in doc.items():
-        opt = options[k]
-        want = (float, int) if opt.type is float else (opt.type or str,)
-        bad = type(v) not in want or (opt.choices and v not in opt.choices)
+        type_, choices, _ = PARAMS[k]
+        want = (float, int) if type_ is float else (type_ or str,)
+        bad = type(v) not in want or (choices and v not in choices)
         if bad and not (v is None and defaults[k] is None):
-            allowed = opt.choices or want[0].__name__
+            allowed = choices or want[0].__name__
             raise ConfigError(f"{source}: {k!r} must be {allowed}, got {json.dumps(v)}")
     return doc
 
 
 def _merge_params(defaults, preset_name, config_path, cli_values,
                   solver_section=None):
-    """defaults < preset < a problem file's solver section (every key but
-    outdir) < config file < explicit flags. Unknown or wrongly typed file
+    """defaults < preset < a problem file's solver section < config file <
+    explicit flags. Files set every parameter but the preset, a solver
+    section not the output directory either; unknown or wrongly typed file
     values are rejected."""
     params = dict(defaults)
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"unknown preset {preset_name!r}")
-        for k, v in PRESETS[preset_name].items():
-            if k in params:
-                params[k] = v
+    if preset_name is not None:  # one of the command's own, by --preset
+        params.update(PRESETS[preset_name])
+    file_keys = set(defaults) - {"preset"}
     if solver_section is not None:
         params.update(_checked_layer("solver section", solver_section,
-                                     set(defaults) - {"outdir"}, defaults))
+                                     file_keys - {"outdir"}, defaults))
     if config_path is not None:
         doc = _read_json(config_path, "config")
-        params.update(_checked_layer(config_path, doc, defaults, defaults))
+        params.update(_checked_layer(config_path, doc, file_keys, defaults))
     for k, v in cli_values.items():
         if v is not None:
             params[k] = v
@@ -299,7 +289,9 @@ def _run_trials(command, fn, tasks, params, **extra):
     if not tasks:  # the outputs average over the trials
         raise ConfigError("trials must be at least 1")
     jobs = params.get("jobs", 1)
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs < 1:
+        raise ConfigError("jobs must be at least 1")
+    if jobs == 1 or len(tasks) <= 1:
         results = [fn(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -357,10 +349,11 @@ def _cme_trial(args):
     )
     Sigma, SigmaHat, tau, s = gen_cme_instance(cfg)
     k_hat = params["rank"] if params["rank"] is not None else params["r"]
+    # run copies the start point, so every penalty's run can share it
+    problem = build_cme_problem(SigmaHat, tau, s, k_hat,
+                                svd_tol=params["svd_tol"])
     rows, finals = [], []
     for rho, variants in plan.items():
-        problem = build_cme_problem(SigmaHat, tau, s, k_hat,
-                                    svd_tol=params["svd_tol"])
         log = _solve(problem, params, rho, variants)
         rows.extend(_rows_from_log(log, trial, variants))
         d = params["d"]
@@ -664,42 +657,41 @@ def cmd_certify(suite, seed):
 # argument parsing
 
 
-# every flag defaults to None so explicit values can be told apart from the
-# defaults table when merging with presets and config files
+# parameter -> (flag type, choices, help); type None reads a string
+PARAMS = {
+    "d": (int, None, "matrix dimension"),
+    "r": (int, None, "ground-truth blocks"),
+    "noise_sigma": (float, None, "observation noise level"),
+    "entry_threshold": (float, None, "truth entries up to it are zeroed"),
+    "graph": (None, None, "Gset-format graph file (WPMM_DATA_DIR searched)"),
+    "random_n": (int, None, "random-graph node count when no file is given"),
+    "random_p": (float, None, "random-graph edge probability"),
+    "iters": (int, None, "iteration budget"),
+    "trials": (int, None, "independent repetitions (seed + trial index)"),
+    "mu": (float, None, "dual step size"),
+    "rho": (float, None, "penalty parameter"),
+    "eta": (float, None, "primal step (fixed policy / line-search base)"),
+    "step_policy": (None, ["theoretical", "line_search", "fixed"],
+                    "step-size rule"),
+    "variant": (None, ["mean", "last", "both"], "output(s) to report"),
+    "rank": (int, None, "oracle rank estimate"),
+    "svd_tol": (float, None, "truncated decomposition tolerance"),
+    "seed": (int, None, "instance seed of the first trial"),
+    "jobs": (int, None, "worker processes for the trial loop"),
+    "outdir": (None, None, "output directory"),
+    "preset": (None, None, "named parameter bundle of the command"),
+}
 
-
-def _add_solver_flags(sub):
-    """Flags of every solving command."""
-    sub.add_argument("--config", default=None,
-                     help="JSON file with parameter overrides")
-    sub.add_argument("--iters", type=int, default=None, help="iteration budget")
-    sub.add_argument("--rho", type=float, default=None, help="penalty parameter")
-    sub.add_argument("--mu", type=float, default=None, help="dual step size")
-    sub.add_argument("--eta", type=float, default=None,
-                     help="primal step (fixed policy / line-search base)")
-    sub.add_argument("--step-policy", default=None,
-                     choices=["theoretical", "line_search", "fixed"])
-    sub.add_argument("--variant", default=None,
-                     choices=["mean", "last", "both"])
-    sub.add_argument("--outdir", default=None)
-
-
-def _add_experiment_flags(sub):
-    """Solver flags plus the seed, trial, oracle and preset flags of the
-    built-in experiments."""
-    _add_solver_flags(sub)
-    sub.add_argument("--seed", type=int, default=None,
-                     help="instance seed of the first trial")
-    sub.add_argument("--trials", type=int, default=None,
-                     help="independent repetitions (seed + trial index)")
-    sub.add_argument("--rank", type=int, default=None,
-                     help="oracle rank estimate")
-    sub.add_argument("--svd-tol", type=float, default=None,
-                     help="truncated decomposition tolerance")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for the trial loop")
-    sub.add_argument("--preset", default=None,
-                     help="named parameter bundle (paper-cme, paper-maxcut)")
+# command -> (help, defaults, its presets, handler); generic's handler also
+# takes the loaded problem and its path
+COMMANDS = {
+    "cme": ("covariance-estimation experiment", CME_DEFAULTS, ["paper-cme"],
+            cmd_cme),
+    "maxcut": ("Max Cut SDP experiment", MAXCUT_DEFAULTS, ["paper-maxcut"],
+               cmd_maxcut),
+    "generic": ("solve a problem declared in JSON", GENERIC_DEFAULTS, [],
+                cmd_generic),
+}
 
 
 def build_parser():
@@ -708,26 +700,19 @@ def build_parser():
         description="Projection-free augmented Lagrangian solver experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    cme = subs.add_parser("cme", help="covariance-estimation experiment")
-    cme.add_argument("--d", type=int, default=None, help="matrix dimension")
-    cme.add_argument("--r", type=int, default=None, help="ground-truth blocks")
-    cme.add_argument("--noise-sigma", type=float, default=None)
-    cme.add_argument("--entry-threshold", type=float, default=None)
-    _add_experiment_flags(cme)
-
-    mc = subs.add_parser("maxcut", help="Max Cut SDP experiment")
-    mc.add_argument("--graph", default=None,
-                    help="Gset-format graph file (WPMM_DATA_DIR searched)")
-    mc.add_argument("--random-n", type=int, default=None,
-                    help="random-graph node count when no file is given")
-    mc.add_argument("--random-p", type=float, default=None,
-                    help="random-graph edge probability")
-    _add_experiment_flags(mc)
-
-    gen = subs.add_parser("generic", help="solve a problem declared in JSON")
-    gen.add_argument("problem", help="problem JSON file")
-    _add_solver_flags(gen)
+    for name, (text, defaults, presets, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        if name == "generic":
+            sub.add_argument("problem", help="problem JSON file")
+        sub.add_argument("--config", default=None,
+                         help="JSON file with parameter overrides")
+        # every flag defaults to None so explicit values can be told apart
+        # from the defaults when merging with presets and config files
+        for key in defaults:
+            type_, choices, help_ = PARAMS[key]
+            sub.add_argument("--" + key.replace("_", "-"), type=type_,
+                             choices=presets if key == "preset" else choices,
+                             default=None, help=help_)
 
     cert = subs.add_parser("certify", help="run convergence certificates")
     cert.add_argument("suite", nargs="?", default="all",
@@ -737,40 +722,30 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     try:
         if ns.command == "certify":
             return cmd_certify(ns.suite, ns.seed)
-
-        cli_values = {k: v for k, v in vars(ns).items()
-                      if k not in ("command", "config", "problem")}
-        if ns.command == "cme":
-            params = _merge_params(CME_DEFAULTS, ns.preset, ns.config, cli_values)
-            return cmd_cme(params)
-        if ns.command == "maxcut":
-            params = _merge_params(MAXCUT_DEFAULTS, ns.preset, ns.config, cli_values)
-            return cmd_maxcut(params)
-        problem, section = _load_problem(ns.problem)  # generic
-        params = _merge_params(GENERIC_DEFAULTS, None, ns.config, cli_values,
+        values = vars(ns)
+        _, defaults, _, handler = COMMANDS[values.pop("command")]
+        config, path = values.pop("config"), values.pop("problem", None)
+        problem, section = _load_problem(path) if path else (None, None)
+        params = _merge_params(defaults, values.get("preset"), config, values,
                                solver_section=section)
-        return cmd_generic(params, problem, ns.problem)
-    except (ConfigError, ValueError) as exc:
+        return handler(params, problem, path) if path else handler(params)
+    except ValueError as exc:  # ConfigError too
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GraphFileError as exc:
+    except (GraphFileError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SolverError, OracleError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -174,7 +174,7 @@ class ZeroReg(WpoComponent):
 class _RadiusIndicator(_IndicatorComponent):
     def __init__(self, dim, radius):
         super().__init__(dim)
-        if radius <= 0:
+        if not radius > 0:  # nan too
             raise ValueError("radius must be positive")
         self.radius = float(radius)
 
@@ -194,7 +194,7 @@ class BoxIndicator(_IndicatorComponent):
         super().__init__(dim)
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).copy()
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).copy()
-        if np.any(self.lo > self.hi):
+        if not np.all(self.lo <= self.hi):  # nan too
             raise ValueError("box bounds must satisfy lo <= hi")
 
     def project(self, v):
@@ -279,7 +279,7 @@ class NuclearNormReg(_MatrixComponent):
 
     def __init__(self, shape, nu, k, svd_tol=1e-9):
         super().__init__(shape, k, svd_tol)
-        if nu <= 0:
+        if not nu > 0:
             raise ValueError("nu must be positive")
         self.nu = float(nu)
 
@@ -297,7 +297,7 @@ class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
 
     def __init__(self, shape, tau, k, svd_tol=1e-9):
         super().__init__(shape, k, svd_tol)
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
 
@@ -323,7 +323,7 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
 
     def __init__(self, n, tau, k, svd_tol=1e-9):
         super().__init__((n, n), k, svd_tol)
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
 
@@ -489,8 +489,8 @@ class PolytopeIndicator(WpoComponent):
                 stacklevel=2,
             )
             lam = 1.0
-        if lam < 1:
-            raise ValueError("lam must be >= 1")
+        if not 1 <= lam < np.inf:
+            raise ValueError("lam must be >= 1 and finite")
         self.lam = float(lam)
         self.lmo = lmo
         state0.validate()

@@ -164,10 +164,10 @@ class StepConstants:
             raise ValueError("alpha_s must be positive")
         if not self.beta_s > 0:
             raise ValueError("beta_s must be positive")
-        if self.norm_a < 0:
+        if not self.norm_a >= 0:
             raise ValueError("norm_a must be nonnegative")
-        if self.lam < 1:
-            raise ValueError("lam must be >= 1")
+        if not 1 <= self.lam < math.inf:
+            raise ValueError("lam must be >= 1 and finite")
 
     @property
     def _k_sq(self):
@@ -364,7 +364,7 @@ def iterate(spec, q0, w0, config):
     are never modified afterwards. Oracle failures raise SolverError."""
     for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
         dist = comp.distance(block)
-        if dist > indicator_tol(block):
+        if not dist <= indicator_tol(block):  # nan too
             raise ValueError(
                 f"{name} lies outside the regularizer domain (distance {dist:g})"
             )

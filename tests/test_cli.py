@@ -169,6 +169,53 @@ def test_cme_unknown_preset_is_config_error(tmp_path):
                  "--outdir", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_preset_of_another_command_or_in_a_file_is_config_error(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "out"
+    for args in (["maxcut", "--random-n", "10", "--preset", "paper-cme"],
+                 ["cme", "--d", "8", "--r", "2", "--preset", "paper-maxcut"]):
+        assert main(args + ["--iters", "3", "--outdir", str(out)]) == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+    # a preset is chosen on the command line only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "paper-maxcut"}))
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    prob["solver"]["preset"] = "paper-maxcut"
+    bad_prob = tmp_path / "prob.json"
+    bad_prob.write_text(json.dumps(prob))
+    for args in (["cme", "--d", "8", "--r", "2", "--config", str(cfg)],
+                 ["maxcut", "--random-n", "10", "--config", str(cfg)],
+                 ["generic", str(bad_prob)]):
+        assert main(args + ["--iters", "3", "--outdir", str(out)]) == EXIT_CONFIG
+        assert "'preset'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solving_commands_flag_sets():
+    import argparse
+
+    from wpmm.cli import build_parser
+
+    solver = {"--config": None, "--iters": int, "--rho": float, "--mu": float,
+              "--eta": float, "--step-policy": None, "--variant": None,
+              "--outdir": None}
+    experiment = {**solver, "--seed": int, "--trials": int, "--rank": int,
+                  "--svd-tol": float, "--jobs": int, "--preset": None}
+    expected = {
+        "cme": {**experiment, "--d": int, "--r": int, "--noise-sigma": float,
+                "--entry-threshold": float},
+        "maxcut": {**experiment, "--graph": None, "--random-n": int,
+                   "--random-p": float},
+        "generic": solver,
+    }
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for command, flags in expected.items():
+        got = {s: a.type for a in subs.choices[command]._actions
+               for s in a.option_strings if s not in ("-h", "--help")}
+        assert got == flags, command
+
+
 # ---------------------------------------------------------------------------
 # max-cut command
 
@@ -487,6 +534,18 @@ def test_trials_below_one_is_config_error(tmp_path, capsys):
         out = tmp_path / "out"
         assert main(args + ["--iters", "5", "--outdir", str(out)]) == EXIT_CONFIG
         assert "trials must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_jobs_below_one_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "jobs.json"
+    cfg.write_text(json.dumps({"jobs": 0}))
+    for args in (["cme", "--d", "8", "--r", "2", "--jobs", "-3"],
+                 ["maxcut", "--random-n", "10", "--jobs", "0"],
+                 ["cme", "--d", "8", "--r", "2", "--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert main(args + ["--iters", "3", "--outdir", str(out)]) == EXIT_CONFIG
+        assert "jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -25,9 +25,13 @@ from wpmm.model import (
 )
 from wpmm.oracles import (
     BoxIndicator,
+    L1BallIndicator,
+    NuclearBallIndicator,
+    NuclearNormReg,
     PolytopeIndicator,
     PolytopeState,
     ProductComponent,
+    SimplexIndicator,
     SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
@@ -399,6 +403,46 @@ def test_run_requires_feasible_start():
     with pytest.raises(ValueError):
         run(spec, bad, w0, SolverConfig(rho=1.0, mu=0.1, iters=3,
                                         step_policy="fixed", eta=0.5))
+
+
+def _run_from_nan_start():
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    q0.x[0] = np.nan
+    run(spec, q0, w0, SolverConfig(rho=1.0, mu=0.1, iters=3,
+                                   step_policy="fixed", eta=0.5))
+
+
+def _polytope(lam):
+    return lambda: PolytopeIndicator(2, hypercube_lmo(0.0, 1.0),
+                                     PolytopeState.at_vertex(np.zeros(2)),
+                                     lam=lam)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(_run_from_nan_start, id="nan-start"),
+    pytest.param(lambda: BoxIndicator(2, np.nan, 1.0), id="box-lo"),
+    pytest.param(lambda: BoxIndicator(2, 0.0, [1.0, np.nan]), id="box-hi"),
+    pytest.param(lambda: L1BallIndicator(2, np.nan), id="l1-radius"),
+    pytest.param(lambda: SimplexIndicator(2, np.nan), id="simplex-radius"),
+    pytest.param(lambda: NuclearNormReg((2, 2), np.nan, 1), id="nuclear-nu"),
+    pytest.param(lambda: NuclearBallIndicator((2, 2), np.nan, 1),
+                 id="nuclear-ball-tau"),
+    pytest.param(lambda: SpectrahedronIndicator(2, np.nan, 1),
+                 id="spectrahedron-tau"),
+    pytest.param(_polytope(np.nan), id="polytope-lam-nan"),
+    pytest.param(_polytope(np.inf), id="polytope-lam-inf"),
+    pytest.param(lambda: StepConstants(1.0, 1.0, np.nan, 1.0),
+                 id="steps-norm-a"),
+    pytest.param(lambda: StepConstants(1.0, 1.0, 0.0, np.nan),
+                 id="steps-lam-nan"),
+    pytest.param(lambda: StepConstants(1.0, 1.0, 0.0, np.inf),
+                 id="steps-lam-inf"),
+])
+def test_nan_or_infinite_parameter_is_rejected(build):
+    # a nan compares false both ways, so each check must be written to fail
+    # on it; a weak oracle's lam must also be finite to reach the steps
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_run_deterministic_given_seed():
