@@ -291,6 +291,8 @@ def _run_trials(command, fn, tasks, params, **extra):
     jobs = params.get("jobs", 1)
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
+    if params.get("seed", 0) < 0:  # trial t draws from seed + t
+        raise ConfigError(f"seed must be non-negative, got {params['seed']}")
     if jobs == 1 or len(tasks) <= 1:
         results = [fn(t) for t in tasks]
     else:
@@ -364,7 +366,14 @@ def _cme_trial(args):
     return rows, finals
 
 
+def _check_rank(rank, n, bound):
+    if not 1 <= rank <= n:
+        raise ConfigError(f"rank must be between 1 and {n} ({bound}), got {rank}")
+
+
 def cmd_cme(params):
+    if params["rank"] is not None:
+        _check_rank(params["rank"], params["d"], "d")
     plan = _cme_plan(params)
     tasks = [(params, plan, trial) for trial in range(params["trials"])]
     return _run_trials("cme", _cme_trial, tasks, params,
@@ -411,6 +420,10 @@ def cmd_maxcut(params):
             graph = load_gset(path)
         except (OSError, ValueError) as exc:
             raise GraphFileError(str(exc)) from exc
+    elif params["random_n"] < 2:
+        raise ConfigError(f"random_n must be at least 2, got {params['random_n']}")
+    _check_rank(params["rank"], params["random_n"] if graph is None else graph.n,
+                "the node count")
     tasks = [(params, graph, trial) for trial in range(params["trials"])]
     return _run_trials("maxcut", _maxcut_trial, tasks, params)
 
@@ -644,6 +657,8 @@ def cmd_generic(params, problem, problem_path):
 
 
 def cmd_certify(suite, seed):
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     ok, certs = run_suites(suite, seed=seed)
     width = max(len(c.name) for c in certs)
     for c in certs:

@@ -11,6 +11,13 @@ residuals are assembled from the stored products. Their bases grow with the
 Krylov dimension, so memory is proportional to the rank sought, not to the
 square of the input's dimensions.
 
+``truncated_eigh`` keeps a float32 input in float32 and takes every other
+input as float64. On a float32 input only the products are single precision
+(``M @ q.astype(float32)``); the basis, the Rayleigh-Ritz step, the
+acceptance test and the returned pairs are float64, and a pair is accepted
+only when its residual plus a float32 round-off allowance,
+(d + 2) * 2**-24 * ||M||_F, is within tolerance.
+
 All routines are pure functions of their inputs and deterministic for a fixed
 seed.
 """
@@ -242,20 +249,26 @@ def _exactly_symmetric(M):
 def _symmetric_part(M):
     """``(S, ||S||)`` for the symmetric part S = 0.5 * (M + M.T) of a finite
     square matrix whose entries differ from their transposes by at most
-    1e-10 * max(1, max |M|). An exactly symmetric M is its own symmetric part
-    and is returned as it is, without a d x d copy; any other M is
-    symmetrized into one new d x d array and checked from it: ``M - M.T`` is
-    twice ``M`` minus its symmetric part, and a non-finite entry of M leaves
-    a non-finite difference (or, in an exactly symmetric M, a non-finite
-    norm). Raises ValueError otherwise."""
-    M = np.asarray(M, dtype=float)
+    1e-10 * max(1, max |M|). S is float32 for a float32 M and float64 for
+    any other. An exactly symmetric M is its own symmetric part and is
+    returned as it is, without a d x d copy; any other M is symmetrized into
+    one new d x d array and checked from it: ``M - M.T`` is twice ``M`` minus
+    its symmetric part, and a non-finite entry of M leaves a non-finite
+    difference (or, in an exactly symmetric M, a non-finite norm). Raises
+    ValueError otherwise."""
+    M = np.asarray(M)
+    if M.dtype != np.float32:
+        M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         _check_matrix(M)
         raise ValueError(f"expected a square matrix, got {M.shape}")
     if _exactly_symmetric(M):
-        fro = float(np.linalg.norm(M))
+        with np.errstate(over="ignore"):  # an overflowed sum is taken below
+            fro = float(np.linalg.norm(M))
         if not math.isfinite(fro):  # an infinite entry, or an overflowed sum
             _check_matrix(M)
+            if M.dtype == np.float32:  # a float32 sum of squares overflowed
+                fro = math.sqrt(np.einsum("ij,ij->", M, M, dtype=float))
         return M, fro
     with np.errstate(invalid="ignore", over="ignore"):  # reported below
         Ms = M + M.T
@@ -270,6 +283,12 @@ def _symmetric_part(M):
     return Ms, float(np.linalg.norm(Ms))
 
 
+def _single_allowance(d, fro):
+    """Round-off allowance of ``truncated_eigh`` on a float32 d x d matrix
+    of Frobenius norm fro (see there)."""
+    return (d + 2) * 2.0**-24 * fro
+
+
 def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
 
@@ -281,10 +300,23 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     symmetric M is used as it is, with no d x d copy; any other is
     symmetrized into one d x d work array, from which its symmetry is
     checked (see ``_symmetric_part``). A pair is accepted once
-    ``||M u - lam u|| <= tol * max(1, |lam_1|)``.
+    ``||M u - lam u|| + allowance <= tol * max(1, |lam_1|)``.
+
+    A float32 M keeps its dtype; any other input is taken as float64, with
+    allowance 0. On a float32 M each product is ``M @ q.astype(float32)``,
+    stored in float64; the basis, the Rayleigh-Ritz step and the residuals
+    stay float64. To first order in u = 2**-24, such a product with a unit
+    vector q differs from the exact product with q of any float64 matrix
+    that rounds to M by at most (d + 2) * u * ||M||_F: d * u * ||M||_F from
+    the float32 inner products of length d, and u * ||M||_F each from
+    rounding q and from rounding the float64 matrix to M. That is the
+    allowance. A residual combines the m products of the Krylov basis with
+    a unit coefficient vector, so its round-off stays within the allowance
+    unless the errors of the m products add up in one direction, in which
+    case it is at most sqrt(m) times the allowance.
 
     Returns ``(U, lam)`` with U of shape (d, k) orthonormal and lam sorted
-    algebraically largest first.
+    algebraically largest first, both float64.
     """
     Ms, fro = _symmetric_part(M)
     d = len(Ms)
@@ -298,9 +330,13 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     rng = np.random.default_rng(seed)
     breakdown = 1e-13 * max(1.0, fro)
 
+    single = Ms.dtype == np.float32
+    allowance = _single_allowance(d, fro) if single else 0.0
+
     target = min(d, max(2 * k + 6, 12))
     q0 = rng.standard_normal(d)
-    Q = _Basis(lambda q: Ms @ q, d, d, target, q0 / np.linalg.norm(q0))
+    Q = _Basis(lambda q: Ms @ (q.astype(np.float32) if single else q),
+               d, d, target, q0 / np.linalg.norm(q0))
 
     resid = np.inf
     for _ in range(max_sweeps):
@@ -316,7 +352,7 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
         lam, Yk = theta[idx], Y[:, idx]
         Uk = B.T @ Yk
         resid = float(np.linalg.norm(MB.T @ Yk - Uk * lam, axis=0).max())
-        if resid <= tol * max(1.0, abs(lam[0])):
+        if resid + allowance <= tol * max(1.0, abs(lam[0])):
             return Uk, lam
         target = min(d, target + max(k, 6))
 

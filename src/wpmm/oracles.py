@@ -232,6 +232,8 @@ class _MatrixComponent(WpoComponent):
     center at coefficient c; the oracle applies it to the top-k part of the
     decomposition and the exact prox to the full one."""
 
+    _exact = False  # set on the exact-prox view
+
     def __init__(self, shape, k, svd_tol=1e-9):
         rows, cols = shape
         super().__init__(rows * cols)
@@ -246,6 +248,13 @@ class _MatrixComponent(WpoComponent):
     def _mat(self, v):
         return np.asarray(v, dtype=float).reshape(self.shape)
 
+    def _shifted(self, center, p, coeff):
+        """The shifted center ``center - p / coeff`` in one new buffer,
+        which ``_top`` may overwrite."""
+        M = self._mat(p) / coeff
+        np.subtract(self._mat(center), M, out=M)
+        return M
+
     def _top(self, M):
         fac = linalg.truncated_svd(M, self.k, self.svd_tol)
         return fac.U, fac.sigma, fac.V
@@ -255,11 +264,11 @@ class _MatrixComponent(WpoComponent):
         return U, s, Vt.T
 
     def compute(self, center, p, coeff):
-        # the shifted center in one new buffer, which _top may overwrite
-        M = self._mat(p) / coeff
-        np.subtract(self._mat(center), M, out=M)
-        U, s, V = self._top(M)
-        del M
+        if self._exact:
+            return super().compute(center, p, coeff)
+        # the shifted center is freed when _top returns, before the answer
+        # is formed
+        U, s, V = self._top(self._shifted(center, p, coeff))
         return ((U * self._spectral(s, coeff)) @ V.T).ravel()
 
     def prox(self, point, scale):
@@ -267,10 +276,10 @@ class _MatrixComponent(WpoComponent):
         return ((U * self._spectral(s, scale)) @ V.T).ravel()
 
     def exact(self):
-        """Exact-prox view: the same component with the full decomposition
-        in place of the rank-k one."""
+        """Exact-prox view: the same component, whose oracle is the prox of
+        the shifted center by the full decomposition."""
         view = copy.copy(self)
-        view._top = view._full
+        view._exact = True
         return view
 
 
@@ -327,10 +336,19 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
             raise ValueError("tau must be positive")
         self.tau = float(tau)
 
+    def _shifted(self, center, p, coeff):
+        # an exactly symmetric buffer, which truncated_eigh uses without a
+        # copy: in float32 at loose tolerances, where float32 round-off keeps
+        # it within tol, else the float64 shifted center symmetrized in place
+        if self.svd_tol >= _SINGLE_TOL:
+            M = _single_shifted(self._mat(center), self._mat(p), coeff,
+                                self.svd_tol)
+            if M is not None:
+                return M
+        return _symmetrize(super()._shifted(center, p, coeff))
+
     def _top(self, M):
-        # M is the oracle's own buffer: symmetrized in place, it reaches
-        # truncated_eigh exactly symmetric and is used there without a copy
-        U, lam = linalg.truncated_eigh(_symmetrize(M), self.k, self.svd_tol)
+        U, lam = linalg.truncated_eigh(M, self.k, self.svd_tol)
         return U, lam, U
 
     def _full(self, M):
@@ -355,7 +373,8 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
 
 
-_PANEL = 64  # rows per panel of the in-place symmetrization
+_PANEL = 64  # rows per panel of the symmetrizations
+_SINGLE_TOL = 1e-4  # svd_tol from which the Lanczos products may be float32
 
 
 def _symmetrize(M):
@@ -368,6 +387,38 @@ def _symmetrize(M):
         M[i:i + _PANEL, i:] = s
         M[i:, i:i + _PANEL] = s.T
         del s  # freed before the next panel is formed
+    return M
+
+
+def _single_shifted(C, P, coeff, tol):
+    """The symmetric part of ``C - P / coeff`` rounded to one new float32
+    array, written a row panel of the upper triangle at a time, so that no
+    float64 d x d array is made; exactly symmetric, like ``_symmetrize``'s.
+
+    None when float32 round-off could keep ``truncated_eigh`` from tol: a
+    non-finite entry, or a round-off allowance above half of
+    ``tol * max(1, tr / d)``, which is at most its acceptance threshold
+    ``tol * max(1, |lam_1|)`` since lam_1 >= tr / d.
+    """
+    d = len(C)
+    M = np.empty((d, d), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for i in range(0, d, _PANEL):
+            rows = slice(i, i + _PANEL)
+            s = np.divide(P[rows, i:], -coeff)
+            s += C[rows, i:]
+            t = np.divide(P[i:, rows].T, -coeff)
+            t += C[i:, rows].T
+            s += t
+            del t
+            s *= 0.5
+            M[rows, i:] = s
+            M[i:, rows] = s.T
+            del s  # freed before the next panel is formed
+        allowance = linalg._single_allowance(d, float(np.linalg.norm(M)))
+        floor = tol * max(1.0, float(np.trace(M, dtype=float)) / d)
+    if not allowance <= 0.5 * floor:  # nan too
+        return None
     return M
 
 

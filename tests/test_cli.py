@@ -262,6 +262,30 @@ def test_maxcut_edge_probability_outside_unit_interval(tmp_path, capsys, p):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["maxcut", "--random-n", "0"], "random_n must be at least 2, got 0"),
+    (["maxcut", "--random-n", "1"], "random_n must be at least 2, got 1"),
+    (["maxcut", "--random-n", "20", "--rank", "30"],
+     "rank must be between 1 and 20 (the node count), got 30"),
+    (["maxcut", "--random-n", "20", "--rank", "0"],
+     "rank must be between 1 and 20 (the node count), got 0"),
+    (["cme", "--d", "8", "--r", "2", "--rank", "9"],
+     "rank must be between 1 and 8 (d), got 9"),
+    (["cme", "--d", "8", "--r", "2", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+    (["maxcut", "--random-n", "20", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+])
+def test_size_rank_and_seed_are_checked_by_name(tmp_path, capsys, args,
+                                                message):
+    # numpy's own messages ("zero-size array ...", "k=5 out of range ...",
+    # "expected non-negative integer") name no parameter
+    out = tmp_path / "run"
+    assert main(args + ["--iters", "3", "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_maxcut_missing_graph_is_io_error(tmp_path, monkeypatch):
     monkeypatch.delenv("WPMM_DATA_DIR", raising=False)
     assert main(["maxcut", "--graph", "no-such-file.txt",
@@ -596,6 +620,11 @@ def test_certify_oracles_passes(capsys):
     assert main(["certify", "oracles"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_certify_negative_seed_is_config_error(capsys):
+    assert main(["certify", "oracles", "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_certify_all_suites_pass(capsys):

@@ -14,6 +14,7 @@ from bruteforce import (
 )
 from wpmm.linalg import (
     ConvergenceError,
+    _symmetric_part,
     project_l1_ball,
     project_simplex,
     truncated_eigh,
@@ -170,6 +171,43 @@ def test_eigh_rejects_non_finite():
         truncated_eigh(np.array([[1.0, 1e-9], [0.0, 1.0]]), 1, 1e-8)
     # the tolerance scales with the largest entry
     truncated_eigh(np.array([[1e3, 1e-8], [0.0, 1.0]]), 1, 1e-8)
+
+
+def test_eigh_rejects_asymmetric_float32():
+    M = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=np.float32)
+    with pytest.raises(ValueError, match="not symmetric"):
+        truncated_eigh(M, 1, 1e-2)
+    with pytest.raises(ValueError, match="non-finite"):
+        truncated_eigh(np.diag(np.float32([1.0, np.inf])), 1, 1e-2)
+
+
+def test_eigh_keeps_float32_input():
+    M = np.diag(np.float32([3.0, 2.0, 1.0]))
+    S, fro = _symmetric_part(M)
+    assert S is M and fro == pytest.approx(np.sqrt(14.0))
+    U, lam = truncated_eigh(M, 2, 1e-2)
+    assert U.dtype == lam.dtype == np.float64
+    assert np.allclose(lam, [3.0, 2.0])
+    # a float32 sum of squares that overflows is taken again in float64
+    big = np.diag(np.float32([3e19, 2e19]))
+    assert _symmetric_part(big)[1] == pytest.approx(np.sqrt(13.0) * 1e19)
+
+
+@pytest.mark.parametrize("fro", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_eigh_float32_products_meet_tol_in_float64(fro, tol):
+    # the pairs found with float32 products meet tol against the float64
+    # matrix that was rounded to float32
+    rng = np.random.default_rng(16)
+    d = 300
+    M = rng.standard_normal((d, d))
+    M = M + M.T
+    M *= fro / np.linalg.norm(M)
+    U, lam = truncated_eigh(M.astype(np.float32), 8, tol)
+    assert U.dtype == lam.dtype == np.float64
+    resid = np.linalg.norm(M @ U - U * lam, axis=0)
+    assert resid.max() <= tol * max(1.0, abs(lam[0]))
+    assert np.allclose(U.T @ U, np.eye(8), atol=1e-10)
 
 
 def test_eigh_k_out_of_range():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bruteforce import fd_gradient
+from wpmm.harness import build_maxcut_problem, gen_er_graph, laplacian
 from wpmm.linalg import project_l1_ball, project_simplex, truncated_eigh
 from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm, smooth_grad
 from wpmm.oracles import (
@@ -21,13 +22,14 @@ from wpmm.oracles import (
     SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
+    _single_shifted,
     _symmetrize,
     hypercube_lmo,
     phi_value,
     scaled_simplex_lmo,
     simplex_qp,
 )
-from wpmm.solver import StepConstants
+from wpmm.solver import SolverConfig, StepConstants, run
 
 
 def q_of(x, y):
@@ -608,3 +610,94 @@ def test_symmetrize_holds_one_panel_at_a_time():
         tracemalloc.stop()
     assert peak <= 0.4 * d * d * 8
     assert out is M and np.array_equal(M, want)
+
+
+# ---------------------------------------------------------------------------
+# spectrahedron oracle: float32 Lanczos products at loose tolerances
+
+
+def float64_spectrahedron_oracle(comp, center, p, c):
+    """The spectrahedron oracle's float64 path, step for step: the shifted
+    center symmetrized in place and decomposed in float64."""
+    M = comp._mat(p) / c
+    np.subtract(comp._mat(center), M, out=M)
+    U, lam = truncated_eigh(_symmetrize(M), comp.k, comp.svd_tol)
+    return ((U * project_simplex(lam, comp.tau)) @ U.T).ravel()
+
+
+def test_single_shifted_is_the_rounded_symmetric_part():
+    rng = np.random.default_rng(20)
+    d = 150
+    C, P = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    M = _single_shifted(C + 10.0 * np.eye(d), P, 2.0, 1e-2)
+    S = (C + 10.0 * np.eye(d)) - P / 2.0
+    assert M.dtype == np.float32
+    assert np.array_equal(M, (0.5 * (S + S.T)).astype(np.float32))
+    # below the float32 threshold the oracle keeps its float64 path
+    comp = SpectrahedronIndicator(d, 1.0, 3, svd_tol=1e-5)
+    center, p = C.ravel(), P.ravel()
+    assert np.array_equal(comp.compute(center, p, 2.0),
+                          float64_spectrahedron_oracle(comp, center, p, 2.0))
+
+
+def test_spectrahedron_float32_path_meets_tol_on_maxcut_center():
+    # the x-oracle input of the third step of an n=800 Max Cut solve with
+    # the paper's tolerance: the pairs found from the float32 center meet
+    # tol against the float64 one
+    spec, q0, w0 = build_maxcut_problem(
+        laplacian(gen_er_graph(800, 0.06, seed=11)), 13, svd_tol=1e-2)
+    rx, calls = spec.rx, []
+    compute = rx.compute
+
+    def capture(center, p, coeff):
+        calls[:] = [(center.copy(), p.copy(), coeff)]
+        return compute(center, p, coeff)
+
+    rx.compute = capture
+    run(spec, q0, w0, SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
+                                   step_policy="fixed", variant="last"))
+    center, p, c = calls[0]
+    S = center.reshape(800, 800) - p.reshape(800, 800) / c
+    S = 0.5 * (S + S.T)
+    M = rx._shifted(center, p, c)
+    assert M.dtype == np.float32
+    U, lam = truncated_eigh(M, rx.k, rx.svd_tol)
+    resid = np.linalg.norm(S @ U - U * lam, axis=0)
+    assert resid.max() <= rx.svd_tol * max(1.0, abs(lam[0]))
+
+
+def test_spectrahedron_takes_float64_when_float32_cannot_hold_tol():
+    rng = np.random.default_rng(21)
+    d = 120
+    C = rng.standard_normal((d, d))
+    P = rng.standard_normal((d, d))
+    # an entry beyond the float32 range
+    big = C + np.diag(np.full(d, 50.0))
+    big[0, 1] = big[1, 0] = 1e39
+    # a nearly traceless shifted center whose allowance, (d + 2) * 2**-24 *
+    # ||M||_F = 6.9e-4, passes half of tol * max(1, tr / d) = 5e-5
+    traceless = C - np.diag(np.diag(C))
+    for center, tol in ((big, 1e-2), (traceless, 1e-4)):
+        assert _single_shifted(center, P, 2.0, tol) is None
+        comp = SpectrahedronIndicator(d, 1.0, 4, svd_tol=tol)
+        out = comp.compute(center.ravel(), P.ravel(), 2.0)
+        assert np.array_equal(out, float64_spectrahedron_oracle(
+            comp, center.ravel(), P.ravel(), 2.0))
+
+
+def test_spectrahedron_float32_oracle_peak_is_its_answer():
+    # the float32 center (half a block) is freed before the answer (one
+    # block) is formed; the float64 path peaks at 1.18 blocks here
+    n = 500
+    comp = SpectrahedronIndicator(n, n, 5, svd_tol=1e-1)
+    rng = np.random.default_rng(22)
+    center = rng.standard_normal((n, n))
+    center = (center + center.T + 40.0 * np.eye(n)).ravel()
+    p = rng.standard_normal(n * n)
+    tracemalloc.start()
+    try:
+        comp.compute(center, p, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 8
