@@ -530,6 +530,17 @@ def _build_map(doc):
 
 
 def _build_component(doc):
+    """The regularizer of a section; a value it rejects is a configuration
+    error naming the section."""
+    try:
+        return _component(doc)
+    except ConfigError:  # names its section already
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{doc.where}: {exc}") from exc
+
+
+def _component(doc):
     kind = doc.get("kind")
     if kind == "zero":
         return ZeroReg(doc.integer("dim"))
@@ -557,20 +568,20 @@ def _build_component(doc):
     if kind == "hypercube_polytope":
         dim = doc.integer("dim")
         lo, hi = doc.number("lo", 0.0), doc.number("hi", 1.0)
+        box = BoxIndicator(dim, lo, hi)  # checks dim before it is used
         return PolytopeIndicator(
-            dim, hypercube_lmo(lo, hi), PolytopeState.at_vertex(np.full(dim, lo)),
-            lam=doc.number("lambda", None),
-            dist_fn=BoxIndicator(dim, lo, hi).distance,
+            dim, hypercube_lmo(lo, hi), PolytopeState.at_vertex(box.lo),
+            lam=doc.number("lambda", None), dist_fn=box.distance,
         )
     if kind == "simplex_polytope":
         dim = doc.integer("dim")
         radius = doc.number("radius", 1.0)
+        simplex = SimplexIndicator(dim, radius)  # checks dim before it is used
         start = np.zeros(dim)
         start[0] = radius
         return PolytopeIndicator(
             dim, scaled_simplex_lmo(radius, dim), PolytopeState.at_vertex(start),
-            lam=doc.number("lambda", None),
-            dist_fn=SimplexIndicator(dim, radius).distance,
+            lam=doc.number("lambda", None), dist_fn=simplex.distance,
         )
     if kind == "product":
         return ProductComponent([_build_component(p) for p in doc.parts()])

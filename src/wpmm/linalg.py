@@ -11,8 +11,10 @@ residuals are assembled from the stored products. Their bases grow with the
 Krylov dimension, so memory is proportional to the rank sought, not to the
 square of the input's dimensions.
 
-``truncated_eigh`` keeps a float32 input in float32 and takes every other
-input as float64. On a float32 input only the products are single precision
+``truncated_eigh`` takes only a square matrix that equals its transpose
+entry for entry, and raises ValueError on any other; it never copies it. It
+keeps a float32 input in float32 and takes every other input as float64. On
+a float32 input only the products are single precision
 (``M @ q.astype(float32)``); the basis, the Rayleigh-Ritz step, the
 acceptance test and the returned pairs are float64, and a pair is accepted
 only when its residual plus a float32 round-off allowance,
@@ -25,13 +27,11 @@ seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "TruncatedFactors",
     "truncated_svd",
     "truncated_eigh",
     "project_simplex",
@@ -45,19 +45,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class TruncatedFactors:
-    """Rank-k triplet: ``U @ np.diag(sigma) @ V.T`` approximates the input.
-
-    U has orthonormal columns (m, k), sigma is nonincreasing and nonnegative
-    of length k, V has orthonormal columns (n, k).
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
 
 
 def _check_matrix(M):
@@ -169,7 +156,9 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
 
     Returns
     -------
-    TruncatedFactors
+    (U, sigma, V)
+        ``(U * sigma) @ V.T`` approximates M: U (m, k) and V (n, k) have
+        orthonormal columns, sigma is nonnegative and nonincreasing.
 
     Raises
     ------
@@ -225,7 +214,7 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
         r2 = np.linalg.norm(MTU.T @ Yu - Vk * sigma, axis=0)
         resid = float(max(r1.max(), r2.max()))
         if resid <= tol * sigma[0] + atol:
-            return TruncatedFactors(Uk, sigma, Vk)
+            return Uk, sigma, Vk
         target = min(max(m, n), target + max(k, 6))
 
     raise ConvergenceError(
@@ -235,7 +224,7 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     )
 
 
-_PANEL = 64  # rows per panel of the symmetry checks
+_PANEL = 64  # rows per panel of the symmetry checks and symmetrizations
 
 
 def _exactly_symmetric(M):
@@ -246,41 +235,27 @@ def _exactly_symmetric(M):
                for i in range(0, len(M), _PANEL))
 
 
-def _symmetric_part(M):
-    """``(S, ||S||)`` for the symmetric part S = 0.5 * (M + M.T) of a finite
-    square matrix whose entries differ from their transposes by at most
-    1e-10 * max(1, max |M|). S is float32 for a float32 M and float64 for
-    any other. An exactly symmetric M is its own symmetric part and is
-    returned as it is, without a d x d copy; any other M is symmetrized into
-    one new d x d array and checked from it: ``M - M.T`` is twice ``M`` minus
-    its symmetric part, and a non-finite entry of M leaves a non-finite
-    difference (or, in an exactly symmetric M, a non-finite norm). Raises
-    ValueError otherwise."""
+def _checked_symmetric(M):
+    """``(M, ||M||_F)`` for a finite square matrix M that equals its
+    transpose entry for entry, as float32 for a float32 M and float64 for
+    any other; M itself is returned, not a copy. Raises ValueError
+    otherwise."""
     M = np.asarray(M)
     if M.dtype != np.float32:
         M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         _check_matrix(M)
         raise ValueError(f"expected a square matrix, got {M.shape}")
-    if _exactly_symmetric(M):
-        with np.errstate(over="ignore"):  # an overflowed sum is taken below
-            fro = float(np.linalg.norm(M))
-        if not math.isfinite(fro):  # an infinite entry, or an overflowed sum
-            _check_matrix(M)
-            if M.dtype == np.float32:  # a float32 sum of squares overflowed
-                fro = math.sqrt(np.einsum("ij,ij->", M, M, dtype=float))
-        return M, fro
-    with np.errstate(invalid="ignore", over="ignore"):  # reported below
-        Ms = M + M.T
-        Ms *= 0.5
-        # row panels keep the differences from needing a second d x d array
-        asym = 2.0 * np.max([np.abs(M[i:i + _PANEL] - Ms[i:i + _PANEL]).max()
-                             for i in range(0, len(M), _PANEL)])
-    if not np.isfinite(asym):
+    if not _exactly_symmetric(M):  # a NaN entry too
         _check_matrix(M)
-    if asym > 1e-10 and asym > 1e-10 * float(np.abs(M).max()):
-        raise ValueError("matrix is not symmetric to tolerance")
-    return Ms, float(np.linalg.norm(Ms))
+        raise ValueError("matrix is not symmetric")
+    with np.errstate(over="ignore"):  # an overflowed sum is taken below
+        fro = float(np.linalg.norm(M))
+    if not math.isfinite(fro):  # an infinite entry, or an overflowed sum
+        _check_matrix(M)
+        if M.dtype == np.float32:  # a float32 sum of squares overflowed
+            fro = math.sqrt(np.einsum("ij,ij->", M, M, dtype=float))
+    return M, fro
 
 
 def _single_allowance(d, fro):
@@ -296,10 +271,9 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     extraction. Every basis vector keeps its product with M, formed once by
     the recurrence; the projected matrix and the residuals are assembled
     from those products, so a sweep multiplies by M only for the vectors it
-    adds, and the basis takes O(d * Krylov dimension) memory. An exactly
-    symmetric M is used as it is, with no d x d copy; any other is
-    symmetrized into one d x d work array, from which its symmetry is
-    checked (see ``_symmetric_part``). A pair is accepted once
+    adds, and the basis takes O(d * Krylov dimension) memory. M must equal
+    its transpose entry for entry; it is used as it is, with no d x d copy,
+    and any other matrix raises ValueError. A pair is accepted once
     ``||M u - lam u|| + allowance <= tol * max(1, |lam_1|)``.
 
     A float32 M keeps its dtype; any other input is taken as float64, with
@@ -318,8 +292,8 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     Returns ``(U, lam)`` with U of shape (d, k) orthonormal and lam sorted
     algebraically largest first, both float64.
     """
-    Ms, fro = _symmetric_part(M)
-    d = len(Ms)
+    M, fro = _checked_symmetric(M)
+    d = len(M)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range for dimension {d}")
     if tol <= 0:
@@ -330,12 +304,12 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     rng = np.random.default_rng(seed)
     breakdown = 1e-13 * max(1.0, fro)
 
-    single = Ms.dtype == np.float32
+    single = M.dtype == np.float32
     allowance = _single_allowance(d, fro) if single else 0.0
 
     target = min(d, max(2 * k + 6, 12))
     q0 = rng.standard_normal(d)
-    Q = _Basis(lambda q: Ms @ (q.astype(np.float32) if single else q),
+    Q = _Basis(lambda q: M @ (q.astype(np.float32) if single else q),
                d, d, target, q0 / np.linalg.norm(q0))
 
     resid = np.inf

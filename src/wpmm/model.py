@@ -179,6 +179,11 @@ class ProblemSpec:
     pqg_alpha: Optional[float] = None
 
     def __post_init__(self):
+        if self.f.b.size != self.A.dim_in:
+            raise ValueError(
+                f"f's linear term has {self.f.b.size} entries != A.dim_in "
+                f"{self.A.dim_in}"
+            )
         if self.rx.dim != self.A.dim_in:
             raise ValueError(
                 f"x-block dimension {self.rx.dim} != A.dim_in {self.A.dim_in}"
@@ -191,12 +196,15 @@ class ProblemSpec:
             raise ValueError("pqg_alpha must be positive when supplied")
 
 
-def _check_point(spec, q):
-    if q.x.shape != (spec.A.dim_in,) or q.y.shape != (spec.A.dim_out,):
-        raise ValueError(
-            f"point shapes {q.x.shape}/{q.y.shape} do not match problem "
-            f"dimensions ({spec.A.dim_in},)/({spec.A.dim_out},)"
-        )
+def _check_point(spec, q, w=None):
+    """Raise ValueError unless q, and the multiplier w when given, have the
+    problem's shapes."""
+    for name, v, what, dim in (("x", q.x, "x-block", spec.A.dim_in),
+                               ("y", q.y, "y-block", spec.A.dim_out),
+                               ("w", w, "constraint", spec.A.dim_out)):
+        if v is not None and np.shape(v) != (dim,):
+            raise ValueError(f"{name} has shape {np.shape(v)}, but the "
+                             f"{what} has dimension {dim}")
 
 
 def k_apply(spec, q):

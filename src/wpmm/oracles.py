@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .linalg import _PANEL
 from .model import indicator_tol
 
 __all__ = [
@@ -86,6 +87,8 @@ class WpoComponent:
 
     def __init__(self, dim):
         self.dim = int(dim)
+        if self.dim < 1:
+            raise ValueError(f"block dimension {dim} is below 1")
 
     def compute(self, center, p, coeff):
         """Return a candidate block for the objective Phi_1 at this center;
@@ -144,16 +147,16 @@ class WpoComponent:
 
 
 class _IndicatorComponent(WpoComponent):
-    """Indicator of a set with an exactly computable projection."""
+    """Indicator of a set with an exactly computable projection. A subclass
+    supplies ``prox(point, scale)``, the projection of point for any scale,
+    which may overwrite point; ``project(v)`` never changes its argument."""
 
     is_indicator = True
     constant_on_segments = True
 
     def project(self, v):
-        raise NotImplementedError
-
-    def prox(self, point, scale):
-        return self.project(point)
+        """The projection of v onto the set, as a new array."""
+        return self.prox(np.array(v, dtype=float), 1.0)
 
     def distance(self, v):
         return float(np.linalg.norm(v - self.project(v)))
@@ -180,13 +183,13 @@ class _RadiusIndicator(_IndicatorComponent):
 
 
 class L1BallIndicator(_RadiusIndicator):
-    def project(self, v):
-        return linalg.project_l1_ball(v, self.radius)
+    def prox(self, point, scale):
+        return linalg.project_l1_ball(point, self.radius)
 
 
 class SimplexIndicator(_RadiusIndicator):
-    def project(self, v):
-        return linalg.project_simplex(v, self.radius)
+    def prox(self, point, scale):
+        return linalg.project_simplex(point, self.radius)
 
 
 class BoxIndicator(_IndicatorComponent):
@@ -197,22 +200,20 @@ class BoxIndicator(_IndicatorComponent):
         if not np.all(self.lo <= self.hi):  # nan too
             raise ValueError("box bounds must satisfy lo <= hi")
 
-    def project(self, v):
-        return np.clip(v, self.lo, self.hi)
+    def prox(self, point, scale):
+        return np.clip(point, self.lo, self.hi)
 
 
 class DiagOnesIndicator(_IndicatorComponent):
     """Indicator of the affine set of square matrices with unit diagonal."""
 
     def __init__(self, n):
+        if n < 1:
+            raise ValueError(f"matrix order {n} is below 1")
         super().__init__(n * n)
         self.n = int(n)
 
-    def project(self, v):
-        return self.prox(np.array(v, dtype=float), 1.0)
-
     def prox(self, point, scale):
-        # writes into the point, a buffer compute forms for the call
         out = point.reshape(self.n, self.n)
         np.fill_diagonal(out, 1.0)
         return out.ravel()
@@ -256,8 +257,7 @@ class _MatrixComponent(WpoComponent):
         return M
 
     def _top(self, M):
-        fac = linalg.truncated_svd(M, self.k, self.svd_tol)
-        return fac.U, fac.sigma, fac.V
+        return linalg.truncated_svd(M, self.k, self.svd_tol)
 
     def _full(self, M):
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -313,9 +313,6 @@ class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
     def _spectral(self, s, c):
         return linalg.project_l1_ball(s, self.tau)
 
-    def project(self, v):
-        return self.prox(v, 1.0)
-
     def distance(self, v):
         # X - project(X) = U diag(s - P(s)) V^T, whose norm is ||s - P(s)||
         s = np.linalg.svd(self._mat(v), compute_uv=False)
@@ -337,9 +334,10 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         self.tau = float(tau)
 
     def _shifted(self, center, p, coeff):
-        # an exactly symmetric buffer, which truncated_eigh uses without a
-        # copy: in float32 at loose tolerances, where float32 round-off keeps
-        # it within tol, else the float64 shifted center symmetrized in place
+        # an exactly symmetric buffer, the only input truncated_eigh takes,
+        # used without a copy: in float32 at loose tolerances, where float32
+        # round-off keeps it within tol, else the float64 shifted center
+        # symmetrized in place
         if self.svd_tol >= _SINGLE_TOL:
             M = _single_shifted(self._mat(center), self._mat(p), coeff,
                                 self.svd_tol)
@@ -358,9 +356,6 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
     def _spectral(self, lam, c):
         return linalg.project_simplex(lam, self.tau)
 
-    def project(self, v):
-        return self.prox(v, 1.0)
-
     def distance(self, v):
         # X - project(X) is the skew part plus U diag(lam - P(lam)) U^T, and
         # the two are orthogonal; one buffer holds the symmetric part and
@@ -373,7 +368,6 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
 
 
-_PANEL = 64  # rows per panel of the symmetrizations
 _SINGLE_TOL = 1e-4  # svd_tol from which the Lanczos products may be float32
 
 

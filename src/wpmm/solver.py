@@ -36,7 +36,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import PrimalPoint, indicator_tol, k_apply, smooth_grad
+from .model import (PrimalPoint, _check_point, indicator_tol, k_apply,
+                    smooth_grad)
 
 __all__ = [
     "SolverError",
@@ -362,6 +363,7 @@ def iterate(spec, q0, w0, config):
     the next step, which rebinds ``state.q`` and ``state.w`` to new arrays:
     the arrays of ``state.q.x``, ``state.q.y`` and ``state.w`` yielded once
     are never modified afterwards. Oracle failures raise SolverError."""
+    _check_point(spec, q0, w0)
     for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
         dist = comp.distance(block)
         if not dist <= indicator_tol(block):  # nan too

@@ -319,9 +319,9 @@ def test_criterion_8_kernel_bruteforce_suites():
         n = int(rng.integers(2, 9))
         M = rng.standard_normal((m, n))
         k = min(m, n)
-        fac = truncated_svd(M, k, 1e-9, seed=int(rng.integers(1 << 16)))
+        _, sigma, _ = truncated_svd(M, k, 1e-9, seed=int(rng.integers(1 << 16)))
         _, sig_ref, _ = jacobi_svd(M)
-        assert np.abs(fac.sigma - sig_ref[:k]).max() <= 1e-6 * max(1.0, sig_ref[0])
+        assert np.abs(sigma - sig_ref[:k]).max() <= 1e-6 * max(1.0, sig_ref[0])
 
     for _ in range(1000):
         d = int(rng.integers(2, 11))

@@ -350,6 +350,18 @@ def test_generic_polytope_intersection(tmp_path):
     assert final["feasibility"] <= 1e-4
 
 
+def test_generic_spectrahedron_and_l1_ball_file(tmp_path):
+    # matrix and vector indicators together; the y-block starts at the l1
+    # ball's prox of A x0
+    out = tmp_path / "run"
+    assert main(["generic", str(DATA / "spectrahedron5.json"),
+                 "--outdir", str(out)]) == EXIT_OK
+    _, rows = read_csv(out / "trace.csv")
+    summary = json.loads((out / "summary.json").read_text())
+    final = summary["final_metrics"]["last"]["per_trial"][0]
+    assert final["feasibility"] <= 0.1 * float(rows[0][3])
+
+
 def test_generic_three_polytope_intersection(tmp_path):
     # least squares over three boxes: the first is the x-block, the other
     # two ride on the y-block of a stacked-identity coupling as a product
@@ -521,6 +533,24 @@ def test_generic_missing_key_is_config_error(tmp_path, capsys, section, value,
 ])
 def test_generic_wrongly_typed_value_is_config_error(tmp_path, capsys, section,
                                                      key, value, message):
+    prob = json.loads((DATA / "polytope2.json").read_text())
+    (prob if section is None else prob[section])[key] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    (None, "f", {"kind": "linear", "g": [1.0, 2.0]},
+     "f's linear term has 2 entries != A.dim_in 3"),
+    (None, "x0", [0.0, 0.0], "x has shape (2,), but the x-block has dimension 3"),
+    ("rx", "dim", -3, "section 'rx': block dimension -3 is below 1"),
+])
+def test_generic_wrong_size_is_config_error(tmp_path, capsys, section, key,
+                                            value, message):
     prob = json.loads((DATA / "polytope2.json").read_text())
     (prob if section is None else prob[section])[key] = value
     path = tmp_path / "prob.json"

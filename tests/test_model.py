@@ -367,3 +367,6 @@ def test_problem_spec_validates_dimensions():
     with pytest.raises(ValueError):
         ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
                     rx=ZeroReg(3), ry=ZeroReg(2))
+    with pytest.raises(ValueError, match="f's linear term has 3 entries"):
+        ProblemSpec(f=zero_smooth(3), A=LinearMap.identity(2),
+                    rx=ZeroReg(2), ry=ZeroReg(2))

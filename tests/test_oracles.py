@@ -134,6 +134,13 @@ def test_prox_exact_requires_prox_routine():
         WpoComponent(2).compute(np.zeros(2), np.zeros(2), 1.0)
 
 
+def test_block_dimension_below_one_is_rejected():
+    for build in (lambda: ZeroReg(0), lambda: L1BallIndicator(-3, 1.0),
+                  lambda: DiagOnesIndicator(-3)):
+        with pytest.raises(ValueError, match="is below 1"):
+            build()
+
+
 def test_prox_optimality_via_projection_characterization():
     rng = np.random.default_rng(1)
     for comp in (L1BallIndicator(5, 2.0), SimplexIndicator(5, 1.5)):
@@ -257,8 +264,9 @@ def test_matrix_indicator_distance_from_spectrum():
 @pytest.mark.parametrize("tol", [
     1e-6,
     pytest.param(1e-2, marks=pytest.mark.xfail(
-        strict=True, reason="every residual meets tol, but two Ritz values "
-        "come from the bulk below 0.9 instead of the cluster's last two")),
+        strict=True, raises=AssertionError,
+        reason="every residual meets tol, but two Ritz values come from the "
+        "bulk below 0.9 instead of the cluster's last two")),
 ])
 def test_truncated_eigh_clustered_spectrum(tol):
     # top eigenvalues 1e-3 apart in relative terms, as on Max Cut iterates,
@@ -269,6 +277,7 @@ def test_truncated_eigh_clustered_spectrum(tol):
     lam = np.concatenate([1.0 + 1e-3 * np.arange(k)[::-1],
                           rng.uniform(-0.5, 0.9, d - k)])
     M = (Q * lam) @ Q.T
+    M = 0.5 * (M + M.T)
     U, got = truncated_eigh(M, k, tol)
     bound = tol * max(1.0, abs(got[0]))
     assert np.linalg.norm(M @ U - U * got, axis=0).max() <= bound
@@ -566,14 +575,26 @@ def test_diag_ones_component():
     assert comp.distance(bad) == pytest.approx(np.sqrt(3.0))
 
 
-def test_diag_ones_project_leaves_input_unchanged():
-    comp = DiagOnesIndicator(3)
-    v = np.arange(9.0)
+INDICATORS = {
+    "l1_ball": lambda: L1BallIndicator(9, 2.0),
+    "simplex": lambda: SimplexIndicator(9, 2.0),
+    "box": lambda: BoxIndicator(9, -0.5, 0.5),
+    "diag_ones": lambda: DiagOnesIndicator(3),
+    "nuclear_ball": lambda: NuclearBallIndicator((3, 3), 1.0, k=2),
+    "spectrahedron": lambda: SpectrahedronIndicator(3, 1.0, k=2),
+}
+
+
+@pytest.mark.parametrize("kind", INDICATORS)
+def test_project_leaves_input_unchanged(kind):
+    # prox may overwrite its point; project works on a copy of its argument
+    comp = INDICATORS[kind]()
+    v = np.random.default_rng(23).standard_normal(9)
+    before = v.copy()
     out = comp.project(v)
-    assert np.array_equal(v, np.arange(9.0))
-    assert np.array_equal(np.diag(out.reshape(3, 3)), np.ones(3))
-    assert np.array_equal(out.reshape(3, 3)[~np.eye(3, dtype=bool)],
-                          v.reshape(3, 3)[~np.eye(3, dtype=bool)])
+    assert np.array_equal(v, before)
+    assert not np.array_equal(out, v) and not np.shares_memory(out, v)
+    assert np.array_equal(out, comp.prox(v.copy(), 1.0))
 
 
 def test_diag_ones_oracle_allocates_one_block():

@@ -323,6 +323,12 @@ def test_iterate_checks_inputs_before_stepping():
                 SolverConfig(rho=1.0, mu=1e-4, iters=3))
     with pytest.raises(ValueError, match="dual step bound"):
         iterate(spec, q0, w0, SolverConfig(rho=1.0, mu=0.2, iters=3))
+    # the shapes are checked before the domains
+    config = SolverConfig(rho=1.0, mu=1e-4, iters=3)
+    with pytest.raises(ValueError, match=r"x has shape \(3,\), but the x-block"):
+        iterate(spec, q_of([5.0, 5.0, 5.0], q0.y), w0, config)
+    with pytest.raises(ValueError, match=r"w has shape \(1,\), but the constraint"):
+        iterate(spec, q0, w0[:1], config)
 
 
 def test_run_logs_what_iterate_yields():
