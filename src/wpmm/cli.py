@@ -27,7 +27,8 @@ from .harness import (
     metrics_cme,
     metrics_maxcut,
 )
-from .model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
+from .model import (LinearMap, PrimalPoint, ProblemSpec, SmoothTerm,
+                    _check_point)
 from .oracles import (
     BoxIndicator,
     DiagOnesIndicator,
@@ -623,17 +624,17 @@ def _load_problem(path):
     ry = _build_component(sections["ry"])
     spec = ProblemSpec(f=f, A=A, rx=rx, ry=ry,
                        pqg_alpha=top.number("pqg_alpha", None))
-    x0 = top.array("x0", None)
+    x0, y0, w0 = (top.array(key, None) for key in ("x0", "y0", "w0"))
+    # the given blocks, before the default y0 is formed from x0
+    _check_point(spec, PrimalPoint(x0, y0), w0)
     if x0 is None:
         x0 = _default_start(rx)
-    y0 = top.array("y0", None)
     if y0 is None:
         if isinstance(ry, (PolytopeIndicator, ProductComponent)):
             y0 = _default_start(ry)
         else:
             # prox may write into its point, and A x0 may be x0 itself
             y0 = ry.prox(np.array(spec.A.apply(x0)), 1.0)
-    w0 = top.array("w0", None)
     if w0 is None:
         w0 = np.zeros(A.dim_out)
     return (spec, PrimalPoint(x0, y0), w0), sections.get("solver", {})

@@ -18,10 +18,12 @@ output's vertex representation until ``commit``.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # for a Cholesky factor in place
 
 from . import linalg
 from .linalg import _PANEL
@@ -117,17 +119,21 @@ class WpoComponent:
         """Euclidean distance from v to the regularizer's domain."""
         return 0.0
 
+    def contains(self, v):
+        """Whether v lies within ``indicator_tol(v)`` of the regularizer's
+        domain: by default ``distance(v)`` compared with it, False when the
+        distance is nan. A component may decide it from a cheaper upper bound
+        on the distance and fall back on this."""
+        return self.distance(v) <= indicator_tol(v)
+
     def logged_value(self, v, audit=True):
         """(value, flagged) for logging: an indicator contributes 0 unchecked
-        unless ``audit``; audited, a violated indicator contributes its
-        distance to the set instead of +inf, with flagged = True."""
+        unless ``audit``; audited, one that does not ``contain`` v contributes
+        its distance to the set instead of +inf, with flagged = True."""
         if self.is_indicator:
-            if not audit:
+            if not audit or self.contains(v):
                 return 0.0, False
-            dist = self.distance(v)
-            if dist <= indicator_tol(v):
-                return 0.0, False
-            return dist, True
+            return self.distance(v), True
         return self.value(v), False
 
     def commit(self, eta):
@@ -325,7 +331,9 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
     the prox over symmetric matrices depends on; this also sheds the
     roundoff-level asymmetry that accumulates over many iterations. The
     distance to the set is taken from the eigenvalues of the symmetric part
-    and the norm of the skew part alone."""
+    and the norm of the skew part alone. ``contains`` needs no eigenvalues
+    when an upper bound on the distance, from a certified lower bound on the
+    least eigenvalue, settles it; it falls back on ``distance`` otherwise."""
 
     def __init__(self, n, tau, k, svd_tol=1e-9):
         super().__init__((n, n), k, svd_tol)
@@ -367,6 +375,47 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         skew = np.linalg.norm(np.subtract(M, S, out=S))
         return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
 
+    def contains(self, v):
+        """Whether v is within ``indicator_tol(v)`` of the set. Accepted
+        without eigenvalues when ``_distance_bound`` at a certified lower
+        bound on lambda_min(S), S the symmetric part, is at most half of the
+        tolerance: first Gershgorin's bound, then the one a completed
+        Cholesky factorization of S + delta I certifies. Any other point is
+        decided by ``distance``; one with a non-finite entry is not
+        contained."""
+        M = self._mat(v)
+        n, tol = len(M), indicator_tol(v)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            sym, skew, low = _symmetric_stats(M)
+            trace = float(np.trace(M))
+        if not math.isfinite(sym + skew + low + trace + tol):
+            if not np.isfinite(M).all():
+                return False
+            return super().contains(v)  # finite entries whose squares overflow
+        # the half of tol held back covers the rounding of the sums and of
+        # the bound itself, of order n u ||v||: 1e-12 ||v|| at n = 10^4
+        budget = 0.5 * tol
+        if _distance_bound(self.tau, n, trace, sym, skew, low) <= budget:
+            return True
+        # delta spends about a quarter of tol: to first order the bound grows
+        # by delta (n ||S|| / tau + sqrt(n)). A float64 Cholesky
+        # factorization of A = S + delta I that runs to completion certifies
+        # lambda_min(A) >= -gamma_{n+1} tr A / (1 - gamma_{n+1}) (Demmel;
+        # Higham, Accuracy and Stability of Numerical Algorithms, ch. 10;
+        # Rump, BIT 2006). With the rounding of a_ii = s_ii + delta and of
+        # the sum, that is at most gamma_{n+3} (sum |s_ii| + n delta) for any
+        # n whose n x n matrix fits in memory; u max |a_ii| covers a_ii's
+        # rounding in S's eigenvalues. A is factored only when that bound
+        # would pass.
+        delta = 0.25 * tol / (n * sym / self.tau + math.sqrt(n))
+        diag = np.abs(np.diagonal(M))
+        low = (-delta - _gamma(n + 3) * (float(diag.sum()) + n * delta)
+               - _U * (float(diag.max()) + delta))
+        if (_distance_bound(self.tau, n, trace, sym, skew, low) <= budget
+                and _cholesky_completes(M, delta)):
+            return True
+        return super().contains(v)
+
 
 _SINGLE_TOL = 1e-4  # svd_tol from which the Lanczos products may be float32
 
@@ -382,6 +431,81 @@ def _symmetrize(M):
         M[i:, i:i + _PANEL] = s.T
         del s  # freed before the next panel is formed
     return M
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), the relative error bound of k
+    float64 operations in a row."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _symmetric_stats(M):
+    """(||S||_F, ||M - S||_F, low) of the square matrix M and its symmetric
+    part S = (M + M^T) / 2, from one pass over row panels of S's upper
+    triangle with no n x n array. low is Gershgorin's lower bound
+    min_i (s_ii - sum_{j != i} |s_ij|) on lambda_min(S), less
+    gamma_{n+3} max_i sum_j |s_ij| for the rounding of the row sums."""
+    n = len(M)
+    radii = np.zeros(n)  # row sums of |S|, diagonal included
+    sym = skew = 0.0
+    for i in range(0, n, _PANEL):
+        j = min(i + _PANEL, n)
+        s = M[i:j, i:] + M[i:, i:j].T  # rows i:j of S from column i on
+        s *= 0.5
+        sym += _mirrored_sq(s, j - i)
+        skew += _mirrored_sq(M[i:j, i:] - s, j - i)
+        np.abs(s, out=s)
+        radii[i:j] += s.sum(axis=1)
+        radii[j:] += s[:, j - i:].sum(axis=0)
+        del s  # freed before the next panel is formed
+    diag = np.diagonal(M)  # S's diagonal, entry for entry
+    low = float((diag + np.abs(diag) - radii).min())
+    return (math.sqrt(sym), math.sqrt(skew),
+            low - _gamma(n + 3) * float(radii.max()))
+
+
+def _mirrored_sq(panel, width):
+    """Squared Frobenius norm that the rows ``panel`` of an upper triangle,
+    starting with a diagonal block of that width, contribute to a symmetric
+    or skew-symmetric matrix: the part right of the block counts twice."""
+    return (2.0 * float(np.vdot(panel, panel))
+            - float(np.vdot(panel[:, :width], panel[:, :width])))
+
+
+def _distance_bound(tau, n, trace, sym, skew, low):
+    """Upper bound on the distance from an n x n matrix M to {X PSD,
+    tr X = tau}, given tr M, the Frobenius norms sym of its symmetric part S
+    and skew of its skew part, and a lower bound low on lambda_min(S). For
+    l = min(low, 0) and c = tau / (tr M - n l) the point c (S - l I) lies in
+    the set, within hypot(|1 - c| sym + c |l| sqrt(n), skew) of M; inf when
+    tr M - n l <= 0."""
+    shift = min(low, 0.0)
+    room = trace - n * shift
+    if not room > 0.0:
+        return math.inf
+    c = tau / room
+    return math.hypot(abs(1.0 - c) * sym - c * shift * math.sqrt(n), skew)
+
+
+def _cholesky_completes(M, delta):
+    """Whether the float64 Cholesky factorization of S + delta I, S the
+    symmetric part of M, runs to completion. The factor overwrites the one
+    n x n array formed: ``np.linalg.cholesky`` would return it in a second
+    one."""
+    A = M + M.T
+    A *= 0.5
+    A.flat[::len(A) + 1] += delta
+    # a factorization that stops raises the invalid flag, as in numpy.linalg
+    with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                     under="ignore"):
+        try:
+            _umath_linalg.cholesky_lo(A, signature="d->d", out=A)
+        except FloatingPointError:
+            return False
+    return True
 
 
 def _single_shifted(C, P, coeff, tol):
@@ -654,6 +778,11 @@ class ProductComponent(WpoComponent):
     def distance(self, v):
         return float(np.sqrt(sum(part.distance(v[s]) ** 2
                                  for part, s in zip(self.parts, self.slices))))
+
+    def contains(self, v):
+        # each part within its own tolerance, the rule of the audit below
+        return all(part.contains(v[s])
+                   for part, s in zip(self.parts, self.slices))
 
     def logged_value(self, v, audit=True):
         total, flagged = 0.0, False

@@ -24,7 +24,8 @@ constant of the ergodic O(1/T) bound.
 The iterate stays in its indicator domains: ``iterate`` checks the start
 point and every step mixes it with an oracle output, a member by the oracle
 contract. Line search and logging assume this; ``run`` audits it once, on
-its final record.
+its final record. Both checks ask the components' ``contains`` and take the
+exact ``distance`` only of a point it rejects.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import (PrimalPoint, _check_point, indicator_tol, k_apply,
-                    smooth_grad)
+from .model import PrimalPoint, _check_point, k_apply, smooth_grad
 
 __all__ = [
     "SolverError",
@@ -365,11 +365,9 @@ def iterate(spec, q0, w0, config):
     are never modified afterwards. Oracle failures raise SolverError."""
     _check_point(spec, q0, w0)
     for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
-        dist = comp.distance(block)
-        if not dist <= indicator_tol(block):  # nan too
-            raise ValueError(
-                f"{name} lies outside the regularizer domain (distance {dist:g})"
-            )
+        if not comp.contains(block):
+            raise ValueError(f"{name} lies outside the regularizer domain "
+                             f"(distance {comp.distance(block):g})")
     state = IterateState(q=q0.copy(), w=np.asarray(w0, dtype=float).copy())
     rx, ry = spec.rx.for_run(q0.x), spec.ry.for_run(q0.y)
     rule = _base_step(spec, config)  # (eta, coeff, search)

@@ -307,6 +307,52 @@ def test_maxcut_rank_override(tmp_path):
     assert summary["config"]["rank"] == 7
 
 
+@pytest.mark.parametrize("args, n", [
+    (["maxcut", "--random-n", "60", "--preset", "paper-maxcut"], 60),
+    # both variants: the traced mean is audited too
+    (["cme", "--d", "20", "--r", "2"], 20),
+])
+def test_desk_solve_makes_no_dense_eigendecomposition(tmp_path, monkeypatch,
+                                                      args, n):
+    # the start check and the final audits certify the spectrahedron block
+    # without eigenvalues; the only eigendecompositions of a solve are the
+    # Rayleigh-Ritz steps of the rank-k kernel
+    import wpmm.cli as cli
+    import wpmm.linalg as linalg
+
+    dense, in_kernel = [], []
+
+    def recorded(decompose):
+        def wrapped(a, *rest, **kw):
+            if not in_kernel and np.shape(a) == (n, n):
+                dense.append(decompose.__name__)
+            return decompose(a, *rest, **kw)
+        return wrapped
+
+    def kernel_marked(kernel):
+        def wrapped(*a, **kw):
+            in_kernel.append(True)
+            try:
+                return kernel(*a, **kw)
+            finally:
+                in_kernel.pop()
+        return wrapped
+
+    solve = cli.run
+
+    def recorded_run(*a, **kw):
+        with monkeypatch.context() as m:
+            for name in ("eigh", "eigvalsh"):
+                m.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+            m.setattr(linalg, "truncated_eigh",
+                      kernel_marked(linalg.truncated_eigh))
+            return solve(*a, **kw)
+
+    monkeypatch.setattr(cli, "run", recorded_run)
+    assert main(args + ["--iters", "30", "--outdir", str(tmp_path)]) == EXIT_OK
+    assert dense == []
+
+
 # ---------------------------------------------------------------------------
 # generic command
 
@@ -559,6 +605,41 @@ def test_generic_wrong_size_is_config_error(tmp_path, capsys, section, key,
     assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("x0", [0.0, 0.0], "x has shape (2,), but the x-block has dimension 3"),
+    ("y0", [0.0], "y has shape (1,), but the y-block has dimension 2"),
+    ("w0", [0.0] * 3, "w has shape (3,), but the constraint has dimension 2"),
+])
+def test_generic_start_length_checked_before_default_y0(tmp_path, capsys, key,
+                                                        value, message):
+    # a dense map and an l1-ball y-block, whose default y0 is prox(A x0)
+    prob = {"f": {"kind": "linear", "g": [1.0, 0.0, -1.0]},
+            "A": {"kind": "dense", "entries": [[1.0, 0.0, 1.0],
+                                               [0.0, 1.0, 0.0]]},
+            "rx": {"kind": "box", "dim": 3, "lo": 0.0, "hi": 1.0},
+            "ry": {"kind": "l1_ball", "dim": 2, "radius": 1.0},
+            key: value}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generic_start_outside_spectrahedron_is_config_error(tmp_path, capsys):
+    # x0 = 0.4 I has trace 2, one more than the radius: the exact distance
+    # names it
+    prob = json.loads((DATA / "spectrahedron5.json").read_text())
+    prob["x0"] = (0.4 * np.eye(5)).ravel().tolist()
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    assert main(["generic", str(path), "--iters", "5",
+                 "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "x0 lies outside the regularizer domain (distance 0.447214)" in err
 
 
 def test_generic_problem_not_object_is_config_error(tmp_path, capsys):

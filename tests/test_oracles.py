@@ -3,11 +3,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bruteforce import fd_gradient
 from wpmm.harness import build_maxcut_problem, gen_er_graph, laplacian
 from wpmm.linalg import project_l1_ball, project_simplex, truncated_eigh
-from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm, smooth_grad
+from wpmm.model import (LinearMap, PrimalPoint, ProblemSpec, SmoothTerm,
+                        indicator_tol, smooth_grad)
 from wpmm.oracles import (
     BoxIndicator,
     DiagOnesIndicator,
@@ -259,6 +261,71 @@ def test_matrix_indicator_distance_from_spectrum():
     for s in ([0.5, 0.3, 0.1], [1.0, 0.6, 0.4], [3.0, 1.0, 0.2]):
         check(nuc, (U * s) @ V.T)  # inside, on and outside the ball
     check(nuc, 3.0 * rng.standard_normal((5, 3)))
+
+
+def near_spectrahedron(kind, n, tau, r, rng):
+    """An n x n matrix off a point X0 of {X PSD, tr X = tau} by a step of
+    Frobenius norm r * indicator_tol(X0) that leaves the set (or a zero or
+    non-finite one); X0 carries the round-off asymmetry of Q diag(lam) Q^T."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.dirichlet(np.ones(n)) * tau
+    if kind == "rank":  # rank below n, unless n is 1
+        lam[1:][rng.random(n - 1) < 0.5] = 0.0
+        lam[0] += tau - lam.sum()
+    size = r * indicator_tol(lam)
+    if kind == "negative":  # one eigenvalue at -size, trace tau
+        lam[0] = -size
+        if n > 1:
+            lam[1:] *= (tau - lam[0]) / lam[1:].sum()
+    X = (Q * lam) @ Q.T
+    if kind in ("trace", "rank"):  # trace tau +- size sqrt(n)
+        X += rng.choice([-1.0, 1.0]) * size / np.sqrt(n) * np.eye(n)
+    elif kind == "skew":
+        K = rng.standard_normal((n, n))
+        K -= K.T
+        X += size / max(np.linalg.norm(K), 1e-300) * K
+    elif kind == "zero":
+        X[:] = 0.0
+    elif kind == "nonfinite":
+        X.flat[rng.integers(n * n)] = rng.choice([np.nan, np.inf, -np.inf])
+    return X.ravel()
+
+
+@given(st.sampled_from(["trace", "negative", "rank", "skew", "zero",
+                        "nonfinite"]),
+       st.integers(min_value=1, max_value=80),
+       st.floats(min_value=1e-3, max_value=1e3),
+       st.floats(min_value=-4.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_spectrahedron_contains_only_points_within_tolerance(kind, n, tau,
+                                                             log_r, seed):
+    # steps from round-off level to ten tolerances off the set, on both
+    # sides of its boundary and across several row panels
+    comp = SpectrahedronIndicator(n, tau, k=1)
+    v = near_spectrahedron(kind, n, tau, 10.0**log_r,
+                           np.random.default_rng(seed))
+    if kind == "nonfinite":
+        assert not comp.contains(v)
+    elif comp.contains(v):
+        assert comp.distance(v) <= indicator_tol(v)
+
+
+def test_spectrahedron_contains_certifies_without_eigenvalues(monkeypatch):
+    # diagonal points by Gershgorin's discs, the others by the Cholesky
+    # bound: neither takes the exact distance
+    def exact(self, v):
+        raise AssertionError("exact distance taken")
+
+    monkeypatch.setattr(SpectrahedronIndicator, "distance", exact)
+    rng = np.random.default_rng(21)
+    for n, tau in ((1, 2.0), (70, 70.0), (70, 0.3)):
+        comp = SpectrahedronIndicator(n, tau, k=1)
+        start = tau / n * np.eye(n)
+        assert comp.contains(start.ravel())
+        for kind in ("trace", "rank"):  # full rank, then rank-deficient
+            X = near_spectrahedron(kind, n, tau, 0.0, rng)
+            assert comp.contains(X)
+            assert comp.contains(0.8 * start.ravel() + 0.2 * X)
 
 
 @pytest.mark.parametrize("tol", [

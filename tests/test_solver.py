@@ -680,22 +680,45 @@ def test_run_audit_flags_mean_point_outside_domain():
     assert final.objective_flagged
 
 
+def test_spectrahedron_audit_flags_output_outside_set():
+    # an oracle output whose trace is one too large is not caught per step;
+    # the final record's audit flags both points with their exact distances
+    class TraceEscaping(SpectrahedronIndicator):
+        def compute(self, center, p, coeff):
+            out = super().compute(center, p, coeff)
+            out[::self.shape[0] + 1] += 1.0 / self.shape[0]
+            return out
+
+    n = 12
+    start = np.eye(n).ravel() / n
+    spec = ProblemSpec(f=zero_smooth(n * n), A=LinearMap.identity(n * n),
+                       rx=TraceEscaping(n, 1.0, 3), ry=ZeroReg(n * n))
+    config = SolverConfig(rho=1.0, mu=0.1, iters=3, step_policy="fixed",
+                          eta=0.5, trace_mean=True)
+    log = run(spec, q_of(start, start), np.zeros(n * n), config)
+    assert not any(r.objective_flagged for r in log.records[:-1])
+    final = log.records[-1]
+    assert final.objective_flagged and final.al_value == math.inf
+    assert final.objective == spec.rx.distance(log.last_point.x) > 0.1
+    assert final.mean_objective == spec.rx.distance(log.mean_point.x) > 0.1
+
+
 def test_domain_distance_checked_only_at_start_and_end():
-    def distance_calls(build, config):
+    def contains_calls(build, config):
         spec, q0, w0 = build()
         calls = []
 
-        def counted(distance):
+        def counted(contains):
             def wrapped(v):
                 calls.append(v.size)
-                return distance(v)
+                return contains(v)
             return wrapped
 
         # the indicator blocks, also those inside a product
         for comp in (spec.rx, spec.ry):
             for part in getattr(comp, "parts", [comp]):
                 if part.is_indicator:
-                    part.distance = counted(part.distance)
+                    part.contains = counted(part.contains)
         log = run(spec, q0, w0, config)
         assert not any(r.objective_flagged for r in log.records)
         return len(calls)
@@ -730,7 +753,7 @@ def test_domain_distance_checked_only_at_start_and_end():
     for build, kw, expected in cases:
         for iters in (5, 20):
             config = SolverConfig(rho=1.0, mu=0.2, iters=iters, **kw)
-            assert distance_calls(build, config) == expected
+            assert contains_calls(build, config) == expected
 
 
 # ---------------------------------------------------------------------------
