@@ -45,7 +45,7 @@ from .oracles import (
     hypercube_lmo,
     scaled_simplex_lmo,
 )
-from .solver import SolverConfig, SolverError, run, step_constants
+from .solver import SolverConfig, SolverError, default_steps, run
 from .certify import run_suites
 
 EXIT_OK = 0
@@ -648,18 +648,11 @@ def _generic_trial(args):
 
 
 def cmd_generic(params, problem, problem_path):
-    """Solve ``problem = (spec, q0, w0)`` as one trial. Unless set, the step
-    policy is theoretical with curvature, else fixed (eta 0.2 unless set),
-    and mu is the theoretical policy's cap under it, else 0.2."""
-    consts = step_constants(problem[0], params["rho"])
-    if params["step_policy"] is None:
-        params["step_policy"] = ("theoretical" if consts.alpha_s is not None
-                                 else "fixed")
-    if params["mu"] is None:
-        params["mu"] = (consts.mu_cap() if params["step_policy"] == "theoretical"
-                        else 0.2)
-    if params["step_policy"] == "fixed" and params["eta"] is None:
-        params["eta"] = 0.2
+    """Solve ``problem = (spec, q0, w0)`` as one trial, with the step
+    policy, mu and eta that are not set taken from ``default_steps``."""
+    params["step_policy"], params["mu"], params["eta"] = default_steps(
+        problem[0], params["rho"], params["step_policy"], params["mu"],
+        params["eta"])
     return _run_trials("generic", _generic_trial, [(problem, params)], params,
                        problem=problem_path)
 

@@ -22,7 +22,7 @@ from .oracles import (
     L1BallIndicator,
     SpectrahedronIndicator,
 )
-from .solver import SolverConfig, iterate, record_values, step_constants
+from .solver import SolverConfig, default_steps, iterate, record_values
 
 __all__ = [
     "CmeConfig",
@@ -318,13 +318,10 @@ def reference_solution(spec, tol, *, q0, w0, config=None):
     """High-accuracy reference point via the same solver loop with exact
     full-decomposition prox oracles (lam = 1).
 
-    Runs ``config``, whose ``iters`` is the budget. The default takes
-    theoretical steps at rho = 1 and the largest admissible mu when the
-    problem carries a curvature parameter, fixed eta = mu = 0.2 otherwise,
-    for 10^6 iterations; a line-search config with a larger mu converges
-    much faster on larger instances. Stops once the constraint residual and
-    the successive objective change both drop below ``tol``; raises when
-    the budget is spent.
+    Runs ``config``, whose ``iters`` is the budget; by default the steps of
+    ``default_steps`` at rho = 1 for 10^6 iterations. A line-search config
+    with a larger mu converges much faster on larger instances. Stops once the constraint residual and the successive objective change
+    both drop below ``tol``; raises when the budget is spent.
 
     Returns a ReferenceSolution carrying the point and the converged
     multiplier, the solver's own arrays (no step writes them again), and h
@@ -336,12 +333,9 @@ def reference_solution(spec, tol, *, q0, w0, config=None):
     spec_e = ProblemSpec(f=spec.f, A=spec.A, rx=spec.rx.exact(),
                          ry=spec.ry.exact(), pqg_alpha=spec.pqg_alpha)
     if config is None:
-        consts = step_constants(spec_e, 1.0)
-        if consts.alpha_s is not None:
-            config = SolverConfig(rho=1.0, mu=consts.mu_cap(), iters=10**6)
-        else:
-            config = SolverConfig(rho=1.0, mu=0.2, iters=10**6,
-                                  step_policy="fixed", eta=0.2)
+        policy, mu, eta = default_steps(spec_e, 1.0)
+        config = SolverConfig(rho=1.0, mu=mu, iters=10**6,
+                              step_policy=policy, eta=eta)
     rho = config.rho
 
     h_prev = record_values(spec_e, q0, w0, rho)[0]

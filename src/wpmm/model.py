@@ -12,6 +12,7 @@ evaluated in one place, ``solver.record_values``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +36,16 @@ INDICATOR_RTOL = 1e-9
 
 
 def indicator_tol(v):
-    return INDICATOR_RTOL * (1.0 + float(np.linalg.norm(v)))
+    """INDICATOR_RTOL * (1 + ||v||). A finite v whose sum of squares
+    overflows has its norm taken from v / max|v|; a v with a non-finite
+    entry gets an infinite or nan tolerance."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if norm == math.inf and np.isfinite(v).all():  # squares overflowed
+            scale = float(np.abs(v).max())
+            norm = scale * float(np.linalg.norm(v / scale))
+    return INDICATOR_RTOL * (1.0 + norm)
 
 
 @dataclass

@@ -122,9 +122,11 @@ class WpoComponent:
     def contains(self, v):
         """Whether v lies within ``indicator_tol(v)`` of the regularizer's
         domain: by default ``distance(v)`` compared with it, False when the
-        distance is nan. A component may decide it from a cheaper upper bound
-        on the distance and fall back on this."""
-        return self.distance(v) <= indicator_tol(v)
+        distance is nan or the tolerance is not finite (v has a non-finite
+        entry). A component may decide it from a cheaper upper bound on the
+        distance and fall back on this."""
+        tol = indicator_tol(v)
+        return math.isfinite(tol) and self.distance(v) <= tol
 
     def logged_value(self, v, audit=True):
         """(value, flagged) for logging: an indicator contributes 0 unchecked
@@ -333,7 +335,8 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
     distance to the set is taken from the eigenvalues of the symmetric part
     and the norm of the skew part alone. ``contains`` needs no eigenvalues
     when an upper bound on the distance, from a certified lower bound on the
-    least eigenvalue, settles it; it falls back on ``distance`` otherwise."""
+    least eigenvalue, settles it, from one symmetric part factored in
+    place; it falls back on ``distance`` otherwise."""
 
     def __init__(self, n, tau, k, svd_tol=1e-9):
         super().__init__((n, n), k, svd_tol)
@@ -344,21 +347,21 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
     def _shifted(self, center, p, coeff):
         # an exactly symmetric buffer, the only input truncated_eigh takes,
         # used without a copy: in float32 at loose tolerances, where float32
-        # round-off keeps it within tol, else the float64 shifted center
-        # symmetrized in place
+        # round-off keeps it within tol, else in float64
+        C, P = self._mat(center), self._mat(p)
         if self.svd_tol >= _SINGLE_TOL:
-            M = _single_shifted(self._mat(center), self._mat(p), coeff,
-                                self.svd_tol)
-            if M is not None:
+            M = _symmetric_part(C, P, coeff, np.float32)
+            if _single_holds(M, self.svd_tol):
                 return M
-        return _symmetrize(super()._shifted(center, p, coeff))
+            del M  # freed before the float64 one is formed
+        return _symmetric_part(C, P, coeff)
 
     def _top(self, M):
         U, lam = linalg.truncated_eigh(M, self.k, self.svd_tol)
         return U, lam, U
 
     def _full(self, M):
-        lam, U = np.linalg.eigh(0.5 * (M + M.T))
+        lam, U = np.linalg.eigh(_symmetric_part(M))
         return U, lam, U
 
     def _spectral(self, lam, c):
@@ -369,8 +372,7 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         # the two are orthogonal; one buffer holds the symmetric part and
         # then the skew part
         M = self._mat(v)
-        S = M + M.T
-        S *= 0.5
+        S = _symmetric_part(M)
         lam = np.linalg.eigvalsh(S)
         skew = np.linalg.norm(np.subtract(M, S, out=S))
         return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
@@ -381,19 +383,34 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         bound on lambda_min(S), S the symmetric part, is at most half of the
         tolerance: first Gershgorin's bound, then the one a completed
         Cholesky factorization of S + delta I certifies. Any other point is
-        decided by ``distance``; one with a non-finite entry is not
-        contained."""
-        M = self._mat(v)
-        n, tol = len(M), indicator_tol(v)
+        decided by ``distance``."""
+        # S is freed when _certified returns, before distance forms its own
+        return (self._certified(self._mat(v), indicator_tol(v))
+                or super().contains(v))
+
+    def _certified(self, M, tol):
+        n, S = len(M), _symmetric_part(M)  # the one S, factored in place
+        radii = np.empty(n)  # row sums of |S|, diagonal included
+        skew = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            sym, skew, low = _symmetric_stats(M)
-            trace = float(np.trace(M))
+            for i in range(0, n, _PANEL):
+                rows = slice(i, i + _PANEL)
+                panel = M[rows] - S[rows]
+                skew += float(np.vdot(panel, panel))
+                radii[rows] = np.abs(S[rows], out=panel).sum(axis=1)
+                del panel  # freed before the next panel is formed
+            sym, skew = math.sqrt(float(np.vdot(S, S))), math.sqrt(skew)
+            diag, trace = np.diagonal(S), float(np.trace(S))
+            # Gershgorin's min_i (s_ii - sum_{j != i} |s_ij|), less
+            # gamma_{n+3} max_i sum_j |s_ij| for the rounding of the row sums
+            low = (float((diag + np.abs(diag) - radii).min())
+                   - _gamma(n + 3) * float(radii.max()))
         if not math.isfinite(sym + skew + low + trace + tol):
-            if not np.isfinite(M).all():
-                return False
-            return super().contains(v)  # finite entries whose squares overflow
+            return False
         # the half of tol held back covers the rounding of the sums and of
-        # the bound itself, of order n u ||v||: 1e-12 ||v|| at n = 10^4
+        # the bound itself: ||S||_F and the skew norm are dot products of at
+        # most n^2 terms, within a factor 1 +- gamma_{n^2} (1e-8 at
+        # n = 10^4) that scales the bound by as much
         budget = 0.5 * tol
         if _distance_bound(self.tau, n, trace, sym, skew, low) <= budget:
             return True
@@ -408,29 +425,53 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         # rounding in S's eigenvalues. A is factored only when that bound
         # would pass.
         delta = 0.25 * tol / (n * sym / self.tau + math.sqrt(n))
-        diag = np.abs(np.diagonal(M))
+        diag = np.abs(diag)
         low = (-delta - _gamma(n + 3) * (float(diag.sum()) + n * delta)
                - _U * (float(diag.max()) + delta))
-        if (_distance_bound(self.tau, n, trace, sym, skew, low) <= budget
-                and _cholesky_completes(M, delta)):
-            return True
-        return super().contains(v)
+        return (_distance_bound(self.tau, n, trace, sym, skew, low) <= budget
+                and _cholesky_completes(S, delta))
 
 
 _SINGLE_TOL = 1e-4  # svd_tol from which the Lanczos products may be float32
 
 
-def _symmetrize(M):
-    """Overwrite the square matrix M with ``0.5 * (M + M.T)``, entry for
-    entry the same values, a row panel of the upper triangle at a time so
-    that no second d x d array is made. Returns M."""
-    for i in range(0, len(M), _PANEL):
-        s = M[i:i + _PANEL, i:] + M[i:, i:i + _PANEL].T
-        s *= 0.5
-        M[i:i + _PANEL, i:] = s
-        M[i:, i:i + _PANEL] = s.T
-        del s  # freed before the next panel is formed
-    return M
+def _symmetric_part(C, P=None, coeff=1.0, dtype=float):
+    """The symmetric part ``0.5 * (m_ij + m_ji)`` of the square matrix
+    m = C - P / coeff (m = C when P is None), computed in float64 and
+    rounded once to dtype in one new, exactly symmetric array, a row panel
+    of the upper triangle at a time so that no second d x d array is made.
+    Overflow is left for the caller to find."""
+    d = len(C)
+    S = np.empty((d, d), dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, d, _PANEL):
+            rows = slice(i, i + _PANEL)
+            if P is None:
+                s = C[rows, i:] + C[i:, rows].T
+            else:
+                s = np.divide(P[rows, i:], -coeff)
+                s += C[rows, i:]
+                t = np.divide(P[i:, rows].T, -coeff)
+                t += C[i:, rows].T
+                s += t
+                del t
+            s *= 0.5
+            S[rows, i:] = s
+            S[i:, rows] = s.T
+            del s  # freed before the next panel is formed
+    return S
+
+
+def _single_holds(M, tol):
+    """Whether float32 round-off in the d x d matrix M keeps
+    ``truncated_eigh`` within tol: a finite allowance of at most half of
+    ``tol * max(1, tr / d)``, itself at most the acceptance threshold
+    ``tol * max(1, |lam_1|)`` since lam_1 >= tr / d."""
+    d = len(M)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        allowance = linalg._single_allowance(d, float(np.linalg.norm(M)))
+        floor = tol * max(1.0, float(np.trace(M, dtype=float)) / d)
+    return math.isfinite(allowance) and allowance <= 0.5 * floor
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -440,39 +481,6 @@ def _gamma(k):
     """Higham's gamma_k = k u / (1 - k u), the relative error bound of k
     float64 operations in a row."""
     return k * _U / (1.0 - k * _U)
-
-
-def _symmetric_stats(M):
-    """(||S||_F, ||M - S||_F, low) of the square matrix M and its symmetric
-    part S = (M + M^T) / 2, from one pass over row panels of S's upper
-    triangle with no n x n array. low is Gershgorin's lower bound
-    min_i (s_ii - sum_{j != i} |s_ij|) on lambda_min(S), less
-    gamma_{n+3} max_i sum_j |s_ij| for the rounding of the row sums."""
-    n = len(M)
-    radii = np.zeros(n)  # row sums of |S|, diagonal included
-    sym = skew = 0.0
-    for i in range(0, n, _PANEL):
-        j = min(i + _PANEL, n)
-        s = M[i:j, i:] + M[i:, i:j].T  # rows i:j of S from column i on
-        s *= 0.5
-        sym += _mirrored_sq(s, j - i)
-        skew += _mirrored_sq(M[i:j, i:] - s, j - i)
-        np.abs(s, out=s)
-        radii[i:j] += s.sum(axis=1)
-        radii[j:] += s[:, j - i:].sum(axis=0)
-        del s  # freed before the next panel is formed
-    diag = np.diagonal(M)  # S's diagonal, entry for entry
-    low = float((diag + np.abs(diag) - radii).min())
-    return (math.sqrt(sym), math.sqrt(skew),
-            low - _gamma(n + 3) * float(radii.max()))
-
-
-def _mirrored_sq(panel, width):
-    """Squared Frobenius norm that the rows ``panel`` of an upper triangle,
-    starting with a diagonal block of that width, contribute to a symmetric
-    or skew-symmetric matrix: the part right of the block counts twice."""
-    return (2.0 * float(np.vdot(panel, panel))
-            - float(np.vdot(panel[:, :width], panel[:, :width])))
 
 
 def _distance_bound(tau, n, trace, sym, skew, low):
@@ -490,13 +498,10 @@ def _distance_bound(tau, n, trace, sym, skew, low):
     return math.hypot(abs(1.0 - c) * sym - c * shift * math.sqrt(n), skew)
 
 
-def _cholesky_completes(M, delta):
-    """Whether the float64 Cholesky factorization of S + delta I, S the
-    symmetric part of M, runs to completion. The factor overwrites the one
-    n x n array formed: ``np.linalg.cholesky`` would return it in a second
-    one."""
-    A = M + M.T
-    A *= 0.5
+def _cholesky_completes(A, delta):
+    """Whether the float64 Cholesky factorization of A + delta I, A a
+    symmetric float64 matrix, runs to completion. The factor overwrites A:
+    ``np.linalg.cholesky`` would return it in a second n x n array."""
     A.flat[::len(A) + 1] += delta
     # a factorization that stops raises the invalid flag, as in numpy.linalg
     with np.errstate(invalid="raise", over="ignore", divide="ignore",
@@ -506,38 +511,6 @@ def _cholesky_completes(M, delta):
         except FloatingPointError:
             return False
     return True
-
-
-def _single_shifted(C, P, coeff, tol):
-    """The symmetric part of ``C - P / coeff`` rounded to one new float32
-    array, written a row panel of the upper triangle at a time, so that no
-    float64 d x d array is made; exactly symmetric, like ``_symmetrize``'s.
-
-    None when float32 round-off could keep ``truncated_eigh`` from tol: a
-    non-finite entry, or a round-off allowance above half of
-    ``tol * max(1, tr / d)``, which is at most its acceptance threshold
-    ``tol * max(1, |lam_1|)`` since lam_1 >= tr / d.
-    """
-    d = len(C)
-    M = np.empty((d, d), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for i in range(0, d, _PANEL):
-            rows = slice(i, i + _PANEL)
-            s = np.divide(P[rows, i:], -coeff)
-            s += C[rows, i:]
-            t = np.divide(P[i:, rows].T, -coeff)
-            t += C[i:, rows].T
-            s += t
-            del t
-            s *= 0.5
-            M[rows, i:] = s
-            M[i:, rows] = s.T
-            del s  # freed before the next panel is formed
-        allowance = linalg._single_allowance(d, float(np.linalg.norm(M)))
-        floor = tol * max(1.0, float(np.trace(M, dtype=float)) / d)
-    if not allowance <= 0.5 * floor:  # nan too
-        return None
-    return M
 
 
 # ---------------------------------------------------------------------------

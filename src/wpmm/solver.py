@@ -48,6 +48,7 @@ __all__ = [
     "Step",
     "StepConstants",
     "step_constants",
+    "default_steps",
     "line_search_eta",
     "iterate",
     "record_values",
@@ -243,6 +244,22 @@ def step_constants(spec, rho):
                          max(1.0, spec.rx.lam, spec.ry.lam))
 
 
+def default_steps(spec, rho, step_policy=None, mu=None, eta=None):
+    """(step_policy, mu, eta) at penalty rho, each None one set to its
+    default for a problem without configured steps: the theoretical policy
+    when the problem has a curvature parameter, else fixed steps; mu the
+    theoretical policy's cap under it, else 0.2; eta 0.2 under the fixed
+    policy."""
+    consts = step_constants(spec, rho)
+    if step_policy is None:
+        step_policy = "theoretical" if consts.alpha_s is not None else "fixed"
+    if mu is None:
+        mu = consts.mu_cap() if step_policy == "theoretical" else 0.2
+    if step_policy == "fixed" and eta is None:
+        eta = 0.2
+    return step_policy, mu, eta
+
+
 def _base_step(spec, config):
     """(eta, coeff, search): the run's step rule, decided once. eta is the
     policy's base primal step -- the configured one, else (and always under
@@ -358,12 +375,16 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
 
 def iterate(spec, q0, w0, config):
     """Step the solver ``config.iters`` times from (q0, w0), yielding
-    ``(state, step)`` after each iteration. The start point and the step
-    sizes are checked before this returns. ``state`` is advanced in place by
-    the next step, which rebinds ``state.q`` and ``state.w`` to new arrays:
-    the arrays of ``state.q.x``, ``state.q.y`` and ``state.w`` yielded once
-    are never modified afterwards. Oracle failures raise SolverError."""
+    ``(state, step)`` after each iteration. The start point (finite, of the
+    problem's shapes and within the regularizer domains) and the step sizes
+    are checked before this returns. ``state`` is advanced in place by the
+    next step, which rebinds ``state.q`` and ``state.w`` to new arrays: the
+    arrays of ``state.q.x``, ``state.q.y`` and ``state.w`` yielded once are
+    never modified afterwards. Oracle failures raise SolverError."""
     _check_point(spec, q0, w0)
+    for name, v in (("x0", q0.x), ("y0", q0.y), ("w0", w0)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has a non-finite entry")
     for comp, block, name in ((spec.rx, q0.x, "x0"), (spec.ry, q0.y, "y0")):
         if not comp.contains(block):
             raise ValueError(f"{name} lies outside the regularizer domain "

@@ -469,6 +469,61 @@ def test_generic_default_mu_is_the_theoretical_cap(tmp_path):
         assert config["mu"] == cap < 1e-3
 
 
+def test_generic_default_steps_without_curvature_are_fixed(tmp_path):
+    # a linear objective and no pqg_alpha: fixed steps, eta = mu = 0.2
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({
+        "f": {"kind": "linear", "g": [1.0, -1.0]},
+        "A": {"kind": "identity", "dim": 2},
+        "rx": {"kind": "box", "dim": 2}, "ry": {"kind": "box", "dim": 2}}))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--iters", "5",
+                 "--outdir", str(out)]) == EXIT_OK
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert (config["step_policy"], config["mu"], config["eta"]) == \
+        ("fixed", 0.2, 0.2)
+
+
+_TARGET4 = {"kind": "half_sq_distance", "target": [0.3, -0.2, 1.4, 0.5]}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"f": {"kind": "half_sq_distance", "target": [0.3, 1.4]},
+                  "A": {"kind": "diagonal", "entries": [1.0, 2.0]},
+                  "rx": {"kind": "box", "dim": 2},
+                  "ry": {"kind": "box", "dim": 2, "hi": 2.0}},
+                 id="diagonal-map"),
+    pytest.param({"f": {"kind": "half_sq_distance", "target": [0.3, -0.2, 1.4]},
+                  "A": {"kind": "identity", "dim": 3},
+                  "rx": {"kind": "simplex", "dim": 3, "radius": 1.0},
+                  "ry": {"kind": "zero", "dim": 3}},
+                 id="simplex"),
+    pytest.param({"f": _TARGET4, "A": {"kind": "identity", "dim": 4},
+                  "rx": {"kind": "diag_ones", "n": 2},
+                  "ry": {"kind": "zero", "dim": 4}},
+                 id="diag-ones"),
+    pytest.param({"f": _TARGET4, "A": {"kind": "identity", "dim": 4},
+                  "rx": {"kind": "nuclear_reg", "rows": 2, "cols": 2,
+                         "nu": 0.1, "rank": 1},
+                  "ry": {"kind": "zero", "dim": 4}},
+                 id="nuclear-reg"),
+    pytest.param({"f": _TARGET4, "A": {"kind": "identity", "dim": 4},
+                  "rx": {"kind": "nuclear_ball", "rows": 2, "cols": 2,
+                         "radius": 1.0, "rank": 1},
+                  "ry": {"kind": "zero", "dim": 4}},
+                 id="nuclear-ball"),
+])
+def test_generic_builds_each_kind_from_its_default_start(tmp_path, doc):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["generic", str(path), "--iters", "5",
+                 "--outdir", str(out)]) == EXIT_OK
+    _, rows = read_csv(out / "trace.csv")
+    assert len(rows) == 10  # 5 iterations x the mean and the last point
+    assert all(np.isfinite(float(x)) for r in rows for x in r[2:6])
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf", "-1", "0"])
 def test_generic_bad_rho_is_config_error(tmp_path, capsys, rho):
     doc = json.loads((DATA / "polytope2.json").read_text())
@@ -640,6 +695,21 @@ def test_generic_start_outside_spectrahedron_is_config_error(tmp_path, capsys):
                  "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "x0 lies outside the regularizer domain (distance 0.447214)" in err
+
+
+def test_generic_huge_start_is_outside_the_spectrahedron(tmp_path, capsys):
+    # its squared norm overflows; the tolerance from it must not
+    prob = json.loads((DATA / "spectrahedron5.json").read_text())
+    x0 = 0.2 * np.eye(5)
+    x0[0, 1] = x0[1, 0] = 1e300
+    prob["x0"] = x0.ravel().tolist()
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    with np.errstate(over="ignore"):  # the exact distance overflows
+        status = main(["generic", str(path), "--iters", "5",
+                       "--outdir", str(tmp_path / "out")])
+    assert status == EXIT_CONFIG
+    assert "x0 lies outside the regularizer domain" in capsys.readouterr().err
 
 
 def test_generic_problem_not_object_is_config_error(tmp_path, capsys):

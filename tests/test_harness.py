@@ -17,6 +17,8 @@ from wpmm.harness import (
     build_box_toy,
 )
 from wpmm.linalg import project_l1_ball
+from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
+from wpmm.oracles import BoxIndicator
 from wpmm.solver import SolverConfig, iterate, record_values, run, step_constants
 
 
@@ -336,3 +338,19 @@ def test_reference_default_is_theoretical_at_the_dual_step_cap():
     assert a.iterations == b.iterations
     assert np.array_equal(a.q.x, b.q.x) and np.array_equal(a.q.y, b.q.y)
     assert np.array_equal(a.w, b.w) and a.al_value == b.al_value
+
+
+def test_reference_default_without_curvature_is_fixed_at_one_fifth():
+    # a linear objective carries no curvature parameter: the default steps
+    # are fixed, eta = mu = 0.2, bit for bit
+    spec = ProblemSpec(f=SmoothTerm.linear(np.array([1.0, -1.0])),
+                       A=LinearMap.identity(2), rx=BoxIndicator(2, 0.0, 1.0),
+                       ry=BoxIndicator(2, 0.0, 1.0))
+    q0, w0 = PrimalPoint(np.zeros(2), np.zeros(2)), np.zeros(2)
+    fixed = SolverConfig(rho=1.0, mu=0.2, iters=10**6, step_policy="fixed",
+                         eta=0.2)
+    a = reference_solution(spec, 1e-9, q0=q0, w0=w0)
+    b = reference_solution(spec, 1e-9, q0=q0, w0=w0, config=fixed)
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.q.x, b.q.x) and np.array_equal(a.w, b.w)
+    assert np.allclose(a.q.x, [0.0, 1.0], atol=1e-6)

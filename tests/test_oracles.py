@@ -24,8 +24,8 @@ from wpmm.oracles import (
     SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
-    _single_shifted,
-    _symmetrize,
+    _single_holds,
+    _symmetric_part,
     hypercube_lmo,
     phi_value,
     scaled_simplex_lmo,
@@ -308,6 +308,25 @@ def test_spectrahedron_contains_only_points_within_tolerance(kind, n, tau,
         assert not comp.contains(v)
     elif comp.contains(v):
         assert comp.distance(v) <= indicator_tol(v)
+
+
+def test_indicator_tol_is_finite_on_huge_finite_points():
+    # the sum of squares overflows, the norm does not
+    assert indicator_tol([1.0, 1e300, 1e300, 1.0]) == pytest.approx(
+        1e-9 * np.sqrt(2.0) * 1e300)
+    assert indicator_tol([np.inf, 0.0]) == np.inf
+    assert np.isnan(indicator_tol([np.nan, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("comp, v", [
+    (BoxIndicator(3, 0.0, 1.0), [np.inf, 0.0, 0.0]),
+    (SimplexIndicator(2, 1.0), [-np.inf, 1.0]),
+    (SpectrahedronIndicator(2, 2.0, 1), [1.0, 1e300, 1e300, 1.0]),
+    (SpectrahedronIndicator(2, 2.0, 1), [1.0, np.inf, np.inf, 1.0]),
+], ids=["box-inf", "simplex-inf", "spectrahedron-huge", "spectrahedron-inf"])
+def test_contains_rejects_infinite_entries_and_huge_points(comp, v):
+    assert not comp.contains(np.array(v))
 
 
 def test_spectrahedron_contains_certifies_without_eigenvalues(monkeypatch):
@@ -683,21 +702,22 @@ def test_diag_ones_oracle_allocates_one_block():
     assert np.array_equal(out, comp.project(center - p / 2.0))
 
 
-def test_symmetrize_holds_one_panel_at_a_time():
+def test_symmetric_part_holds_one_panel_at_a_time():
     # each row panel is freed before the next one is formed: the peak over
-    # the d x d buffer is one panel plus NumPy's transpose buffer (0.35
+    # the d x d answer is one panel plus NumPy's transpose buffer (0.35
     # blocks at d=300), not two panels (0.56)
     d = 300
     M = np.random.default_rng(0).standard_normal((d, d))
-    want = 0.5 * (M + M.T)
+    M0 = M.copy()
     tracemalloc.start()
     try:
-        out = _symmetrize(M)
+        out = _symmetric_part(M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.4 * d * d * 8
-    assert out is M and np.array_equal(M, want)
+    assert peak <= 1.4 * d * d * 8
+    assert np.array_equal(out, 0.5 * (M0 + M0.T))
+    assert np.array_equal(M, M0)
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +725,12 @@ def test_symmetrize_holds_one_panel_at_a_time():
 
 
 def float64_spectrahedron_oracle(comp, center, p, c):
-    """The spectrahedron oracle's float64 path, step for step: the shifted
-    center symmetrized in place and decomposed in float64."""
+    """The spectrahedron oracle's float64 path, step for step: the
+    symmetric part of the shifted center, formed densely, decomposed in
+    float64."""
     M = comp._mat(p) / c
     np.subtract(comp._mat(center), M, out=M)
-    U, lam = truncated_eigh(_symmetrize(M), comp.k, comp.svd_tol)
+    U, lam = truncated_eigh(0.5 * (M + M.T), comp.k, comp.svd_tol)
     return ((U * project_simplex(lam, comp.tau)) @ U.T).ravel()
 
 
@@ -717,10 +738,12 @@ def test_single_shifted_is_the_rounded_symmetric_part():
     rng = np.random.default_rng(20)
     d = 150
     C, P = rng.standard_normal((d, d)), rng.standard_normal((d, d))
-    M = _single_shifted(C + 10.0 * np.eye(d), P, 2.0, 1e-2)
+    M = _symmetric_part(C + 10.0 * np.eye(d), P, 2.0, np.float32)
     S = (C + 10.0 * np.eye(d)) - P / 2.0
-    assert M.dtype == np.float32
+    assert M.dtype == np.float32 and _single_holds(M, 1e-2)
     assert np.array_equal(M, (0.5 * (S + S.T)).astype(np.float32))
+    assert np.array_equal(_symmetric_part(C + 10.0 * np.eye(d), P, 2.0),
+                          0.5 * (S + S.T))
     # below the float32 threshold the oracle keeps its float64 path
     comp = SpectrahedronIndicator(d, 1.0, 3, svd_tol=1e-5)
     center, p = C.ravel(), P.ravel()
@@ -766,11 +789,37 @@ def test_spectrahedron_takes_float64_when_float32_cannot_hold_tol():
     # ||M||_F = 6.9e-4, passes half of tol * max(1, tr / d) = 5e-5
     traceless = C - np.diag(np.diag(C))
     for center, tol in ((big, 1e-2), (traceless, 1e-4)):
-        assert _single_shifted(center, P, 2.0, tol) is None
+        assert not _single_holds(
+            _symmetric_part(center, P, 2.0, np.float32), tol)
         comp = SpectrahedronIndicator(d, 1.0, 4, svd_tol=tol)
         out = comp.compute(center.ravel(), P.ravel(), 2.0)
         assert np.array_equal(out, float64_spectrahedron_oracle(
             comp, center.ravel(), P.ravel(), 2.0))
+
+
+def test_product_exact_is_the_product_of_exact_parts():
+    rng = np.random.default_rng(24)
+    box, spec = BoxIndicator(2, 0.0, 1.0), SpectrahedronIndicator(3, 1.0, 1)
+    exact = ProductComponent([box, spec]).exact()
+    center, p = rng.standard_normal(11), rng.standard_normal(11)
+    out = exact.compute(center, p, 2.0)
+    assert np.array_equal(out[:2], box.compute(center[:2], p[:2], 2.0))
+    assert np.array_equal(out[2:],
+                          spec.exact().compute(center[2:], p[2:], 2.0))
+
+
+def test_spectrahedron_takes_float64_past_float32_range_on_diagonal():
+    # an infinite float32 trace must not hide the infinite norm
+    rng = np.random.default_rng(23)
+    d = 60
+    C = rng.standard_normal((d, d)) + 50.0 * np.eye(d)
+    C[0, 0] = 1e39
+    P = rng.standard_normal((d, d))
+    assert not _single_holds(_symmetric_part(C, P, 2.0, np.float32), 1e-2)
+    comp = SpectrahedronIndicator(d, 1.0, 3, svd_tol=1e-2)
+    out = comp.compute(C.ravel(), P.ravel(), 2.0)
+    assert np.array_equal(out, float64_spectrahedron_oracle(
+        comp, C.ravel(), P.ravel(), 2.0))
 
 
 def test_spectrahedron_float32_oracle_peak_is_its_answer():

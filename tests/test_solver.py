@@ -411,6 +411,21 @@ def test_run_requires_feasible_start():
                                         step_policy="fixed", eta=0.5))
 
 
+@pytest.mark.parametrize("name, value", [("x0", np.nan), ("y0", np.inf),
+                                         ("w0", np.nan)])
+def test_iterate_rejects_non_finite_start_by_name(name, value):
+    # a zero-regularized x-block has distance 0 from anything, and a box
+    # once held an infinite entry within its infinite tolerance
+    spec = ProblemSpec(f=SmoothTerm.half_sq_distance(np.array([1.5, 0.7])),
+                       A=LinearMap.identity(2), rx=ZeroReg(2),
+                       ry=BoxIndicator(2, 0.0, 1.0))
+    q0, w0 = q_of([0.0, 0.0], [0.0, 0.0]), np.zeros(2)
+    {"x0": q0.x, "y0": q0.y, "w0": w0}[name][0] = value
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+        run(spec, q0, w0, SolverConfig(rho=1.0, mu=0.1, iters=3,
+                                       step_policy="fixed", eta=0.5))
+
+
 def _run_from_nan_start():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     q0.x[0] = np.nan
