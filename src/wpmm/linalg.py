@@ -1,15 +1,15 @@
 """Dense and operator linear-algebra kernels.
 
 Truncated singular-value and symmetric eigenvalue decompositions via Lanczos
-(Golub-Kahan style) iterations with full reorthogonalization, and exact
+iterations with full reorthogonalization, each in one Krylov basis, and exact
 projections onto the scaled simplex and the l1 ball, which find their
 threshold by Michelot's pivot iteration in linear time per pass.
 
-The Lanczos kernels multiply by their input once per basis vector: each
-vector is stored next to its product, and the Rayleigh-Ritz matrices and
-residuals are assembled from the stored products. Their bases grow with the
-Krylov dimension, so memory is proportional to the rank sought, not to the
-square of the input's dimensions.
+Each basis vector is stored next to its product with the input M, and the
+Rayleigh-Ritz extraction and residuals are assembled from the stored
+products. ``truncated_svd`` keeps one basis, on the smaller side of M, for
+M.T @ M. The bases grow with the Krylov dimension, so memory is proportional
+to the rank sought, not to the square of the input's dimensions.
 
 ``truncated_eigh`` takes only a square matrix that equals its transpose
 entry for entry, and raises ValueError on any other; it never copies it. It
@@ -84,13 +84,12 @@ class _Basis:
     recurrence and the Rayleigh-Ritz extraction.
     """
 
-    def __init__(self, apply, dim, out_dim, rows, first=None):
+    def __init__(self, apply, dim, out_dim, rows, first):
         self.apply = apply
         self.vecs = np.empty((rows, dim))
         self.prods = np.empty((rows, out_dim))
         self.count = 0
-        if first is not None:
-            self._store(first)
+        self._store(first)
 
     def reserve(self, rows):
         """Make room for ``rows`` vectors, keeping the stored ones."""
@@ -131,15 +130,15 @@ def _regrown(buf, rows, keep):
 def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     """Top-k singular triplets of a dense matrix.
 
-    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization of
-    both bases; Rayleigh-Ritz extraction on the projected matrix after each
-    sweep. Every basis vector keeps the product (``M v`` or ``M.T u``) that
-    the recurrence forms with it, and the projected matrix and the residuals
-    are assembled from those, so a sweep multiplies by M only for the vectors
-    it adds; the bases take O((m + n) * Krylov dimension) memory. A triplet
-    is accepted once both residuals ``||M v - s u||`` and ``||M.T u - s v||``
-    fall below ``tol * sigma_1`` (plus a tiny absolute guard for numerically
-    zero matrices).
+    Lanczos iteration on M.T @ M with full reorthogonalization, in one basis
+    on the smaller side of M (M.T's when M is wide), and one-sided
+    Rayleigh-Ritz extraction after each sweep: with the basis V as rows, the
+    thin SVD ``M @ V.T = P diag(s) Q.T`` gives ``u_i = p_i`` and
+    ``v_i = V.T @ q_i``. Each basis vector keeps its product ``M v``; the
+    next direction is M.T times the last one. A triplet is accepted once
+    both residuals ``||M v - s u||`` and ``||M.T u - s v||`` fall below
+    ``tol * sigma_1`` (plus a tiny absolute guard for numerically zero
+    matrices).
 
     Parameters
     ----------
@@ -177,45 +176,34 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     if max_sweeps is None:
         max_sweeps = max(4 * k, 30)
 
+    wide = m < n
+    A = M.T if wide else M
+    dim = min(m, n)
     rng = np.random.default_rng(seed)
     fro = float(np.linalg.norm(M))
     atol = 1e-13 * max(1.0, fro)
-    breakdown = 1e-13 * max(1.0, fro)
 
-    # a side stops growing once it spans its whole space (the start vector is
-    # random, so the right basis can carry components outside the row space)
-    target = min(max(m, n), max(2 * k + 6, 12))
-    v0 = rng.standard_normal(n)
-    V = _Basis(lambda v: M @ v, n, m, min(target, n), v0 / np.linalg.norm(v0))
-    U = _Basis(lambda u: M.T @ u, m, n, min(target, m))
+    target = min(dim, max(2 * k + 6, 12))
+    v0 = rng.standard_normal(dim)
+    V = _Basis(lambda v: A @ v, dim, max(m, n), target, v0 / np.linalg.norm(v0))
 
     resid = np.inf
     for _ in range(max_sweeps):
-        U.reserve(min(target, m))
-        V.reserve(min(target, n))
-        while True:
-            grew = False
-            if U.count < min(target, m):
-                U.append(V.products()[-1], rng, breakdown)
-                grew = True
-            if V.count < min(target, n):
-                V.append(U.products()[-1], rng, breakdown)
-                grew = True
-            if not grew:
-                break
+        V.reserve(target)
+        while V.count < target:
+            # M.T @ M has scale fro**2, so the breakdown test scales by fro
+            V.append(A.T @ V.products()[-1], rng, atol * fro)
 
-        MV, MTU = V.products(), U.products()
-        Pu, ps, Pvt = np.linalg.svd(U.rows() @ MV.T)
-        sigma = ps[:k]
-        Yu, Yv = Pu[:, :k], Pvt[:k].T
-        Uk = U.rows().T @ Yu
-        Vk = V.rows().T @ Yv
-        r1 = np.linalg.norm(MV.T @ Yv - Uk * sigma, axis=0)
-        r2 = np.linalg.norm(MTU.T @ Yu - Vk * sigma, axis=0)
+        AV = V.products()
+        P, s, Qt = np.linalg.svd(AV.T, full_matrices=False)
+        sigma, Uk, Yk = s[:k], P[:, :k], Qt[:k].T
+        Vk = V.rows().T @ Yk
+        r1 = np.linalg.norm(AV.T @ Yk - Uk * sigma, axis=0)
+        r2 = np.linalg.norm(A.T @ Uk - Vk * sigma, axis=0)
         resid = float(max(r1.max(), r2.max()))
         if resid <= tol * sigma[0] + atol:
-            return Uk, sigma, Vk
-        target = min(max(m, n), target + max(k, 6))
+            return (Vk, sigma, Uk) if wide else (Uk, sigma, Vk)
+        target = min(dim, target + max(k, 6))
 
     raise ConvergenceError(
         f"truncated_svd did not reach tol={tol:g} within {max_sweeps} sweeps "

@@ -35,17 +35,23 @@ __all__ = [
 INDICATOR_RTOL = 1e-9
 
 
-def indicator_tol(v):
-    """INDICATOR_RTOL * (1 + ||v||). A finite v whose sum of squares
-    overflows has its norm taken from v / max|v|; a v with a non-finite
-    entry gets an infinite or nan tolerance."""
+def _norm(v):
+    """The Euclidean norm of v, Frobenius for a matrix, as np.linalg.norm
+    gives it; when the sum of squares of a finite v overflows, it is taken
+    from v / max|v| instead."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
         if norm == math.inf and np.isfinite(v).all():  # squares overflowed
             scale = float(np.abs(v).max())
             norm = scale * float(np.linalg.norm(v / scale))
-    return INDICATOR_RTOL * (1.0 + norm)
+    return norm
+
+
+def indicator_tol(v):
+    """INDICATOR_RTOL * (1 + ||v||), with ||v|| from ``_norm``; a v with a
+    non-finite entry gets an infinite or nan tolerance."""
+    return INDICATOR_RTOL * (1.0 + _norm(v))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from numpy.linalg import _umath_linalg  # for a Cholesky factor in place
 
 from . import linalg
 from .linalg import _PANEL
-from .model import indicator_tol
+from .model import _norm, indicator_tol
 
 __all__ = [
     "OracleError",
@@ -167,7 +167,7 @@ class _IndicatorComponent(WpoComponent):
         return self.prox(np.array(v, dtype=float), 1.0)
 
     def distance(self, v):
-        return float(np.linalg.norm(v - self.project(v)))
+        return _norm(v - self.project(v))
 
 
 class ZeroReg(WpoComponent):
@@ -227,8 +227,7 @@ class DiagOnesIndicator(_IndicatorComponent):
         return out.ravel()
 
     def distance(self, v):
-        d = np.diag(v.reshape(self.n, self.n)) - 1.0
-        return float(np.linalg.norm(d))
+        return _norm(np.diag(v.reshape(self.n, self.n)) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
     def distance(self, v):
         # X - project(X) = U diag(s - P(s)) V^T, whose norm is ||s - P(s)||
         s = np.linalg.svd(self._mat(v), compute_uv=False)
-        return float(np.linalg.norm(s - self._spectral(s, 1.0)))
+        return _norm(s - self._spectral(s, 1.0))
 
 
 class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
@@ -374,8 +373,8 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         M = self._mat(v)
         S = _symmetric_part(M)
         lam = np.linalg.eigvalsh(S)
-        skew = np.linalg.norm(np.subtract(M, S, out=S))
-        return float(np.hypot(np.linalg.norm(lam - self._spectral(lam, 1.0)), skew))
+        skew = _norm(np.subtract(M, S, out=S))
+        return float(np.hypot(_norm(lam - self._spectral(lam, 1.0)), skew))
 
     def contains(self, v):
         """Whether v is within ``indicator_tol(v)`` of the set. Accepted

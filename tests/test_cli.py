@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wpmm.linalg
 from bruteforce import write_gset
 from wpmm.cli import (
     CME_DEFAULTS,
@@ -12,6 +13,7 @@ from wpmm.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SOLVER,
     _cme_plan,
     _load_problem,
     _merge_params,
@@ -19,6 +21,7 @@ from wpmm.cli import (
 )
 from wpmm.certify import Certificate
 from wpmm.harness import gen_er_graph
+from wpmm.linalg import ConvergenceError
 from wpmm.solver import step_constants
 
 
@@ -251,6 +254,26 @@ def test_maxcut_gset_file_and_data_dir(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["maxcut", "--graph", "g10.txt", "--iters", "10",
                  "--rank", "3", "--outdir", str(out)]) == EXIT_OK
+
+
+def test_maxcut_malformed_graph_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 1\n1 4 1\n")
+    assert main(["maxcut", "--graph", str(path), "--iters", "3",
+                 "--outdir", str(tmp_path / "run")]) == EXIT_IO
+    assert f"input error: {path}:2: vertex out of range" in capsys.readouterr().err
+
+
+def test_oracle_convergence_failure_is_solver_error(tmp_path, capsys,
+                                                    monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(wpmm.linalg, "truncated_eigh", stalled)
+    assert main(["cme", "--d", "8", "--r", "2", "--iters", "2",
+                 "--outdir", str(tmp_path / "run")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver error: oracle failure at iteration 0: stalled" in err
 
 
 @pytest.mark.parametrize("p", ["1.5", "-0.1"])
@@ -705,9 +728,8 @@ def test_generic_huge_start_is_outside_the_spectrahedron(tmp_path, capsys):
     prob["x0"] = x0.ravel().tolist()
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(prob))
-    with np.errstate(over="ignore"):  # the exact distance overflows
-        status = main(["generic", str(path), "--iters", "5",
-                       "--outdir", str(tmp_path / "out")])
+    status = main(["generic", str(path), "--iters", "5",
+                   "--outdir", str(tmp_path / "out")])
     assert status == EXIT_CONFIG
     assert "x0 lies outside the regularizer domain" in capsys.readouterr().err
 

@@ -124,6 +124,20 @@ def test_gset_malformed_line_reports_number(tmp_path):
         load_gset(path)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("", "empty file"),
+    ("3\n1 2 1\n", ":1: expected 'n m' header"),
+    ("3 x\n1 2 1\n", ":1: malformed header"),
+    ("3 1\n1 4 1\n", ":2: vertex out of range"),
+], ids=["empty", "short-header", "non-integer-header", "vertex-range"])
+def test_gset_errors_name_the_path_and_line(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_gset(path)
+    assert str(exc.value).startswith(f"{path}") and where in str(exc.value)
+
+
 def test_gset_edge_count_mismatch(tmp_path):
     path = tmp_path / "mismatch.txt"
     path.write_text("2 2\n1 2 1\n")

@@ -114,6 +114,21 @@ def test_svd_input_validation():
         truncated_svd(bad, 1, 1e-8)
 
 
+@pytest.mark.parametrize("k, tol", [(1, 1e-4), (3, 1e-2), (5, 1e-2),
+                                    (5, 1e-9)])
+def test_svd_gaussian_meets_both_residuals(k, tol):
+    # ||M.T u - s v|| stays unmet unless the Krylov space absorbs M.T u's
+    # direction at every widening
+    M = np.random.default_rng(0).standard_normal((200, 200))
+    U, sigma, V = truncated_svd(M, k, tol)
+    bound = tol * sigma[0] + 1e-13 * np.linalg.norm(M)
+    assert np.linalg.norm(M @ V - U * sigma, axis=0).max() <= bound
+    assert np.linalg.norm(M.T @ U - V * sigma, axis=0).max() <= bound
+    ref = np.linalg.svd(M, compute_uv=False)
+    # the value error is quadratic in the residual
+    assert np.abs(sigma - ref[:k]).max() <= max(1e-6, tol**2) * ref[0]
+
+
 def test_svd_nonconvergence_reports_residual():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((80, 80))

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from bruteforce import fd_gradient
 from wpmm.harness import build_maxcut_problem, gen_er_graph, laplacian
-from wpmm.linalg import project_l1_ball, project_simplex, truncated_eigh
+from wpmm.linalg import (project_l1_ball, project_simplex, truncated_eigh,
+                         truncated_svd)
 from wpmm.model import (LinearMap, PrimalPoint, ProblemSpec, SmoothTerm,
                         indicator_tol, smooth_grad)
 from wpmm.oracles import (
@@ -318,6 +319,26 @@ def test_indicator_tol_is_finite_on_huge_finite_points():
     assert np.isnan(indicator_tol([np.nan, 0.0]))
 
 
+def _huge_pair(n):
+    X = 0.2 * np.eye(n)
+    X[0, 1] = X[1, 0] = 1e300
+    return X.ravel()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("comp, v, expected", [
+    (SpectrahedronIndicator(5, 1.0, 1), _huge_pair(5), np.sqrt(2.0) * 1e300),
+    (NuclearBallIndicator((5, 5), 1.0, 1), _huge_pair(5),
+     np.sqrt(2.0) * 1e300),
+    (DiagOnesIndicator(2), [1e300, 0.0, 0.0, 1.0], 1e300),
+    (BoxIndicator(3, 0.0, 1.0), [1e300, 0.0, 0.0], 1e300),
+    (L1BallIndicator(3, 1.0), [1e300, 0.0, 0.0], 1e300),
+], ids=["spectrahedron", "nuclear-ball", "diag-ones", "box", "l1-ball"])
+def test_distance_is_finite_on_huge_finite_points(comp, v, expected):
+    # the sum of squares of the gap overflows, the distance does not
+    assert comp.distance(np.array(v)) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("comp, v", [
     (BoxIndicator(3, 0.0, 1.0), [np.inf, 0.0, 0.0]),
@@ -369,6 +390,29 @@ def test_truncated_eigh_clustered_spectrum(tol):
     assert np.linalg.norm(M @ U - U * got, axis=0).max() <= bound
     assert np.allclose(U.T @ U, np.eye(k), atol=1e-10)
     assert np.abs(got - np.linalg.eigh(M)[0][::-1][:k]).max() <= bound
+
+
+@pytest.mark.parametrize("tol", [
+    1e-6,
+    pytest.param(1e-2, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="every residual meets tol, but Ritz values come from the "
+        "bulk below 0.9 instead of the cluster's last members")),
+])
+def test_truncated_svd_clustered_spectrum(tol):
+    # the clustered spectrum above, as singular values: U diag(|lam|) V^T
+    rng = np.random.default_rng(12)
+    d, k = 200, 13
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = np.abs(np.concatenate([1.0 + 1e-3 * np.arange(k)[::-1],
+                               rng.uniform(-0.5, 0.9, d - k)]))
+    M = (U * s) @ V.T
+    Uk, got, Vk = truncated_svd(M, k, tol)
+    bound = tol * got[0] + 1e-13 * np.linalg.norm(M)
+    assert np.linalg.norm(M @ Vk - Uk * got, axis=0).max() <= bound
+    assert np.linalg.norm(M.T @ Uk - Vk * got, axis=0).max() <= bound
+    assert np.abs(got - np.sort(s)[::-1][:k]).max() <= bound
 
 
 def test_matrix_oracle_rank_bound():
@@ -531,6 +575,31 @@ def test_wpo_polytope_state_center_mismatch():
                              lam=1.0)
     with pytest.raises(OracleError):
         comp.compute(np.array([0.0, 5.0]), np.zeros(2), 1.0)
+
+
+def test_polytope_for_run_rejects_a_start_its_state_does_not_represent():
+    comp = PolytopeIndicator(2, hypercube_lmo(0.0, 1.0),
+                             PolytopeState.at_vertex(np.zeros(2)), lam=1.0)
+    with pytest.raises(OracleError, match="does not represent the starting"):
+        comp.for_run(np.ones(2))
+
+
+def test_polytope_lmo_failure_is_an_oracle_error():
+    def lmo(p):
+        raise RuntimeError("no vertex")
+
+    comp = PolytopeIndicator(2, lmo, PolytopeState.at_vertex(np.zeros(2)),
+                             lam=1.0)
+    with pytest.raises(OracleError, match="LMO callback failed: no vertex"):
+        comp.compute(np.zeros(2), np.ones(2), 1.0)
+
+
+def test_polytope_lmo_of_the_wrong_shape_is_an_oracle_error():
+    comp = PolytopeIndicator(2, lambda p: np.zeros(3),
+                             PolytopeState.at_vertex(np.zeros(2)), lam=1.0)
+    with pytest.raises(OracleError,
+                       match=r"LMO returned shape \(3,\), expected \(2,\)"):
+        comp.compute(np.zeros(2), np.ones(2), 1.0)
 
 
 def test_polytope_component_warns_without_lam():
