@@ -230,14 +230,16 @@ def k_apply(spec, q):
     return spec.A.apply(q.x) - q.y
 
 
-def smooth_grad(spec, q, w, rho):
+def smooth_grad(spec, q, w, rho, kq=None):
     """Gradient w.r.t. q of the augmented Lagrangian's smooth part
     f(x) + <w, Kq> + (rho/2) ||Kq||^2, as an (x-part, y-part) pair:
-    (grad f(x) + A^T (w + rho Kq), -(w + rho Kq))."""
+    (grad f(x) + A^T (w + rho Kq), -(w + rho Kq)). ``kq`` is K q when the
+    caller has already formed it; it is consumed in place, its buffer
+    becoming the y-part, so K q is not formed again."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    # r, then -r, in the one new array K q returns
-    r = k_apply(spec, q)
+    # r, then -r, in the buffer of K q
+    r = k_apply(spec, q) if kq is None else kq
     r *= rho
     r += w
     gx = spec.f.gradient(q.x)

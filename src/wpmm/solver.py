@@ -11,11 +11,12 @@ constant on segments; a run with any other block takes the base step every
 iteration and flags each step as a fallback.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
-``IterateState`` (q, w and t, all the method carries) and a ``Step`` record
-(eta used, line-search fallback, constraint residual norm) after each of
-``config.iters`` steps. ``run`` drives it, logs every iteration and forms the
-ergodic mean; the reference solver in ``harness`` drives it with exact
-oracles and its own stopping rule; both read the objective h and the
+``IterateState`` (q, w and t, all the method carries, and K q, formed once
+per point) and a ``Step`` record (eta used, line-search fallback, constraint
+residual norm) after each of ``config.iters`` steps. ``run`` drives it, logs
+every iteration and forms the ergodic mean, whose constraint residual it
+reads off the multiplier; the reference solver in ``harness`` drives it with
+exact oracles and its own stopping rule; both read the objective h and the
 augmented Lagrangian from ``record_values``, their one evaluator.
 ``StepConstants`` is the step-size rule: ``step_constants`` builds it from
 the problem's curvature constants, and it gives the primal step, the dual-step
@@ -109,11 +110,15 @@ class SolverConfig:
 
 @dataclass
 class IterateState:
-    """Mutable per-run state: the current pair and the iteration counter."""
+    """Mutable per-run state: the current pair, the multiplier, the
+    iteration counter and ``kq``, K q at q. The next step consumes ``kq`` in
+    place as its gradient residual and sets it to None until it has formed
+    K q at the new point."""
 
     q: PrimalPoint
     w: np.ndarray
     t: int = 0
+    kq: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -336,10 +341,13 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
     # a plain function, not inlined into the generator: its block-sized
     # temporaries are freed before the caller sees the new state. Each new
     # block value goes into an array the step owns: the iterate into the
-    # oracle outputs, the multiplier into the new K q. Returns the step taken
-    # and ||K q|| at the new point.
+    # oracle outputs, the y-gradient into the carried K q. The old iterate
+    # and multiplier are let go as soon as their successors exist. Returns
+    # the step taken and ||K q|| at the new point.
     q, w = state.q, state.w
-    px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
+    px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu,
+                         kq=state.kq)
+    state.kq = None  # consumed: py is its buffer
     try:
         vx = _owned(rx.compute(q.x, px, coeff), q.x, px)
         if not search:
@@ -362,15 +370,16 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
     vy += (1.0 - eta) * q.y
     rx.commit(eta)
     ry.commit(eta)
-    kqn = spec.A.apply(vx) - vy
-    k_norm = float(np.linalg.norm(kqn))
-    # w + mu K q
-    kqn *= config.mu
-    kqn += w
     state.q = PrimalPoint(vx, vy)
-    state.w = kqn
+    del q  # the old iterate, freed here unless the caller holds it
+    kq = spec.A.apply(vx) - vy
+    # w + mu K q
+    state.w = np.multiply(kq, config.mu)
+    state.w += w
+    del w
+    state.kq = kq
     state.t += 1
-    return eta, k_norm
+    return eta, float(np.linalg.norm(kq))
 
 
 def iterate(spec, q0, w0, config):
@@ -380,7 +389,9 @@ def iterate(spec, q0, w0, config):
     are checked before this returns. ``state`` is advanced in place by the
     next step, which rebinds ``state.q`` and ``state.w`` to new arrays: the
     arrays of ``state.q.x``, ``state.q.y`` and ``state.w`` yielded once are
-    never modified afterwards. Oracle failures raise SolverError."""
+    never modified afterwards. ``state.kq`` is K q at ``state.q``; the next
+    step overwrites it, so a caller that keeps it past that step copies it.
+    Oracle failures raise SolverError."""
     _check_point(spec, q0, w0)
     for name, v in (("x0", q0.x), ("y0", q0.y), ("w0", w0)):
         if not np.isfinite(v).all():
@@ -389,7 +400,8 @@ def iterate(spec, q0, w0, config):
         if not comp.contains(block):
             raise ValueError(f"{name} lies outside the regularizer domain "
                              f"(distance {comp.distance(block):g})")
-    state = IterateState(q=q0.copy(), w=np.asarray(w0, dtype=float).copy())
+    state = IterateState(q=q0.copy(), w=np.asarray(w0, dtype=float).copy(),
+                         kq=k_apply(spec, q0))
     rx, ry = spec.rx.for_run(q0.x), spec.ry.for_run(q0.y)
     rule = _base_step(spec, config)  # (eta, coeff, search)
     fallback = config.step_policy == "line_search" and not rule[2]
@@ -407,10 +419,16 @@ def record_values(spec, q, w, rho, audit=False, kq=None):
     each block's ``logged_value``: unless ``audit``, q lies in its indicator
     domains (also inside a product), which contribute 0 unchecked; an audit
     that finds a violation flags the objective and the AL value is +inf.
-    ``kq`` is K q when the caller has already formed it."""
+    ``kq`` is K q when the caller has already formed it; with it, ``q.y``
+    may be None when the y-block is an indicator and nothing is audited."""
     fval = float(spec.f.value(q.x))
-    (vx, fx), (vy, fy) = (spec.rx.logged_value(q.x, audit),
-                          spec.ry.logged_value(q.y, audit))
+    vx, fx = spec.rx.logged_value(q.x, audit)
+    if q.y is None:  # the unaudited indicator's 0 needs no point
+        if audit or kq is None or not spec.ry.is_indicator:
+            raise ValueError("q.y is needed to audit or to value the y-block")
+        vy, fy = 0.0, False
+    else:
+        vy, fy = spec.ry.logged_value(q.y, audit)
     if fx or fy:
         return fval + vx + vy, True, float("inf")
     if kq is None:
@@ -428,25 +446,32 @@ def run(spec, q0, w0, config):
     of the last and the traced mean point: ``objective_flagged`` is set on it
     when either lies outside an indicator domain.
 
+    ``run`` keeps one running sum, of the x-blocks. The mean's constraint
+    residual comes from the multiplier: w_t - w_0 = mu sum_s K q_s, so
+    K qbar_t = (w_t - w_0) / (mu t), and the mean's y-block is
+    A xbar_t - K qbar_t, formed only where something reads it (the final
+    record, and traced records whose y-block is not an indicator).
+
     The returned points and multiplier are the solver's own arrays, not
     copies: the final iterate, and the running sum divided in place into the
-    mean on the final record. Only an empty run, and the partial log of a
-    SolverError, carry copies, since there they may be the caller's arrays."""
+    mean's x-block on the final record. Only an empty run, and the partial
+    log of a SolverError, carry copies, since there they may be the caller's
+    arrays."""
     steps = iterate(spec, q0, w0, config)
     if config.iters == 0 and config.variant in ("mean", "both"):
         raise ValueError("mean output undefined for an empty run")
-    records = []
-    q, w, mean_point = q0, np.asarray(w0, dtype=float), None
-    # running sum of the post-step iterates, the ergodic mean times t
-    total = PrimalPoint(np.zeros_like(q0.x), np.zeros_like(q0.y))
+    w0 = np.asarray(w0, dtype=float)
+    records, state, mean_point = [], None, None
+    # running sum of the post-step x-blocks, the mean's x-block times t
+    total = np.zeros_like(q0.x)
     start = time.perf_counter()
     try:
         for state, step in steps:
-            q, w, t = state.q, state.w, state.t
-            total.x += q.x
-            total.y += q.y
+            t = state.t
+            total += state.q.x
             final = t == config.iters
-            obj, flagged, alv = record_values(spec, q, w, config.rho, final)
+            obj, flagged, alv = record_values(spec, state.q, state.w,
+                                              config.rho, final, kq=state.kq)
             rec = RunRecord(
                 t=t,
                 objective=obj,
@@ -457,25 +482,31 @@ def run(spec, q0, w0, config):
                 eta_fallback=step.fallback,
                 elapsed=time.perf_counter() - start,
             )
-            if final:  # no step adds to the running sum again: the mean
-                total.x /= t
-                total.y /= t
-                mean_point = total
-            if config.trace_mean:
-                qb = mean_point if final else PrimalPoint(total.x / t,
-                                                          total.y / t)
-                kqb = k_apply(spec, qb)
-                mobj, mflag, mal = record_values(spec, qb, w, config.rho, final,
-                                                 kq=kqb)
-                rec.objective_flagged |= mflag
-                rec.mean_objective = mobj
-                rec.mean_feasibility = float(np.linalg.norm(kqb))
-                rec.mean_al_value = mal
-                del qb, kqb  # not held through the next step
+            if final:  # no step reads K q again: freed before the audits
+                state.kq = None
+            if final or config.trace_mean:
+                kqb = np.subtract(state.w, w0)
+                kqb /= config.mu * t
+                # no step adds to the running sum after the final record
+                xb = np.divide(total, t, out=total if final else None)
+                yb = (spec.A.apply(xb) - kqb
+                      if final or not spec.ry.is_indicator else None)
+                qb = PrimalPoint(xb, yb)
+                if final:
+                    mean_point = qb
+                if config.trace_mean:
+                    mobj, mflag, mal = record_values(spec, qb, state.w,
+                                                     config.rho, final, kq=kqb)
+                    rec.objective_flagged |= mflag
+                    rec.mean_objective = mobj
+                    rec.mean_feasibility = float(np.linalg.norm(kqb))
+                    rec.mean_al_value = mal
+                del kqb, xb, yb, qb  # not held through the next step
             records.append(rec)
     except SolverError as exc:
+        q, w = (q0, w0) if state is None else (state.q, state.w)
         exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config)
         raise
-    if not records:  # q and w are still the caller's
-        q, w = q.copy(), w.copy()
-    return RunLog(records, q, mean_point, w, config)
+    if state is None:  # an empty run: q0 and w0 are the caller's
+        return RunLog(records, q0.copy(), None, w0.copy(), config)
+    return RunLog(records, state.q, mean_point, state.w, config)

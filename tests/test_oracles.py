@@ -789,6 +789,37 @@ def test_symmetric_part_holds_one_panel_at_a_time():
     assert np.array_equal(M, M0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 130])
+def test_symmetric_part_is_the_dense_formula_bit_for_bit(d, dtype):
+    # panel edges at multiples of 64 rows; float64 symmetrizes in place
+    rng = np.random.default_rng(d)
+    C, P = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    C0, P0 = C.copy(), P.copy()
+    m = C - P / 3.0
+    for out, want in ((_symmetric_part(C, P, 3.0, dtype), 0.5 * (m + m.T)),
+                      (_symmetric_part(C, dtype=dtype), 0.5 * (C + C.T))):
+        assert out.dtype == dtype
+        assert np.array_equal(out, want.astype(dtype))
+    assert np.array_equal(C, C0) and np.array_equal(P, P0)
+
+
+def test_float64_symmetric_part_peaks_near_its_answer():
+    # m is written into the answer and symmetrized there: the peak is the
+    # answer plus a row panel and its transpose buffer
+    d = 1000
+    rng = np.random.default_rng(1)
+    C, P = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    for args in ((C,), (C, P, 2.0)):
+        tracemalloc.start()
+        try:
+            _symmetric_part(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * d * d * 8
+
+
 # ---------------------------------------------------------------------------
 # spectrahedron oracle: float32 Lanczos products at loose tolerances
 

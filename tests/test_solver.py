@@ -493,6 +493,78 @@ def test_run_ergodic_identity():
         1.0, np.linalg.norm(ys))
 
 
+def collected(spec, q0, w0, config):
+    """Copies of the iterates and multipliers ``iterate`` yields."""
+    return [(state.q.copy(), state.w.copy())
+            for state, _ in iterate(spec, q0, w0, config)]
+
+
+def mean_of(points):
+    return q_of(np.mean([q.x for q in points], axis=0),
+                np.mean([q.y for q in points], axis=0))
+
+
+@pytest.mark.parametrize("ry", [L1BallIndicator(30, 4.0), ZeroReg(30)],
+                         ids=["indicator-y", "zero-y"])
+def test_traced_mean_values_are_record_values_at_the_mean(ry):
+    # a nuclear-norm x-block has a value at every mean point, unaudited
+    # records included; an indicator y-block contributes 0 there
+    rng = np.random.default_rng(7)
+    spec = ProblemSpec(f=SmoothTerm.half_sq_distance(rng.standard_normal(30)),
+                       A=LinearMap.identity(30),
+                       rx=NuclearNormReg((6, 5), 0.5, 2), ry=ry)
+    q0, w0 = q_of(np.zeros(30), np.zeros(30)), 0.1 * rng.standard_normal(30)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.3, iters=12,
+                          step_policy="fixed", trace_mean=True)
+    log = run(spec, q0, w0, config)
+    points = collected(spec, q0, w0, config)
+    for rec in log.records:
+        qs, w = [q for q, _ in points[:rec.t]], points[rec.t - 1][1]
+        obj, flagged, al = record_values(spec, mean_of(qs), w, config.rho,
+                                         audit=rec.t == config.iters)
+        assert not flagged and not rec.objective_flagged
+        assert rec.mean_objective == pytest.approx(obj, rel=1e-12, abs=0)
+        assert rec.mean_al_value == pytest.approx(al, rel=1e-12, abs=0)
+    # without its y-block a point is valued only for an unaudited indicator
+    q = PrimalPoint(log.mean_point.x, None)
+    kq = k_apply(spec, log.mean_point)
+    for audit in (False, True):
+        if audit or not ry.is_indicator:
+            with pytest.raises(ValueError, match="q.y is needed"):
+                record_values(spec, q, w0, config.rho, audit, kq=kq)
+        else:
+            assert record_values(spec, q, w0, config.rho, audit, kq=kq) == \
+                record_values(spec, log.mean_point, w0, config.rho, kq=kq)
+
+
+@pytest.mark.parametrize("A", [
+    LinearMap.from_dense(np.random.default_rng(3).standard_normal((4, 6))),
+    LinearMap.stacked_identity(6, 3),
+], ids=["dense", "stacked"])
+def test_telescoped_mean_matches_the_average_of_the_iterates(A):
+    # K qbar comes from the multiplier, (w_T - w_0) / (mu T), and the mean's
+    # y-block from A xbar - K qbar: neither leans on an identity map or a
+    # zero start
+    rng = np.random.default_rng(4)
+    spec = ProblemSpec(f=SmoothTerm.half_sq_distance(rng.standard_normal(6)),
+                       A=A, rx=BoxIndicator(6, -1.0, 1.0),
+                       ry=L1BallIndicator(A.dim_out, 2.0))
+    q0 = q_of(np.zeros(6), np.zeros(A.dim_out))
+    w0 = rng.standard_normal(A.dim_out)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.3, iters=15,
+                          step_policy="fixed", trace_mean=True)
+    log = run(spec, q0, w0, config)
+    points = collected(spec, q0, w0, config)
+    mean = mean_of([q for q, _ in points])
+    for got, want in ((log.mean_point.x, mean.x), (log.mean_point.y, mean.y)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for rec in log.records:
+        kq = k_apply(spec, mean_of([q for q, _ in points[:rec.t]]))
+        assert rec.mean_feasibility == pytest.approx(np.linalg.norm(kq),
+                                                     rel=1e-12, abs=0)
+    assert not log.records[-1].objective_flagged
+
+
 def test_run_record_times_nondecreasing():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     log = run(spec, q0, w0, SolverConfig(rho=1.0, mu=1e-4, iters=20,
@@ -574,28 +646,31 @@ def test_iterate_peak_memory_is_at_most_six_and_a_half_blocks():
     assert traced_peak_blocks(spec, q0, w0, config, n, solve=steps) <= 6.5
 
 
-def test_run_peak_memory_is_at_most_eight_and_a_half_blocks():
-    # the iterate, the multiplier and the running sum take 5 blocks of n^2
-    # floats, the gradient pair 2 and the x-oracle's shifted center 1; the
-    # rest is the rank-k kernel's O(n x Krylov dimension) work space, kept
-    # small here by a low rank and a loose tolerance
+def test_run_peak_memory_is_at_most_seven_and_a_half_blocks():
+    # the iterate, the multiplier and the running sum of the x-blocks take 4
+    # blocks of n^2 floats, the gradient pair 2 (its y-part in the carried
+    # K q's buffer) and the x-oracle's output 1; the final record's mean
+    # audit holds as many. The rest is the rank-k kernel's O(n x Krylov
+    # dimension) work space, kept small here by a low rank and a loose
+    # tolerance
     n = 500
     spec, q0, w0 = build_maxcut_problem(
         laplacian(gen_er_graph(n, 0.06, seed=3)) / 4.0, 5, svd_tol=1e-1)
     config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
                           step_policy="fixed", trace_mean=True)
-    assert traced_peak_blocks(spec, q0, w0, config, n) <= 8.5
+    assert traced_peak_blocks(spec, q0, w0, config, n) <= 7.5
 
 
-def test_line_search_run_peak_memory_is_at_most_eleven_blocks():
-    # line search holds the state's 5 blocks, the gradient pair, both
-    # oracle outputs and two segment-sized differences
+def test_line_search_run_peak_memory_is_at_most_ten_blocks():
+    # line search holds 4 blocks of the iterate, the multiplier and the
+    # running sum, the gradient pair (its y-part in the carried K q's
+    # buffer), both oracle outputs and two segment-sized differences
     d = 150
     _sigma, sigma_hat, tau, s = gen_cme_instance(CmeConfig(d=d, r=3, seed=1))
     spec, q0, w0 = build_cme_problem(sigma_hat, tau, s, 3, svd_tol=1e-2)
     config = SolverConfig(rho=25.0, mu=0.2, iters=3, step_policy="line_search",
                           trace_mean=True)
-    assert traced_peak_blocks(spec, q0, w0, config, d) <= 11.1
+    assert traced_peak_blocks(spec, q0, w0, config, d) <= 10.1
 
 
 def test_theoretical_policy_enforces_dual_cap():
