@@ -305,7 +305,7 @@ def metrics_maxcut(S, C):
     if S.shape != C.shape:
         raise ValueError("shape mismatch")
     return MaxcutMetrics(
-        objective=-float(np.trace(C @ S)),
+        objective=-float(np.einsum("ij,ji->", C, S)),  # tr(C S), no C @ S
         diag_feasibility=float(np.linalg.norm(np.diag(S) - 1.0)),
     )
 
@@ -320,8 +320,10 @@ def reference_solution(spec, tol, *, q0, w0, config=None):
 
     Runs ``config``, whose ``iters`` is the budget; by default the steps of
     ``default_steps`` at rho = 1 for 10^6 iterations. A line-search config
-    with a larger mu converges much faster on larger instances. Stops once the constraint residual and the successive objective change
-    both drop below ``tol``; raises when the budget is spent.
+    with a larger mu converges much faster on larger instances. Stops once
+    the constraint residual and the successive objective change both drop
+    below ``tol``; raises when the budget is spent. Each value reads the
+    step's own K q, so a step applies A once.
 
     Returns a ReferenceSolution carrying the point and the converged
     multiplier, the solver's own arrays (no step writes them again), and h
@@ -342,10 +344,10 @@ def reference_solution(spec, tol, *, q0, w0, config=None):
     k_norm = np.inf
     for state, step in iterate(spec_e, q0, w0, config):
         k_norm = step.k_norm
-        h_cur = record_values(spec_e, state.q, state.w, rho)[0]
+        h_cur = record_values(spec_e, state.q, state.w, rho, kq=state.kq)[0]
         if k_norm <= tol and abs(h_cur - h_prev) <= tol:
             h, flagged, al = record_values(spec_e, state.q, state.w, rho,
-                                           audit=True)
+                                           audit=True, kq=state.kq)
             return ReferenceSolution(
                 q=state.q,
                 w=state.w,

@@ -1,15 +1,16 @@
 """Dense and operator linear-algebra kernels.
 
-Truncated singular-value and symmetric eigenvalue decompositions via Lanczos
-iterations with full reorthogonalization, each in one Krylov basis, and exact
+Truncated singular-value and symmetric eigenvalue decompositions, which share
+one Lanczos loop with full reorthogonalization in one Krylov basis, and exact
 projections onto the scaled simplex and the l1 ball, which find their
 threshold by Michelot's pivot iteration in linear time per pass.
 
-Each basis vector is stored next to its product with the input M, and the
-Rayleigh-Ritz extraction and residuals are assembled from the stored
-products. ``truncated_svd`` keeps one basis, on the smaller side of M, for
-M.T @ M. The bases grow with the Krylov dimension, so memory is proportional
-to the rank sought, not to the square of the input's dimensions.
+Each decomposition adds to the loop only its input checks and its
+Rayleigh-Ritz extraction, which, like the residuals, is assembled from the
+products with the input M stored next to the basis vectors. ``truncated_svd``
+keeps its basis on the smaller side of M, for M.T @ M. The basis grows with
+the Krylov dimension, so memory is proportional to the rank sought, not to
+the square of the input's dimensions.
 
 ``truncated_eigh`` takes only a square matrix that equals its transpose
 entry for entry, and raises ValueError on any other; it never copies it. It
@@ -56,75 +57,75 @@ def _check_matrix(M):
     return M
 
 
-def _reorthogonalize(w, basis, count):
+def _reorthogonalize(w, B):
     # two Gram-Schmidt passes keep loss of orthogonality at machine precision
-    if count:
-        B = basis[:count]
-        for _ in range(2):
-            w = w - B.T @ (B @ w)
+    for _ in range(2):
+        w = w - B.T @ (B @ w)
     return w
 
 
-def _fresh_direction(rng, basis, count, dim):
+def _fresh_direction(rng, B):
     # replacement vector after a Lanczos breakdown (invariant subspace hit)
     for _ in range(64):
-        w = rng.standard_normal(dim)
-        w = _reorthogonalize(w, basis, count)
+        w = _reorthogonalize(rng.standard_normal(B.shape[1]), B)
         nw = np.linalg.norm(w)
         if nw > 1e-8:
             return w / nw
     raise ConvergenceError("could not generate a new orthogonal direction")
 
 
-class _Basis:
-    """Orthonormal Krylov vectors, one per row, each stored next to the
-    operator's product with it, in buffers that grow with the basis.
+def _lanczos(kernel, apply, advance, dim, out_dim, k, tol, seed, max_sweeps,
+             breakdown, extract):
+    """The Lanczos loop of both spectral kernels.
 
-    A product is formed when its vector is appended and reused by the
-    recurrence and the Rayleigh-Ritz extraction.
+    Basis vectors (length dim) are kept as rows next to their products
+    ``apply(v)`` (length out_dim), in buffers grown to the Krylov dimension:
+    min(dim, max(2k + 6, 12)), then max(k, 6) more per sweep. The start is
+    seeded; each later vector is ``advance`` of the last product,
+    reorthogonalized, or a random direction if its norm is <= ``breakdown``.
+    Each sweep ends in ``extract(vectors, products)``, which gives
+    ``(result, residual, accepted)``; the first accepted result is returned.
+    ConvergenceError, naming ``kernel`` and carrying the residual, follows
+    ``max_sweeps`` (default max(4k, 30)) rejected sweeps.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_sweeps is None:
+        max_sweeps = max(4 * k, 30)
 
-    def __init__(self, apply, dim, out_dim, rows, first):
-        self.apply = apply
-        self.vecs = np.empty((rows, dim))
-        self.prods = np.empty((rows, out_dim))
-        self.count = 0
-        self._store(first)
+    rng = np.random.default_rng(seed)
+    target = min(dim, max(2 * k + 6, 12))
+    vecs = np.empty((0, dim))
+    prods = np.empty((0, out_dim))
+    w = rng.standard_normal(dim)
+    w = w / np.linalg.norm(w)  # the start vector takes no breakdown test
+    count = 0
+    resid = np.inf
+    for _ in range(max_sweeps):
+        if target > count:  # room for the new rows, keeping the stored ones
+            vecs = np.concatenate((vecs, np.empty((target - count, dim))))
+            prods = np.concatenate(
+                (prods, np.empty((target - count, out_dim))))
+        while count < target:
+            if count:
+                B = vecs[:count]
+                w = _reorthogonalize(advance(prods[count - 1]), B)
+                nw = np.linalg.norm(w)
+                w = _fresh_direction(rng, B) if nw <= breakdown else w / nw
+            vecs[count] = w
+            prods[count] = apply(vecs[count])
+            count += 1
 
-    def reserve(self, rows):
-        """Make room for ``rows`` vectors, keeping the stored ones."""
-        if rows > len(self.vecs):
-            self.vecs = _regrown(self.vecs, rows, self.count)
-            self.prods = _regrown(self.prods, rows, self.count)
+        result, resid, accepted = extract(vecs[:count], prods[:count])
+        if accepted:
+            return result
+        target = min(dim, target + max(k, 6))
 
-    def rows(self):
-        return self.vecs[:self.count]
-
-    def products(self):
-        """The operator applied to each vector, row for row."""
-        return self.prods[:self.count]
-
-    def append(self, w, rng, breakdown_tol):
-        """Reorthogonalize w against the basis and append it, replacing it
-        with a fresh random direction on breakdown."""
-        w = _reorthogonalize(w, self.vecs, self.count)
-        nw = np.linalg.norm(w)
-        if nw <= breakdown_tol:
-            w = _fresh_direction(rng, self.vecs, self.count, w.size)
-        else:
-            w = w / nw
-        self._store(w)
-
-    def _store(self, v):
-        self.vecs[self.count] = v
-        self.prods[self.count] = self.apply(self.vecs[self.count])
-        self.count += 1
-
-
-def _regrown(buf, rows, keep):
-    out = np.empty((rows, buf.shape[1]))
-    out[:keep] = buf[:keep]
-    return out
+    raise ConvergenceError(
+        f"{kernel} did not reach tol={tol:g} within {max_sweeps} sweeps "
+        f"(attained residual {resid:.3e})",
+        residual=resid,
+    )
 
 
 def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
@@ -171,45 +172,25 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     m, n = M.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_sweeps is None:
-        max_sweeps = max(4 * k, 30)
-
     wide = m < n
     A = M.T if wide else M
-    dim = min(m, n)
-    rng = np.random.default_rng(seed)
     fro = float(np.linalg.norm(M))
     atol = 1e-13 * max(1.0, fro)
 
-    target = min(dim, max(2 * k + 6, 12))
-    v0 = rng.standard_normal(dim)
-    V = _Basis(lambda v: A @ v, dim, max(m, n), target, v0 / np.linalg.norm(v0))
-
-    resid = np.inf
-    for _ in range(max_sweeps):
-        V.reserve(target)
-        while V.count < target:
-            # M.T @ M has scale fro**2, so the breakdown test scales by fro
-            V.append(A.T @ V.products()[-1], rng, atol * fro)
-
-        AV = V.products()
+    def extract(V, AV):
         P, s, Qt = np.linalg.svd(AV.T, full_matrices=False)
         sigma, Uk, Yk = s[:k], P[:, :k], Qt[:k].T
-        Vk = V.rows().T @ Yk
+        Vk = V.T @ Yk
         r1 = np.linalg.norm(AV.T @ Yk - Uk * sigma, axis=0)
         r2 = np.linalg.norm(A.T @ Uk - Vk * sigma, axis=0)
         resid = float(max(r1.max(), r2.max()))
-        if resid <= tol * sigma[0] + atol:
-            return (Vk, sigma, Uk) if wide else (Uk, sigma, Vk)
-        target = min(dim, target + max(k, 6))
+        accepted = resid <= tol * sigma[0] + atol
+        return ((Vk, sigma, Uk) if wide else (Uk, sigma, Vk)), resid, accepted
 
-    raise ConvergenceError(
-        f"truncated_svd did not reach tol={tol:g} within {max_sweeps} sweeps "
-        f"(attained residual {resid:.3e})",
-        residual=resid,
-    )
+    # M.T @ M has scale fro**2, so the breakdown test scales by fro
+    return _lanczos("truncated_svd", lambda v: A @ v, lambda p: A.T @ p,
+                    min(m, n), max(m, n), k, tol, seed, max_sweeps,
+                    atol * fro, extract)
 
 
 _PANEL = 64  # rows per panel of the symmetry checks and symmetrizations
@@ -284,29 +265,10 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     d = len(M)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range for dimension {d}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_sweeps is None:
-        max_sweeps = max(4 * k, 30)
-
-    rng = np.random.default_rng(seed)
-    breakdown = 1e-13 * max(1.0, fro)
-
     single = M.dtype == np.float32
     allowance = _single_allowance(d, fro) if single else 0.0
 
-    target = min(d, max(2 * k + 6, 12))
-    q0 = rng.standard_normal(d)
-    Q = _Basis(lambda q: M @ (q.astype(np.float32) if single else q),
-               d, d, target, q0 / np.linalg.norm(q0))
-
-    resid = np.inf
-    for _ in range(max_sweeps):
-        Q.reserve(target)
-        while Q.count < target:
-            Q.append(Q.products()[-1], rng, breakdown)
-
-        B, MB = Q.rows(), Q.products()
+    def extract(B, MB):
         H = B @ MB.T
         H = 0.5 * (H + H.T)
         theta, Y = np.linalg.eigh(H)
@@ -314,15 +276,13 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
         lam, Yk = theta[idx], Y[:, idx]
         Uk = B.T @ Yk
         resid = float(np.linalg.norm(MB.T @ Yk - Uk * lam, axis=0).max())
-        if resid + allowance <= tol * max(1.0, abs(lam[0])):
-            return Uk, lam
-        target = min(d, target + max(k, 6))
+        accepted = resid + allowance <= tol * max(1.0, abs(lam[0]))
+        return (Uk, lam), resid, accepted
 
-    raise ConvergenceError(
-        f"truncated_eigh did not reach tol={tol:g} within {max_sweeps} sweeps "
-        f"(attained residual {resid:.3e})",
-        residual=resid,
-    )
+    return _lanczos("truncated_eigh",
+                    lambda q: M @ (q.astype(np.float32) if single else q),
+                    lambda p: p, d, d, k, tol, seed, max_sweeps,
+                    1e-13 * max(1.0, fro), extract)
 
 
 def _threshold(a, tau, total):

@@ -252,6 +252,9 @@ def test_metrics_maxcut_cases():
     lhs = metrics_maxcut(0.3 * S1 + 0.7 * S2, C).objective
     rhs = 0.3 * metrics_maxcut(S1, C).objective + 0.7 * metrics_maxcut(S2, C).objective
     assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(rhs)))
+    # the trace of the product, also for a non-symmetric S
+    assert metrics_maxcut(S1, C).objective == pytest.approx(
+        -np.trace(C @ S1), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +321,17 @@ def test_reference_nonconvergence_raises():
         mu = step_constants(spec, 1.0).mu_cap()
         reference_solution(spec, 1e-12, q0=q0, w0=w0,
                            config=SolverConfig(rho=1.0, mu=mu, iters=10))
+
+
+def test_reference_applies_the_map_once_per_step():
+    # the values read the step's own K q; forming it again for each record
+    # would apply A twice per step
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    apply, calls = spec.A.apply, []
+    spec.A.apply = lambda v: calls.append(1) or apply(v)
+    ref = reference_solution(spec, 1e-4, q0=q0, w0=w0)
+    # one apply per step, plus K q0 for the first step and h at q0
+    assert len(calls) <= ref.iterations + 2
 
 
 def test_reference_saddle_value_consistency():

@@ -15,6 +15,7 @@ from bruteforce import (
 from wpmm.linalg import (
     ConvergenceError,
     _checked_symmetric,
+    _single_allowance,
     project_l1_ball,
     project_simplex,
     truncated_eigh,
@@ -47,9 +48,11 @@ def test_svd_matches_jacobi_oracle():
 
 def test_svd_full_rank_reconstruction():
     rng = np.random.default_rng(1)
-    for m, n in ((7, 5), (20, 20), (50, 40)):
+    # wide shapes take the basis on M.T's side and swap the factors back
+    for m, n in ((7, 5), (20, 20), (50, 40), (5, 7), (40, 50)):
         M = rng.standard_normal((m, n))
         U, sigma, V = truncated_svd(M, min(m, n), 1e-9)
+        assert U.shape == (m, min(m, n)) and V.shape == (n, min(m, n))
         rec = (U * sigma) @ V.T
         assert np.linalg.norm(rec - M) <= 1e-6 * np.linalg.norm(M)
 
@@ -127,14 +130,6 @@ def test_svd_gaussian_meets_both_residuals(k, tol):
     ref = np.linalg.svd(M, compute_uv=False)
     # the value error is quadratic in the residual
     assert np.abs(sigma - ref[:k]).max() <= max(1e-6, tol**2) * ref[0]
-
-
-def test_svd_nonconvergence_reports_residual():
-    rng = np.random.default_rng(4)
-    M = rng.standard_normal((80, 80))
-    with pytest.raises(ConvergenceError) as exc:
-        truncated_svd(M, 1, 1e-14, max_sweeps=1)
-    assert exc.value.residual is not None and exc.value.residual > 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +234,30 @@ def test_eigh_k_out_of_range():
         truncated_eigh(np.eye(3), 4, 1e-8)
 
 
-def test_eigh_nonconvergence():
-    rng = np.random.default_rng(7)
-    M = rng.standard_normal((80, 80))
-    M = 0.5 * (M + M.T)
-    with pytest.raises(ConvergenceError):
-        truncated_eigh(M, 1, 1e-14, max_sweeps=1)
+def symmetric(d, seed, dtype=float):
+    X = np.random.default_rng(seed).standard_normal((d, d))
+    return (0.5 * (X + X.T)).astype(dtype)
+
+
+@pytest.mark.parametrize("kernel, M", [
+    (truncated_svd, np.random.default_rng(4).standard_normal((80, 80))),
+    (truncated_eigh, symmetric(80, 7)),
+    (truncated_eigh, symmetric(80, 7, np.float32)),
+], ids=["svd", "eigh", "eigh-float32"])
+def test_nonconvergence_reports_residual(kernel, M):
+    with pytest.raises(ConvergenceError, match=kernel.__name__) as exc:
+        kernel(M, 1, 1e-14, max_sweeps=1)
+    resid = exc.value.residual
+    assert resid is not None and resid > 0
+    if M.dtype == np.float32:
+        # the attained residual, without the round-off allowance: the first
+        # sweep is accepted exactly when tol covers the two together
+        allowance = _single_allowance(len(M), float(np.linalg.norm(M)))
+        _, lam = kernel(M, 1, 1e10, max_sweeps=1)  # the same first sweep
+        bound = (resid + allowance) / max(1.0, abs(lam[0]))
+        kernel(M, 1, bound * (1 + 1e-9), max_sweeps=1)
+        with pytest.raises(ConvergenceError):
+            kernel(M, 1, bound * (1 - 1e-9), max_sweeps=1)
 
 
 # ---------------------------------------------------------------------------
