@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import project_l1_ball
+from .linalg import _PANEL, project_l1_ball
 from .model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
 from .oracles import (
     BoxIndicator,
@@ -204,13 +204,24 @@ def gen_er_graph(n, p, seed=0):
 
 
 def laplacian(graph):
-    """Combinatorial Laplacian D - W; symmetric with zero row sums."""
+    """Combinatorial Laplacian D - W; symmetric with zero row sums. Repeated
+    edges add up, in the order of ``graph.edges``."""
     n = graph.n
-    W = np.zeros((n, n))
-    for u, v, w in graph.edges:
-        W[u - 1, v - 1] += w
-        W[v - 1, u - 1] += w
-    return np.diag(W.sum(axis=1)) - W
+    W = np.zeros(n * n)
+    if graph.edges:
+        u, v, w = (np.asarray(col) for col in zip(*graph.edges))
+        if min(u.min(), v.min()) < 1 or max(u.max(), v.max()) > n:
+            raise ValueError(f"an edge vertex lies outside 1..{n}")
+        # w_uv into (u, v) and (v, u), edge by edge: bincount adds its
+        # weights in input order, as a loop over the edges would
+        cells = np.stack([(u - 1) * n + (v - 1), (v - 1) * n + (u - 1)], 1)
+        W = np.bincount(cells.ravel(), weights=np.repeat(w, 2),
+                        minlength=n * n)
+    W = W.reshape(n, n)
+    degree = W.sum(axis=1)
+    L = np.subtract(0.0, W, out=W)  # 0 - w_ij, +0.0 where W is zero
+    L.flat[::n + 1] += degree
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +263,13 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
     d = C.shape[0]
     if C.shape != (d, d):
         raise ValueError("C must be square")
-    if float(np.abs(C - C.T).max()) > 1e-10 * max(1.0, float(np.abs(C).max())):
+    # a row panel of the upper triangle at a time: no d x d temporary
+    gaps, sizes = [], []
+    for i in range(0, d, _PANEL):
+        rows = slice(i, i + _PANEL)
+        gaps.append(np.abs(C[rows, i:] - C[i:, rows].T).max())
+        sizes.append(np.abs(C[rows]).max())
+    if float(np.max(gaps)) > 1e-10 * max(1.0, float(np.max(sizes))):
         raise ValueError("C must be symmetric")
     f = SmoothTerm.linear(-C.ravel())
     A = LinearMap.identity(d * d)

@@ -194,6 +194,7 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
 
 
 _PANEL = 64  # rows per panel of the symmetry checks and symmetrizations
+_CHUNK = 4096  # entries per chunk of a pass over a flat array
 
 
 def _exactly_symmetric(M):
@@ -342,19 +343,35 @@ def project_simplex(z, tau):
 
 
 def project_l1_ball(z, s):
-    """Euclidean projection onto the l1 ball {v : ||v||_1 <= s}.
+    """Euclidean projection onto the l1 ball {v : ||v||_1 <= s}, as a new
+    array: ``_l1_ball_in_place`` on a copy of z."""
+    return _l1_ball_in_place(np.array(z, dtype=float), s)
 
-    Returns a copy of z when it is already inside the ball, otherwise
-    soft-thresholds z with the exact simplex threshold of |z|.
+
+def _l1_ball_in_place(a, s):
+    """Overwrite the flat, contiguous float64 array a with its projection onto
+    the l1 ball {v : ||v||_1 <= s} and return it: a keeps its values when
+    already inside the ball, otherwise it is soft-thresholded with the exact
+    simplex threshold of |a|. The signs wait in a boolean mask while a holds
+    |a|, so the work space is an eighth of a plus the pivot iteration's.
     """
-    z = np.asarray(z, dtype=float)
-    a = np.abs(z)
+    neg = np.signbit(a)
+    np.abs(a, out=a)
     with np.errstate(over="ignore"):  # _shrink rescales sums that overflow
         total = a.sum()
-        if not math.isfinite(total) and not np.isfinite(z).all():
+        if not math.isfinite(total) and not np.isfinite(a).all():
             raise ValueError("input has non-finite entries")
         if not s > 0:
             raise ValueError("s must be positive")
-        if total <= s:
-            return z.copy()
-        return np.copysign(_shrink(a, s, total), z, out=a)
+        if total > s:
+            _shrink(a, s, total)
+    # each entry's sign back, zeros included, as copysign would: every
+    # entry is now >= +0, so setting the sign bit where neg is set negates
+    # it exactly; a chunk at a time (a masked ufunc, with where=neg, is
+    # several times slower)
+    bits = a.view(np.uint64)
+    for i in range(0, a.size, _CHUNK):
+        sign = neg[i:i + _CHUNK].astype(np.uint64)
+        sign <<= 63
+        bits[i:i + _CHUNK] |= sign
+    return a

@@ -23,10 +23,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # for a Cholesky factor in place
+
+try:  # a private module, for a Cholesky factor in place
+    from numpy.linalg import _umath_linalg
+except ImportError:  # np.linalg.cholesky then, into a second array
+    _umath_linalg = None
 
 from . import linalg
-from .linalg import _PANEL
+from .linalg import _CHUNK, _PANEL
 from .model import _norm, indicator_tol
 
 __all__ = [
@@ -191,8 +195,37 @@ class _RadiusIndicator(_IndicatorComponent):
 
 
 class L1BallIndicator(_RadiusIndicator):
+    """Indicator of the l1 ball {v : ||v||_1 <= radius}. ``prox`` projects
+    its point in place. ``contains`` needs no projection when a certified
+    bound settles it, as ``SpectrahedronIndicator``'s does."""
+
     def prox(self, point, scale):
-        return linalg.project_l1_ball(point, self.radius)
+        # point itself when it is a contiguous float64 array, as the shifted
+        # center of ``compute`` is
+        return linalg._l1_ball_in_place(
+            np.ascontiguousarray(point, dtype=float), self.radius)
+
+    def contains(self, v):
+        """Whether v is within ``indicator_tol(v)`` of the ball. Accepted
+        without a projection when ||v||_1, rounded up, is at most the radius
+        r, or when the distance ||v||_2 (1 - r / ||v||_1) to the ball's point
+        (r / ||v||_1) v, at that rounded-up norm, is at most half of the
+        tolerance; the other half covers the rounding of the norms. Any
+        other point is decided by ``distance``."""
+        v = np.asarray(v, dtype=float)
+        tol = indicator_tol(v)
+        if not math.isfinite(tol):
+            return False
+        with np.errstate(over="ignore"):  # an overflowed sum settles nothing
+            # a sum of n nonnegative terms in any order is within gamma_{n-1}
+            # of the exact one; gamma_{n+1} also covers the product's rounding
+            l1 = _abs_sum(v) * (1.0 + _gamma(v.size + 1))
+        if l1 <= self.radius:
+            return True
+        if (math.isfinite(l1)
+                and _norm(v) * (1.0 - self.radius / l1) <= 0.5 * tol):
+            return True
+        return super().contains(v)
 
 
 class SimplexIndicator(_RadiusIndicator):
@@ -484,6 +517,15 @@ def _single_holds(M, tol):
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
+def _abs_sum(v):
+    """sum |v_i| over the flat array v, a chunk at a time, so that no second
+    array of v's size is made."""
+    v, total = v.ravel(), 0.0
+    for i in range(0, v.size, _CHUNK):
+        total += float(np.abs(v[i:i + _CHUNK]).sum())
+    return total
+
+
 def _gamma(k):
     """Higham's gamma_k = k u / (1 - k u), the relative error bound of k
     float64 operations in a row."""
@@ -508,8 +550,15 @@ def _distance_bound(tau, n, trace, sym, skew, low):
 def _cholesky_completes(A, delta):
     """Whether the float64 Cholesky factorization of A + delta I, A a
     symmetric float64 matrix, runs to completion. The factor overwrites A:
-    ``np.linalg.cholesky`` would return it in a second n x n array."""
+    ``np.linalg.cholesky``, used only where NumPy's private
+    ``_umath_linalg`` is missing, returns it in a second n x n array."""
     A.flat[::len(A) + 1] += delta
+    if _umath_linalg is None:
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return False
+        return True
     # a factorization that stops raises the invalid flag, as in numpy.linalg
     with np.errstate(invalid="raise", over="ignore", divide="ignore",
                      under="ignore"):

@@ -2,13 +2,17 @@
 
 One iteration: query both block oracles at the current point with the
 linearization vectors and the step coefficient eta * beta_hat(mu), move the
-primal point by a convex combination toward the oracle output, then ascend
+primal point q to q + eta (v - q) toward the oracle output v, then ascend
 the multiplier along the constraint residual. The step rule is decided once
 per run: the curvature-based formula, a fixed user value, or an exact line
-search over the combination parameter, closed-form on the step's own
-gradient since the smooth term is quadratic. Line search needs both blocks
-constant on segments; a run with any other block takes the base step every
-iteration and flags each step as a fallback.
+search over eta, closed-form on the step's own gradient since the smooth
+term is quadratic. Line search needs both blocks constant on segments; a run
+with any other block takes the base step every iteration and flags each
+step as a fallback. A step writes the direction v - q and then the new
+iterate into the oracle outputs' buffers and frees each gradient block once
+its oracle has run, so a line-search step holds 6 block-sized arrays: the
+iterate's two, the multiplier, the direction's two and A dx - dy; ``run``'s
+running sum makes 7.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
 ``IterateState`` (q, w and t, all the method carries, and K q, formed once
@@ -288,27 +292,22 @@ def _base_step(spec, config):
     return base, base * consts.beta_hat(config.mu), search
 
 
-def line_search_eta(spec, q, v, grad, mu, rho):
-    """Exact step over the segment q -> v for the merit
-    mu ||K q(eta)||^2 + L_rho(q(eta), w), eta in [0, 1].
+def line_search_eta(spec, d, lin, mu, rho):
+    """Exact step along the direction d = v - q from the iterate q to an
+    oracle output v, for the merit mu ||K q(eta)||^2 + L_rho(q(eta), w) at
+    q(eta) = q + eta d, eta in [0, 1].
 
-    ``grad`` is the merit's gradient at q: the ``smooth_grad`` pair at
-    penalty rho + 2 mu. Assumes, without checking, both endpoints inside every
-    indicator domain (true of the iterate and an oracle output) and both
-    regularizers constant on segments, so they drop out. f is quadratic, so
-    the merit moves by exactly lin*eta + curv*eta^2 along the segment, with
-    lin = <grad, v - q> and curv = <dx, H dx>/2 + (mu + rho/2)
-    ||A dx - dy||^2 >= 0: the endpoints and the clipped stationary point
-    hold its minimizer.
+    ``lin`` is <grad, d>, grad the merit's gradient at q: the ``smooth_grad``
+    pair at penalty rho + 2 mu. Assumes, without checking, both endpoints
+    inside every indicator domain (true of the iterate and an oracle output)
+    and both regularizers constant on segments, so they drop out. f is
+    quadratic, so the merit moves by exactly lin*eta + curv*eta^2 along the
+    segment, with curv = <dx, H dx>/2 + (mu + rho/2) ||A dx - dy||^2 >= 0:
+    the endpoints and the clipped stationary point hold its minimizer. The
+    one array formed is A dx - dy; d is not changed.
     """
-    px, py = grad
-    dx = v.x - q.x
-    dy = v.y - q.y
-    lin = float(px @ dx) + float(py @ dy)
-    # A dx - dy into dy's buffer, which nothing reads after lin: two
-    # segment-sized arrays, not three
-    kd = np.subtract(spec.A.apply(dx), dy, out=dy)
-    curv = 0.5 * spec.f.curvature(dx) + (mu + 0.5 * rho) * float(kd @ kd)
+    kd = np.subtract(spec.A.apply(d.x), d.y)
+    curv = 0.5 * spec.f.curvature(d.x) + (mu + 0.5 * rho) * float(kd @ kd)
 
     candidates = [0.0, 1.0]
     if curv > 0.0:
@@ -340,39 +339,47 @@ def _owned(v, *inputs):
 def _step(spec, state, rx, ry, config, eta, coeff, search):
     # a plain function, not inlined into the generator: its block-sized
     # temporaries are freed before the caller sees the new state. Each new
-    # block value goes into an array the step owns: the iterate into the
-    # oracle outputs, the y-gradient into the carried K q. The old iterate
-    # and multiplier are let go as soon as their successors exist. Returns
-    # the step taken and ||K q|| at the new point.
+    # block value goes into an array the step owns: each oracle output
+    # becomes the direction d = v - q in place, and then the new iterate
+    # q + eta d; the y-gradient goes into the carried K q. A gradient block
+    # is let go once its oracle has run and, under line search, its part of
+    # lin = <grad, d> is taken, so line search holds the iterate, the
+    # multiplier, d and A dx - dy; the old iterate and multiplier are let go
+    # as soon as their successors exist. Returns the step taken and ||K q||
+    # at the new point.
     q, w = state.q, state.w
     px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu,
                          kq=state.kq)
     state.kq = None  # consumed: py is its buffer
     try:
-        vx = _owned(rx.compute(q.x, px, coeff), q.x, px)
-        if not search:
-            px = None  # read by no one else: freed before the y-oracle runs
-        vy = _owned(ry.compute(q.y, py, coeff), q.y, py)
+        dx = _owned(rx.compute(q.x, px, coeff), q.x, px)
+        dx -= q.x
+        if search:
+            lin = float(px @ dx)
+        px = None  # read by no one else: freed before the y-oracle runs
+        dy = _owned(ry.compute(q.y, py, coeff), q.y, py)
+        dy -= q.y
     except Exception as exc:
         raise SolverError(
             f"oracle failure at iteration {state.t}: {exc}", iteration=state.t
         ) from exc
-
     if search:
-        eta = line_search_eta(spec, q, PrimalPoint(vx, vy), (px, py),
-                              config.mu, config.rho)
-    del px, py
+        lin += float(py @ dy)
+        py = None  # freed before line search forms A dx - dy
+        eta = line_search_eta(spec, PrimalPoint(dx, dy), lin, config.mu,
+                              config.rho)
+    del py
 
-    # (1 - eta) q + eta v
-    vx *= eta
-    vx += (1.0 - eta) * q.x
-    vy *= eta
-    vy += (1.0 - eta) * q.y
+    # q + eta d
+    dx *= eta
+    dx += q.x
+    dy *= eta
+    dy += q.y
     rx.commit(eta)
     ry.commit(eta)
-    state.q = PrimalPoint(vx, vy)
+    state.q = PrimalPoint(dx, dy)
     del q  # the old iterate, freed here unless the caller holds it
-    kq = spec.A.apply(vx) - vy
+    kq = spec.A.apply(dx) - dy
     # w + mu K q
     state.w = np.multiply(kq, config.mu)
     state.w += w

@@ -204,6 +204,16 @@ def er_graph_loop(n, p, seed=0):
     return edges
 
 
+def laplacian_loop(graph):
+    """Combinatorial Laplacian D - W, W filled edge by edge."""
+    n = graph.n
+    W = np.zeros((n, n))
+    for u, v, w in graph.edges:
+        W[u - 1, v - 1] += w
+        W[v - 1, u - 1] += w
+    return np.diag(W.sum(axis=1)) - W
+
+
 def write_gset(graph, path):
     """Write a graph in the Gset text format: 'n m', then 'u v w' lines."""
     with open(path, "w", encoding="ascii") as fh:

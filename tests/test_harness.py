@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import er_graph_loop, write_gset
+from bruteforce import er_graph_loop, laplacian_loop, write_gset
 from wpmm.harness import (
     CmeConfig,
     GsetGraph,
@@ -173,6 +173,28 @@ def test_er_graph_matches_pairwise_loop(n, p, seed):
     assert all(type(x) is int for edge in g.edges for x in edge)
 
 
+def test_laplacian_matches_edge_loop_bit_for_bit():
+    # repeated edges in both orientations add up in edge order, with
+    # negative and fractional weights; signed zeros match too
+    rng = np.random.default_rng(9)
+    edges = [(int(u), int(v), float(w)) for u, v, w in zip(
+        rng.integers(1, 41, 400), rng.integers(1, 41, 400),
+        rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, 400)) if u != v]
+    graphs = [GsetGraph(n=40, edges=edges), GsetGraph(n=7, edges=[]),
+              GsetGraph(n=3, edges=[(1, 2, 5), (2, 1, -5), (2, 3, -2),
+                                    (3, 2, 1), (2, 3, 4)]),
+              gen_er_graph(150, 0.1, seed=4)]
+    for g in graphs:
+        got, want = laplacian(g), laplacian_loop(g)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # a vertex out of range would land in another row of the flat index
+    for edge in ((1, 4, 1), (0, 2, 1)):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            laplacian(GsetGraph(n=3, edges=[(1, 2, 1), edge]))
+
+
 def test_laplacian_quadratic_form():
     g = gen_er_graph(12, 0.4, seed=7)
     C = laplacian(g)
@@ -221,6 +243,17 @@ def test_build_maxcut_problem_contract():
 def test_build_maxcut_rejects_asymmetric():
     with pytest.raises(ValueError):
         build_maxcut_problem(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+    # the check runs a row panel at a time: a gap in any panel, across
+    # panels or in the last partial one is found, relative to max |c_ij|
+    C = laplacian(gen_er_graph(130, 0.2, seed=3))
+    scale = np.abs(C).max()
+    for i, j in ((0, 1), (5, 100), (100, 5), (129, 64), (128, 129)):
+        bad = C.copy()
+        bad[i, j] += 2e-10 * scale
+        with pytest.raises(ValueError, match="symmetric"):
+            build_maxcut_problem(bad, 1)
+        bad[i, j] = C[i, j] + 0.5e-10 * scale
+        build_maxcut_problem(bad, 1)
 
 
 # ---------------------------------------------------------------------------

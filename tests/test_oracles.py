@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from bruteforce import fd_gradient
 from wpmm.harness import build_maxcut_problem, gen_er_graph, laplacian
-from wpmm.linalg import (project_l1_ball, project_simplex, truncated_eigh,
-                         truncated_svd)
+from wpmm.linalg import (_shrink, project_l1_ball, project_simplex,
+                         truncated_eigh, truncated_svd)
 from wpmm.model import (LinearMap, PrimalPoint, ProblemSpec, SmoothTerm,
                         indicator_tol, smooth_grad)
 from wpmm.oracles import (
@@ -152,6 +152,123 @@ def test_prox_optimality_via_projection_characterization():
         c = 3.0
         v = comp.compute(center, p, c)
         assert np.allclose(v, comp.project(center - p / c), atol=1e-12)
+
+
+def copysign_projection(z, r):
+    """The l1-ball projection as a copy: z itself inside the ball, else the
+    shrunk |z| with z's signs by np.copysign."""
+    a = np.abs(z)
+    total = a.sum()
+    if total <= r:
+        return z.copy()
+    return np.copysign(_shrink(a, r, total), z)
+
+
+def l1_cases():
+    """(point, radius) pairs: inside and outside the ball, with signed
+    zeros, and with entries near 1e307 whose sums overflow, so that the
+    projection rescales them."""
+    rng = np.random.default_rng(24)
+    z = rng.standard_normal(1000)
+    zeros = z.copy()
+    zeros[::3], zeros[1::3] = -0.0, 0.0
+    huge = 1e307 * rng.uniform(-1.7, 1.7, 50)
+    return [(z, 2.0 * np.abs(z).sum()), (z, 10.0), (zeros, 1e3),
+            (zeros, 1.0), (np.array([-0.0, 0.0, -0.0]), 1.0),
+            (huge, 1.0), (huge, 1e300), (huge, 1.5e308)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_l1_prox_projects_in_place_bit_for_bit():
+    for z, r in l1_cases():
+        point = z.copy()
+        got = L1BallIndicator(z.size, r).prox(point, 1.0)
+        assert got is point
+        for want in (project_l1_ball(z, r), copysign_projection(z, r)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    # a strided or float32 point is projected as a contiguous float64 copy
+    z, r = l1_cases()[1]
+    for point in (np.repeat(z, 2)[::2], z.astype(np.float32)):
+        got = L1BallIndicator(z.size, r).prox(point, 1.0)
+        assert np.array_equal(got, project_l1_ball(point, r))
+        assert got.dtype == np.float64
+
+
+def test_l1_prox_keeps_only_the_signs_aside():
+    # inside the ball the in-place projection holds one boolean mask, an
+    # eighth of its point; outside it adds the pivot iteration's active
+    # sets, and still holds one point-sized array fewer than a copy
+    z = np.random.default_rng(25).standard_normal(160_000)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / z.nbytes
+        finally:
+            tracemalloc.stop()
+
+    inside = L1BallIndicator(z.size, 2.0 * np.abs(z).sum())
+    assert peak(inside.prox, z.copy(), 1.0) <= 0.2
+    for r in (10.0, 1e5):
+        outside = L1BallIndicator(z.size, r)
+        assert (peak(outside.prox, z.copy(), 1.0)
+                <= peak(project_l1_ball, z, r) - 0.95)
+
+
+def near_l1_sphere(n, r, log_step, sign, rng):
+    """A point (1 + sign 10**log_step) z r / ||z||_1 near the sphere of
+    radius r, z standard normal with about a third of its entries zeroed."""
+    z = rng.standard_normal(n)
+    z[rng.random(n) < 1 / 3] = 0.0
+    z[0] = 1.0  # not all zero
+    return z * (r / np.abs(z).sum()) * (1.0 + sign * 10.0**log_step)
+
+
+@given(st.integers(min_value=1, max_value=3000),
+       st.floats(min_value=1e-3, max_value=1e4),
+       st.floats(min_value=-17.0, max_value=-5.0),
+       st.sampled_from([-1.0, 1.0]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_l1_contains_agrees_with_distance_near_the_sphere(n, r, log_step,
+                                                          sign, seed):
+    # steps from round-off level to far beyond the tolerance, into the ball
+    # and out of it
+    comp = L1BallIndicator(n, r)
+    v = near_l1_sphere(n, r, log_step, sign, np.random.default_rng(seed))
+    assert comp.contains(v) == (comp.distance(v) <= indicator_tol(v))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_l1_contains_rejects_non_finite_and_decides_huge_points():
+    comp = L1BallIndicator(3, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not comp.contains(np.array([0.1, bad, 0.0]))
+    # the l1 norm overflows: the exact distance decides
+    assert not comp.contains(np.array([1.7e308, -1.7e308, 0.0]))
+    huge = L1BallIndicator(3, 1.7e308)
+    v = np.array([1e308, -1e308, 0.0])
+    assert huge.contains(v) == (huge.distance(v) <= indicator_tol(v))
+
+
+def test_l1_contains_certifies_without_projecting(monkeypatch):
+    # points inside the ball, projection outputs on its sphere, points a
+    # round-off step outside and convex combinations of projection outputs
+    # are decided by the bound alone
+    def exact(self, v):
+        raise AssertionError("exact distance taken")
+
+    rng = np.random.default_rng(26)
+    cases = []
+    for n, r in ((1, 2.0), (5000, 3.0), (5000, 1e4)):
+        on = project_l1_ball(rng.standard_normal(n), r)
+        other = project_l1_ball(rng.standard_normal(n), r)
+        cases += [(r, v) for v in (on, 0.5 * on, 0.3 * on + 0.7 * other,
+                                   near_l1_sphere(n, r, -13.0, 1.0, rng))]
+    monkeypatch.setattr(L1BallIndicator, "distance", exact)
+    for r, v in cases:
+        assert L1BallIndicator(v.size, r).contains(v)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +483,52 @@ def test_spectrahedron_contains_certifies_without_eigenvalues(monkeypatch):
             X = near_spectrahedron(kind, n, tau, 0.0, rng)
             assert comp.contains(X)
             assert comp.contains(0.8 * start.ravel() + 0.2 * X)
+
+
+def test_cholesky_fallback_without_numpys_private_module(monkeypatch):
+    # with numpy.linalg._umath_linalg gone, the module still imports and
+    # factors with np.linalg.cholesky, to the same contains verdicts
+    import importlib.util
+    import sys
+
+    import numpy.linalg
+    import wpmm.oracles as oracles
+
+    with monkeypatch.context() as m:
+        m.delattr(numpy.linalg, "_umath_linalg")
+        m.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+        spec = importlib.util.spec_from_file_location(
+            "wpmm._oracles_without_umath", oracles.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        m.setitem(sys.modules, spec.name, fallback)  # for its dataclasses
+        spec.loader.exec_module(fallback)
+    assert fallback._umath_linalg is None and oracles._umath_linalg is not None
+
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: calls.append(1) or cholesky(a))
+    rng = np.random.default_rng(27)
+    verdicts = set()
+    for n, tau in ((1, 2.0), (70, 70.0), (70, 0.3)):
+        comp = oracles.SpectrahedronIndicator(n, tau, k=1)
+        twin = fallback.SpectrahedronIndicator(n, tau, k=1)
+        for kind, r in product(("trace", "rank", "negative"), (0.0, 0.3, 3.0)):
+            X = near_spectrahedron(kind, n, tau, r, rng)
+            verdict = comp.contains(X)
+            assert twin.contains(X) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False} and calls
+
+    # positive definite, semidefinite and indefinite matrices, directly
+    Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    for lam in (rng.uniform(0.1, 1.0, 30), np.r_[np.zeros(5), np.ones(25)],
+                np.r_[-1e-3, np.ones(29)]):
+        A = (Q * lam) @ Q.T
+        A = 0.5 * (A + A.T)
+        for delta in (0.0, 1e-12, 1e-2):
+            assert (fallback._cholesky_completes(A.copy(), delta)
+                    == oracles._cholesky_completes(A.copy(), delta))
 
 
 @pytest.mark.parametrize("tol", [
