@@ -133,13 +133,14 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
 
     Lanczos iteration on M.T @ M with full reorthogonalization, in one basis
     on the smaller side of M (M.T's when M is wide), and one-sided
-    Rayleigh-Ritz extraction after each sweep: with the basis V as rows, the
-    thin SVD ``M @ V.T = P diag(s) Q.T`` gives ``u_i = p_i`` and
-    ``v_i = V.T @ q_i``. Each basis vector keeps its product ``M v``; the
-    next direction is M.T times the last one. A triplet is accepted once
-    both residuals ``||M v - s u||`` and ``||M.T u - s v||`` fall below
-    ``tol * sigma_1`` (plus a tiny absolute guard for numerically zero
-    matrices).
+    Rayleigh-Ritz extraction after each sweep: with the basis V as rows and
+    ``M @ V.T = P R`` a thin QR, the SVD ``R = W diag(s) Q.T`` gives
+    ``v_i = V.T @ q_i``, and ``u_i`` is ``M @ v_i`` orthonormalized, a
+    sign-fixed QR of those k columns. Each basis vector keeps its product
+    ``M v``; the next direction is M.T times the last one. A triplet is
+    accepted once both residuals ``||M v - s u||`` and ``||M.T u - s v||``
+    fall below ``tol * sigma_1`` (plus a tiny absolute guard for
+    numerically zero matrices).
 
     Parameters
     ----------
@@ -178,10 +179,16 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     atol = 1e-13 * max(1.0, fro)
 
     def extract(V, AV):
-        P, s, Qt = np.linalg.svd(AV.T, full_matrices=False)
-        sigma, Uk, Yk = s[:k], P[:, :k], Qt[:k].T
+        # sigma and Q from the j x j triangle of AV.T = P R, and the left
+        # vectors from a sign-fixed QR of AV.T @ Y_k, so no m x j factor P
+        # is formed
+        _, s, Qt = np.linalg.svd(np.linalg.qr(AV.T, mode="r"))
+        sigma, Yk = s[:k], Qt[:k].T
+        AY = AV.T @ Yk
+        Uk, R = np.linalg.qr(AY)
+        Uk *= np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
         Vk = V.T @ Yk
-        r1 = np.linalg.norm(AV.T @ Yk - Uk * sigma, axis=0)
+        r1 = np.linalg.norm(AY - Uk * sigma, axis=0)
         r2 = np.linalg.norm(A.T @ Uk - Vk * sigma, axis=0)
         resid = float(max(r1.max(), r2.max()))
         accepted = resid <= tol * sigma[0] + atol

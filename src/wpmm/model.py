@@ -26,7 +26,9 @@ __all__ = [
     "PrimalPoint",
     "ProblemSpec",
     "k_apply",
+    "shifted_multiplier",
     "smooth_grad",
+    "smooth_grad_x",
 ]
 
 # A point counts as inside an indicator set when its distance to the set is
@@ -230,19 +232,34 @@ def k_apply(spec, q):
     return spec.A.apply(q.x) - q.y
 
 
-def smooth_grad(spec, q, w, rho, kq=None):
-    """Gradient w.r.t. q of the augmented Lagrangian's smooth part
-    f(x) + <w, Kq> + (rho/2) ||Kq||^2, as an (x-part, y-part) pair:
-    (grad f(x) + A^T (w + rho Kq), -(w + rho Kq)). ``kq`` is K q when the
-    caller has already formed it; it is consumed in place, its buffer
-    becoming the y-part, so K q is not formed again."""
+def shifted_multiplier(spec, q, w, rho, kq=None):
+    """r = w + rho K q, the multiplier shifted by the penalized constraint
+    residual: the augmented Lagrangian's smooth part has the gradient
+    (``smooth_grad_x(spec, q.x, r)``, -r). ``kq`` is K q when the caller
+    has already formed it; it is consumed in place, its buffer becoming r,
+    so K q is not formed again."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    # r, then -r, in the buffer of K q
     r = k_apply(spec, q) if kq is None else kq
     r *= rho
     r += w
-    gx = spec.f.gradient(q.x)
-    gx += spec.A.adjoint(r)
-    return gx, np.negative(r, out=r)
+    return r
 
+
+def smooth_grad_x(spec, x, r):
+    """The x-part grad f(x) + A^T r of the augmented Lagrangian's smooth
+    part, from r = ``shifted_multiplier``, as a new array; r is not
+    changed."""
+    gx = spec.f.gradient(x)
+    gx += spec.A.adjoint(r)
+    return gx
+
+
+def smooth_grad(spec, q, w, rho, kq=None):
+    """Gradient w.r.t. q of the augmented Lagrangian's smooth part
+    f(x) + <w, Kq> + (rho/2) ||Kq||^2, as an (x-part, y-part) pair:
+    (grad f(x) + A^T r, -r) with r = w + rho Kq. ``kq`` is K q when the
+    caller has already formed it; it is consumed in place, its buffer
+    becoming the y-part, so K q is not formed again."""
+    r = shifted_multiplier(spec, q, w, rho, kq)
+    return smooth_grad_x(spec, q.x, r), np.negative(r, out=r)

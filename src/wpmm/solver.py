@@ -1,18 +1,21 @@
 """Primal-dual solver loop with weak proximal oracle primal updates.
 
-One iteration: query both block oracles at the current point with the
-linearization vectors and the step coefficient eta * beta_hat(mu), move the
-primal point q to q + eta (v - q) toward the oracle output v, then ascend
-the multiplier along the constraint residual. The step rule is decided once
-per run: the curvature-based formula, a fixed user value, or an exact line
-search over eta, closed-form on the step's own gradient since the smooth
-term is quadratic. Line search needs both blocks constant on segments; a run
-with any other block takes the base step every iteration and flags each
-step as a fallback. A step writes the direction v - q and then the new
-iterate into the oracle outputs' buffers and frees each gradient block once
-its oracle has run, so a line-search step holds 6 block-sized arrays: the
-iterate's two, the multiplier, the direction's two and A dx - dy; ``run``'s
-running sum makes 7.
+One iteration: query both block oracles (y's first) at the current point
+with the linearization vectors and the step coefficient eta * beta_hat(mu),
+move the primal point q to q + eta (v - q) toward the oracle output v, then
+ascend the multiplier along the constraint residual. The step rule is
+decided once per run: the curvature-based formula, a fixed user value, or
+an exact line search over eta, closed-form on the step's own gradient since
+the smooth term is quadratic. Line search needs both blocks constant on
+segments; a run with any other block takes the base step every iteration
+and flags each step as a fallback. A step writes the direction v - q and
+then the new iterate into the oracle outputs' buffers and frees each
+gradient block once its oracle has run. A step whose eta is known in
+advance moves y before the x-oracle runs, so each oracle runs beside the
+iterate, the multiplier, its gradient block and its own output: 5
+block-sized arrays, 6 with ``run``'s running sum. A line-search step holds
+6: the iterate's two, the multiplier, the direction's two and A dx - dy;
+``run``'s running sum makes 7.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
 ``IterateState`` (q, w and t, all the method carries, and K q, formed once
@@ -42,7 +45,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import PrimalPoint, _check_point, k_apply, smooth_grad
+from .model import (PrimalPoint, _check_point, k_apply, shifted_multiplier,
+                    smooth_grad_x)
 
 __all__ = [
     "SolverError",
@@ -62,13 +66,18 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """A solver step failed; carries the iteration index and, when raised
-    from ``run``, the partial log accumulated so far."""
+    """A solver step failed; carries the iteration index, the
+    ``IterateState`` the failed step left (``state``) and, when raised from
+    ``run``, the partial log accumulated so far. A step whose x-oracle fails
+    under a fixed or theoretical step has already moved y, since the y-oracle
+    runs first: the state then holds (x_t, y_{t+1}) with w_t, and K q is
+    gone."""
 
-    def __init__(self, message, iteration=None, partial_log=None):
+    def __init__(self, message, iteration=None, partial_log=None, state=None):
         super().__init__(message)
         self.iteration = iteration
         self.partial_log = partial_log
+        self.state = state
 
 
 # ---------------------------------------------------------------------------
@@ -336,50 +345,64 @@ def _owned(v, *inputs):
     return out
 
 
+def _direction(comp, center, p, coeff, state):
+    """The direction v - center to the oracle output v of ``comp`` at
+    (center, p, coeff), in a buffer the step owns. A failure raises
+    SolverError with ``state``, the iterate the step has left so far."""
+    try:
+        d = _owned(comp.compute(center, p, coeff), center, p)
+        d -= center
+    except Exception as exc:
+        raise SolverError(f"oracle failure at iteration {state.t}: {exc}",
+                          iteration=state.t, state=state) from exc
+    return d
+
+
+def _moved(comp, d, center, eta):
+    """center + eta d, written into d's buffer; ``comp`` commits the step."""
+    d *= eta
+    d += center
+    comp.commit(eta)
+    return d
+
+
 def _step(spec, state, rx, ry, config, eta, coeff, search):
     # a plain function, not inlined into the generator: its block-sized
     # temporaries are freed before the caller sees the new state. Each new
-    # block value goes into an array the step owns: each oracle output
-    # becomes the direction d = v - q in place, and then the new iterate
-    # q + eta d; the y-gradient goes into the carried K q. A gradient block
-    # is let go once its oracle has run and, under line search, its part of
-    # lin = <grad, d> is taken, so line search holds the iterate, the
-    # multiplier, d and A dx - dy; the old iterate and multiplier are let go
-    # as soon as their successors exist. Returns the step taken and ||K q||
-    # at the new point.
+    # block value goes into an array the step owns: r = w + rho' K q and
+    # the y-gradient -r into the carried K q's buffer, each oracle output
+    # into the direction d = v - q and then the new iterate q + eta d. The
+    # y-oracle runs first; unless the step line-searches, y then moves and
+    # its old block is freed before r is negated back (exactly) and the
+    # x-gradient formed from it, so each oracle runs beside the iterate, the
+    # multiplier, its own gradient and its output. Line search holds y and
+    # dy through the x-oracle, then the iterate, the multiplier, d and
+    # A dx - dy. The old iterate and multiplier are let go as soon as their
+    # successors exist. Returns the step taken and ||K q|| at the new point.
     q, w = state.q, state.w
-    px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu,
-                         kq=state.kq)
-    state.kq = None  # consumed: py is its buffer
-    try:
-        dx = _owned(rx.compute(q.x, px, coeff), q.x, px)
-        dx -= q.x
-        if search:
-            lin = float(px @ dx)
-        px = None  # read by no one else: freed before the y-oracle runs
-        dy = _owned(ry.compute(q.y, py, coeff), q.y, py)
-        dy -= q.y
-    except Exception as exc:
-        raise SolverError(
-            f"oracle failure at iteration {state.t}: {exc}", iteration=state.t
-        ) from exc
+    py = shifted_multiplier(spec, q, w, config.rho + 2.0 * config.mu,
+                            kq=state.kq)
+    state.kq = None  # consumed: r is its buffer
+    np.negative(py, out=py)  # the y-gradient -r
+    dy = _direction(ry, q.y, py, coeff, state)
     if search:
-        lin += float(py @ dy)
-        py = None  # freed before line search forms A dx - dy
+        lin = float(py @ dy)
+    else:  # the old y is freed here unless the caller holds it
+        state.q = q = PrimalPoint(q.x, _moved(ry, dy, q.y, eta))
+        dy = None
+    px = smooth_grad_x(spec, q.x, np.negative(py, out=py))
+    py = None  # r: read by no one else, freed before the x-oracle runs
+    dx = _direction(rx, q.x, px, coeff, state)
+    if search:
+        lin += float(px @ dx)
+        px = None  # freed before line search forms A dx - dy
         eta = line_search_eta(spec, PrimalPoint(dx, dy), lin, config.mu,
                               config.rho)
-    del py
-
-    # q + eta d
-    dx *= eta
-    dx += q.x
-    dy *= eta
-    dy += q.y
-    rx.commit(eta)
-    ry.commit(eta)
-    state.q = PrimalPoint(dx, dy)
+        q = PrimalPoint(q.x, _moved(ry, dy, q.y, eta))
+    del px, dy
+    state.q = PrimalPoint(_moved(rx, dx, q.x, eta), q.y)
     del q  # the old iterate, freed here unless the caller holds it
-    kq = spec.A.apply(dx) - dy
+    kq = spec.A.apply(state.q.x) - state.q.y
     # w + mu K q
     state.w = np.multiply(kq, config.mu)
     state.w += w
@@ -421,13 +444,21 @@ def iterate(spec, q0, w0, config):
     return steps()
 
 
+def _coupling(w, kq):
+    """(<w, K q>, ||K q||^2): all that the augmented Lagrangian reads of
+    K q."""
+    return float(w @ kq), float(kq @ kq)
+
+
 def record_values(spec, q, w, rho, audit=False, kq=None):
     """(objective, flagged, al_value) at q as a run record logs them, from
     each block's ``logged_value``: unless ``audit``, q lies in its indicator
     domains (also inside a product), which contribute 0 unchecked; an audit
     that finds a violation flags the objective and the AL value is +inf.
-    ``kq`` is K q when the caller has already formed it; with it, ``q.y``
-    may be None when the y-block is an indicator and nothing is audited."""
+    ``kq`` is K q when the caller has already formed it, or the pair
+    ``_coupling(w, K q)`` when the caller has taken that and let K q go;
+    with either, ``q.y`` may be None when the y-block is an indicator and
+    nothing is audited."""
     fval = float(spec.f.value(q.x))
     vx, fx = spec.rx.logged_value(q.x, audit)
     if q.y is None:  # the unaudited indicator's 0 needs no point
@@ -440,7 +471,8 @@ def record_values(spec, q, w, rho, audit=False, kq=None):
         return fval + vx + vy, True, float("inf")
     if kq is None:
         kq = k_apply(spec, q)
-    al = fval + float(w @ kq) + 0.5 * rho * float(kq @ kq) + vx + vy
+    wkq, kq_sq = kq if isinstance(kq, tuple) else _coupling(w, kq)
+    al = fval + wkq + 0.5 * rho * kq_sq + vx + vy
     return fval + vx + vy, False, al
 
 
@@ -457,13 +489,18 @@ def run(spec, q0, w0, config):
     residual comes from the multiplier: w_t - w_0 = mu sum_s K q_s, so
     K qbar_t = (w_t - w_0) / (mu t), and the mean's y-block is
     A xbar_t - K qbar_t, formed only where something reads it (the final
-    record, and traced records whose y-block is not an indicator).
+    record, and traced records whose y-block is not an indicator). A mean
+    record holds one block of its own where it can: it takes the inner
+    products of K qbar first and, unless the y-block is formed into K qbar's
+    buffer, frees K qbar before xbar is formed.
 
     The returned points and multiplier are the solver's own arrays, not
     copies: the final iterate, and the running sum divided in place into the
-    mean's x-block on the final record. Only an empty run, and the partial
-    log of a SolverError, carry copies, since there they may be the caller's
-    arrays."""
+    mean's x-block on the final record. Only an empty run carries copies,
+    since there they would be the caller's arrays. A SolverError's partial
+    log holds the state the failed step left (see ``SolverError``): after
+    an x-oracle failure under a fixed or theoretical step, its
+    ``last_point`` is (x_t, y_{t+1}) with ``w_final`` w_t."""
     steps = iterate(spec, q0, w0, config)
     if config.iters == 0 and config.variant in ("mean", "both"):
         raise ValueError("mean output undefined for an empty run")
@@ -492,27 +529,35 @@ def run(spec, q0, w0, config):
             if final:  # no step reads K q again: freed before the audits
                 state.kq = None
             if final or config.trace_mean:
+                # K qbar, from the multiplier: the record reads it first,
+                # and it is freed before xbar is formed unless the y-block,
+                # A xbar - K qbar, is needed and written into its buffer
                 kqb = np.subtract(state.w, w0)
                 kqb /= config.mu * t
+                if config.trace_mean:
+                    rec.mean_feasibility = float(np.linalg.norm(kqb))
+                    coupling = _coupling(state.w, kqb)
+                if not final and spec.ry.is_indicator:
+                    kqb = None
                 # no step adds to the running sum after the final record
                 xb = np.divide(total, t, out=total if final else None)
-                yb = (spec.A.apply(xb) - kqb
-                      if final or not spec.ry.is_indicator else None)
+                yb = (None if kqb is None
+                      else np.subtract(spec.A.apply(xb), kqb, out=kqb))
                 qb = PrimalPoint(xb, yb)
                 if final:
                     mean_point = qb
                 if config.trace_mean:
                     mobj, mflag, mal = record_values(spec, qb, state.w,
-                                                     config.rho, final, kq=kqb)
+                                                     config.rho, final,
+                                                     kq=coupling)
                     rec.objective_flagged |= mflag
                     rec.mean_objective = mobj
-                    rec.mean_feasibility = float(np.linalg.norm(kqb))
                     rec.mean_al_value = mal
                 del kqb, xb, yb, qb  # not held through the next step
             records.append(rec)
     except SolverError as exc:
-        q, w = (q0, w0) if state is None else (state.q, state.w)
-        exc.partial_log = RunLog(records, q.copy(), None, w.copy(), config)
+        exc.partial_log = RunLog(records, exc.state.q, None, exc.state.w,
+                                 config)
         raise
     if state is None:  # an empty run: q0 and w0 are the caller's
         return RunLog(records, q0.copy(), None, w0.copy(), config)

@@ -5,10 +5,14 @@ decompositions use Jacobi rotations instead of Lanczos, projections use
 exhaustive active-set / sign-pattern enumeration or sorting instead of a
 pivot iteration, gradients use central finite differences, and the
 augmented Lagrangian's smooth part is summed term by term from the problem's
-callables.
+callables. The one exception, ``reference_run``, shares the oracles and the
+formulas with the solver and checks only the order of its work.
 """
 
 import numpy as np
+
+from wpmm.model import PrimalPoint, k_apply, smooth_grad
+from wpmm.solver import _base_step, line_search_eta, record_values
 
 
 def jacobi_eigh(M, sweeps=100, tol=1e-13):
@@ -220,3 +224,45 @@ def write_gset(graph, path):
         fh.write(f"{graph.n} {len(graph.edges)}\n")
         for u, v, w in graph.edges:
             fh.write(f"{u} {v} {int(w)}\n")
+
+
+def reference_run(spec, q0, w0, config):
+    """What ``solver.run`` logs, from steps taken in the plain order and on
+    whole new arrays: both oracles at q (x first), then line search,
+    q + eta (v - q) and w + mu K q, and each mean record from xbar and
+    K qbar at once. Returns (records, last point, mean point, multiplier),
+    a record being the tuple of a ``RunRecord``'s fields but ``elapsed``."""
+    eta0, coeff, search = _base_step(spec, config)
+    fallback = config.step_policy == "line_search" and not search
+    rx, ry = spec.rx.for_run(q0.x), spec.ry.for_run(q0.y)
+    q, w = q0.copy(), np.array(w0, dtype=float)
+    total, records, mean = np.zeros_like(q.x), [], None
+    for t in range(1, config.iters + 1):
+        px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
+        d = PrimalPoint(np.array(rx.compute(q.x, px, coeff), dtype=float) - q.x,
+                        np.array(ry.compute(q.y, py, coeff), dtype=float) - q.y)
+        eta = eta0
+        if search:
+            eta = line_search_eta(spec, d, float(px @ d.x) + float(py @ d.y),
+                                  config.mu, config.rho)
+        rx.commit(eta)
+        ry.commit(eta)
+        q = PrimalPoint(q.x + eta * d.x, q.y + eta * d.y)
+        kq = k_apply(spec, q)
+        w = w + config.mu * kq
+        total += q.x
+        final = t == config.iters
+        obj, flagged, al = record_values(spec, q, w, config.rho, final, kq=kq)
+        means = (None, None, None)
+        if final or config.trace_mean:
+            kqb = (w - w0) / (config.mu * t)
+            xb = total / t
+            mean = PrimalPoint(xb, spec.A.apply(xb) - kqb)
+            if config.trace_mean:
+                mobj, mflag, mal = record_values(spec, mean, w, config.rho,
+                                                 final, kq=kqb)
+                flagged |= mflag
+                means = (mobj, float(np.linalg.norm(kqb)), mal)
+        records.append((t, obj, flagged, float(np.linalg.norm(kq)), al, eta,
+                        fallback, *means))
+    return records, q, mean, w

@@ -1,10 +1,14 @@
 import math
+import os
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from bruteforce import reference_run
 from wpmm.certify import check_linear_decay, check_obj_feas_split
+from wpmm.cli import _load_problem
 from wpmm.harness import (
     CmeConfig,
     build_box_toy,
@@ -388,11 +392,66 @@ def test_oracle_failure_wraps_iteration_index():
         run(spec, q0, w0, config)
     assert exc.value.iteration == 0
     partial = exc.value.partial_log
-    # copies: the partial log's arrays are still the caller's here
+    # the solver's own copies of the start, never the caller's arrays
     for got, given in ((partial.last_point.x, q0.x),
                        (partial.last_point.y, q0.y), (partial.w_final, w0)):
         assert np.array_equal(got, given)
         assert not np.may_share_memory(got, given)
+
+
+def test_x_oracle_failure_after_the_y_step_logs_the_moved_y():
+    # under fixed steps y moves before the x-oracle runs, and its old block
+    # is gone: an x-oracle failing at t = 2 leaves (x_2, y_3) with w_2
+    class FailsAtThirdCall(BoxIndicator):
+        calls = 0
+
+        def compute(self, center, p, coeff):
+            self.calls += 1
+            if self.calls == 3:
+                raise RuntimeError("boom")
+            return super().compute(center, p, coeff)
+
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    config = SolverConfig(rho=1.0, mu=0.1, iters=5, step_policy="fixed",
+                          eta=0.5)
+    states = [(s.q.x.copy(), s.q.y.copy(), s.w.copy())
+              for s, _ in iterate(spec, q0, w0, config)]
+    (x2, y2, w2), (_x3, y3, _w3) = states[1], states[2]
+    assert not np.array_equal(y3, y2)  # the y-step moves y
+    spec.rx = FailsAtThirdCall(2, 0.0, 1.0)
+    with pytest.raises(SolverError) as exc:
+        run(spec, q0, w0, config)
+    assert exc.value.iteration == 2
+    partial = exc.value.partial_log
+    assert [r.t for r in partial.records] == [1, 2]
+    assert np.array_equal(partial.last_point.x, x2)
+    assert np.array_equal(partial.last_point.y, y3)
+    assert np.array_equal(partial.w_final, w2)
+
+
+@pytest.mark.parametrize("problem", ["maxcut", "cme", "polytope2"])
+def test_run_is_bit_identical_to_the_plainly_ordered_reference(problem):
+    # the step's order of work and its buffers change no logged bit: the
+    # golden traces compare at rtol 1e-9 and would miss a reordered sum
+    if problem == "maxcut":
+        spec, q0, w0 = build_maxcut_problem(
+            laplacian(gen_er_graph(30, 0.2, seed=0)), 5)
+        settings = dict(rho=1.0, mu=0.2, eta=0.2, step_policy="fixed")
+    elif problem == "cme":
+        _sigma, sigma_hat, tau, s = gen_cme_instance(CmeConfig(d=12, r=3))
+        spec, q0, w0 = build_cme_problem(sigma_hat, tau, s, 3)
+        settings = dict(rho=1.0, mu=0.2, step_policy="line_search")
+    else:
+        (spec, q0, w0), solver = _load_problem(
+            os.path.join(os.path.dirname(__file__), "data", "polytope2.json"))
+        settings = solver
+    config = SolverConfig(**{**settings, "iters": 20}, trace_mean=True)
+    log = run(spec, q0, w0, config)
+    records, last, mean, w = reference_run(spec, q0, w0, config)
+    assert [astuple(r)[:7] + astuple(r)[8:] for r in log.records] == records
+    for got, want in ((log.last_point, last), (log.mean_point, mean)):
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    assert np.array_equal(log.w_final, w)
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +699,13 @@ def traced_peak_blocks(spec, q0, w0, config, n, solve=run):
     return peak / (8 * n * n)
 
 
-def test_iterate_peak_memory_is_at_most_six_and_a_half_blocks():
+def test_iterate_peak_memory_is_at_most_five_and_a_half_blocks():
     # iterate carries only the method: the iterate and the multiplier take
-    # 3 blocks of n^2 floats, the gradient pair 2 and the x-oracle's shifted
-    # center 1, with no running sum; the rest is the rank-k kernel's work
-    # space, kept small by a low rank and a loose tolerance
+    # 3 blocks of n^2 floats, with no running sum. The y-oracle runs first
+    # and a fixed step moves y before the x-oracle runs, so each oracle
+    # holds its gradient block and its own center or output: 5; the rest is
+    # the rank-k kernel's work space, kept small by a low rank and a loose
+    # tolerance
     n = 500
     spec, q0, w0 = build_maxcut_problem(
         laplacian(gen_er_graph(n, 0.1, seed=5)), 5, svd_tol=1e-1)
@@ -655,22 +716,23 @@ def test_iterate_peak_memory_is_at_most_six_and_a_half_blocks():
         for _ in iterate(*args):
             pass
 
-    assert traced_peak_blocks(spec, q0, w0, config, n, solve=steps) <= 6.5
+    assert traced_peak_blocks(spec, q0, w0, config, n, solve=steps) <= 5.5
 
 
-def test_run_peak_memory_is_at_most_seven_and_a_half_blocks():
+def test_run_peak_memory_is_at_most_six_and_a_half_blocks():
     # the iterate, the multiplier and the running sum of the x-blocks take 4
-    # blocks of n^2 floats, the gradient pair 2 (its y-part in the carried
-    # K q's buffer) and the x-oracle's output 1; the final record's mean
-    # audit holds as many. The rest is the rank-k kernel's O(n x Krylov
-    # dimension) work space, kept small here by a low rank and a loose
-    # tolerance
+    # blocks of n^2 floats; each oracle adds its gradient (the y-part, then
+    # the x-part formed once the y-step is taken and the y-part is gone) and
+    # its output: 6. A traced mean record holds the 4, the carried K q and
+    # one block of its own, K qbar and then xbar. The rest is the rank-k
+    # kernel's O(n x Krylov dimension) work space, kept small here by a low
+    # rank and a loose tolerance
     n = 500
     spec, q0, w0 = build_maxcut_problem(
         laplacian(gen_er_graph(n, 0.06, seed=3)) / 4.0, 5, svd_tol=1e-1)
     config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=3,
                           step_policy="fixed", trace_mean=True)
-    assert traced_peak_blocks(spec, q0, w0, config, n) <= 7.5
+    assert traced_peak_blocks(spec, q0, w0, config, n) <= 6.5
 
 
 def test_line_search_run_peak_memory_is_at_most_eight_blocks():
@@ -678,10 +740,11 @@ def test_line_search_run_peak_memory_is_at_most_eight_blocks():
     # running sum, the direction d (both oracle outputs, turned in place)
     # and A dx - dy: 7. The gradient blocks are gone by then, each freed
     # once its oracle has run and its part of <grad, d> is taken. The
-    # y-oracle holds the 4, dx, the y-gradient and the shifted center it
-    # projects in place, plus that projection's sign mask and active sets;
-    # the final record's mean audit holds the 4, the mean's residual and
-    # y-block and the x-block's symmetric part. Each peaks near 7.8 here
+    # x-oracle holds the 4, dy, the x-gradient and its output; the y-oracle
+    # the 4, the y-gradient and the shifted center it projects in place,
+    # plus that projection's sign mask and active sets; the final record's
+    # mean audit holds the 4, the mean's y-block and the x-block's
+    # symmetric part. The run peaks near 7.75 here
     d = 150
     _sigma, sigma_hat, tau, s = gen_cme_instance(CmeConfig(d=d, r=3, seed=1))
     spec, q0, w0 = build_cme_problem(sigma_hat, tau, s, 3, svd_tol=1e-2)
