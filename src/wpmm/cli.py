@@ -106,8 +106,6 @@ class GraphFileError(RuntimeError):
 
 
 def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return f"{float(v):.17g}"
 
 
@@ -499,8 +497,6 @@ class _Section(dict):
 
 
 def _build_smooth(doc):
-    if not isinstance(doc, _Section):  # a plain dict, read as section 'f'
-        doc = _Section("problem", "f", doc)
     kind = doc.get("kind")
     if kind == "quadratic":
         return SmoothTerm.quadratic(doc.array("Q"), doc.array("b", None),

@@ -110,6 +110,20 @@ def test_criterion_2_polytope_wpo_condition():
     report("criterion 2 (polytope oracle)", elapsed, "; ".join(lams))
 
 
+def test_polytope_audit_fails_an_oracle_that_leaves_a_vertex_center(
+        monkeypatch):
+    # all weight on the LMO vertex: from a center at a vertex the output
+    # costs more than the center itself, which no finite lam covers
+    import wpmm.oracles as oracles
+
+    monkeypatch.setattr(oracles, "simplex_qp",
+                        lambda M, p, center, c, init=None:
+                        np.eye(M.shape[1])[-1])
+    cert = polytope_audit("hypercube", trials=25, seed=0)
+    assert not cert.passed
+    assert cert.data["lam_measured"] == np.inf
+
+
 # ---------------------------------------------------------------------------
 # 3. per-iteration linear decay of the AL gap
 

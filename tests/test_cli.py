@@ -8,6 +8,7 @@ import wpmm.linalg
 from bruteforce import write_gset
 from wpmm.cli import (
     CME_DEFAULTS,
+    COMMANDS,
     CSV_HEADER,
     EXIT_CERT,
     EXIT_CONFIG,
@@ -510,40 +511,68 @@ def test_generic_default_steps_without_curvature_are_fixed(tmp_path):
 _TARGET4 = {"kind": "half_sq_distance", "target": [0.3, -0.2, 1.4, 0.5]}
 
 
-@pytest.mark.parametrize("doc", [
+def _rank5_nuclear_ball(rows, cols, radius, seed, **extra):
+    """The nearest point of a rank-5 nuclear ball to a Gaussian target."""
+    n = rows * cols
+    target = np.random.default_rng(seed).standard_normal(n)
+    return {"f": {"kind": "half_sq_distance", "target": target.tolist()},
+            "A": {"kind": "identity", "dim": n},
+            "rx": {"kind": "nuclear_ball", "rows": rows, "cols": cols,
+                   "radius": radius, "rank": 5, **extra},
+            "ry": {"kind": "zero", "dim": n}}
+
+
+@pytest.mark.parametrize("doc, iters", [
     pytest.param({"f": {"kind": "half_sq_distance", "target": [0.3, 1.4]},
                   "A": {"kind": "diagonal", "entries": [1.0, 2.0]},
                   "rx": {"kind": "box", "dim": 2},
-                  "ry": {"kind": "box", "dim": 2, "hi": 2.0}},
+                  "ry": {"kind": "box", "dim": 2, "hi": 2.0}}, 5,
                  id="diagonal-map"),
     pytest.param({"f": {"kind": "half_sq_distance", "target": [0.3, -0.2, 1.4]},
                   "A": {"kind": "identity", "dim": 3},
                   "rx": {"kind": "simplex", "dim": 3, "radius": 1.0},
-                  "ry": {"kind": "zero", "dim": 3}},
+                  "ry": {"kind": "zero", "dim": 3}}, 5,
                  id="simplex"),
     pytest.param({"f": _TARGET4, "A": {"kind": "identity", "dim": 4},
                   "rx": {"kind": "diag_ones", "n": 2},
-                  "ry": {"kind": "zero", "dim": 4}},
+                  "ry": {"kind": "zero", "dim": 4}}, 5,
                  id="diag-ones"),
     pytest.param({"f": _TARGET4, "A": {"kind": "identity", "dim": 4},
                   "rx": {"kind": "nuclear_reg", "rows": 2, "cols": 2,
                          "nu": 0.1, "rank": 1},
-                  "ry": {"kind": "zero", "dim": 4}},
+                  "ry": {"kind": "zero", "dim": 4}}, 5,
                  id="nuclear-reg"),
     pytest.param({"f": _TARGET4, "A": {"kind": "identity", "dim": 4},
                   "rx": {"kind": "nuclear_ball", "rows": 2, "cols": 2,
                          "radius": 1.0, "rank": 1},
-                  "ry": {"kind": "zero", "dim": 4}},
+                  "ry": {"kind": "zero", "dim": 4}}, 5,
                  id="nuclear-ball"),
+    # a dense 2 x 3 map and a nonzero w0: the mean's residual comes from
+    # the multiplier and its y-block from A xbar
+    pytest.param({"f": {"kind": "linear", "g": [1.0, 0.0, -1.0]},
+                  "A": {"kind": "dense", "entries": [[1.0, 0.0, 1.0],
+                                                     [0.0, 1.0, 0.0]]},
+                  "rx": {"kind": "box", "dim": 3},
+                  "ry": {"kind": "l1_ball", "dim": 2, "radius": 1.0},
+                  "w0": [0.5, -1.0]}, 20,
+                 id="dense-map-w0"),
+    # at the default svd_tol the truncated SVD converges at the first call
+    pytest.param(_rank5_nuclear_ball(200, 200, 50.0, seed=5), 2,
+                 id="nuclear-ball-200"),
+    # a wide ball: the kernel's basis lies on M.T's side and the factors are
+    # swapped back
+    pytest.param(_rank5_nuclear_ball(120, 200, 30.0, seed=6, svd_tol=1e-2), 5,
+                 id="nuclear-ball-wide"),
 ])
-def test_generic_builds_each_kind_from_its_default_start(tmp_path, doc):
+def test_generic_builds_each_kind_from_its_default_start(tmp_path, doc, iters):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["generic", str(path), "--iters", "5",
+    assert main(["generic", str(path), "--iters", str(iters),
                  "--outdir", str(out)]) == EXIT_OK
     _, rows = read_csv(out / "trace.csv")
-    assert len(rows) == 10  # 5 iterations x the mean and the last point
+    # the mean and the last point at every iteration, all finite
+    assert sorted(r[-1] for r in rows) == ["last"] * iters + ["mean"] * iters
     assert all(np.isfinite(float(x)) for r in rows for x in r[2:6])
 
 
@@ -734,6 +763,37 @@ def test_generic_huge_start_is_outside_the_spectrahedron(tmp_path, capsys):
     assert "x0 lies outside the regularizer domain" in capsys.readouterr().err
 
 
+_POLYTOPE2 = json.loads((DATA / "polytope2.json").read_text())
+
+
+@pytest.mark.parametrize("args, doc, message", [
+    (["cme", "--config", "{file}"], None, "cannot read config file"),
+    (["cme", "--config", "{file}"], [1, 2], "expected a JSON object"),
+    (["cme", "--preset", "paper-cme", "--r", "4"], None,
+     "no tabulated rho for r=4"),
+    (["generic", "{file}"], {**_POLYTOPE2, "f": {"kind": "cubic"}},
+     "unsupported smooth-term kind 'cubic'"),
+    (["generic", "{file}"], {**_POLYTOPE2, "A": {"kind": "sparse"}},
+     "unsupported linear-map kind 'sparse'"),
+    (["generic", "{file}"],
+     {k: v for k, v in _POLYTOPE2.items() if k != "rx"},
+     "missing required section 'rx'"),
+    (["generic", "{file}"], {**_POLYTOPE2, "x0": [[0.0], [0.0, 1.0]]},
+     "'x0' must be a number or an array of numbers"),
+], ids=["unreadable-config", "config-not-object", "untabulated-r",
+        "f-kind", "A-kind", "no-rx", "ragged-x0"])
+def test_unusable_input_is_config_error(tmp_path, capsys, args, doc, message):
+    # "{file}" names a file holding doc, or no file when doc is None
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    args = [str(path) if a == "{file}" else a for a in args]
+    out = tmp_path / "out"
+    assert main(args + ["--iters", "3", "--outdir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generic_problem_not_object_is_config_error(tmp_path, capsys):
     path = tmp_path / "prob.json"
     path.write_text("[1, 2]")
@@ -801,6 +861,12 @@ def test_config_values_typed_like_their_flags(tmp_path, capsys):
     assert main(["cme", "--d", "8", "--r", "2", "--config", str(cfg),
                  "--outdir", str(out)]) == EXIT_OK
     assert json.loads((out / "summary.json").read_text())["config"]["rho"] == 2.0
+    # and logged as the float it stands for: a fixed eta of 1 reads 1
+    cfg.write_text(json.dumps({"iters": 3, "eta": 1}))
+    assert main(["maxcut", "--random-n", "10", "--config", str(cfg),
+                 "--outdir", str(out)]) == EXIT_OK
+    _, rows = read_csv(out / "trace.csv")
+    assert [r[5] for r in rows] == ["1"] * 6
 
 
 def test_generic_unknown_solver_key_is_config_error(tmp_path, capsys):
@@ -813,6 +879,15 @@ def test_generic_unknown_solver_key_is_config_error(tmp_path, capsys):
         assert main(["generic", str(path), "--outdir", str(out)]) == EXIT_CONFIG
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cme", "maxcut", "generic"])
+def test_help_names_the_flags_of_the_command(capsys, command):
+    assert main([command, "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    _, defaults, _, _ = COMMANDS[command]
+    for key in ["config", *defaults]:
+        assert f"--{key.replace('_', '-')} " in out
 
 
 # ---------------------------------------------------------------------------

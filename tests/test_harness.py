@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ def test_cme_config_validation():
 
 def test_load_gset_minimal(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("2 1\n1 2 1\n")
+    path.write_text("2 1\n\n1 2 1\n")  # a blank line is skipped
     g = load_gset(path)
     assert g.n == 2 and g.edges == [(1, 2, 1)]
 
@@ -288,6 +290,28 @@ def test_metrics_maxcut_cases():
     # the trace of the product, also for a non-symmetric S
     assert metrics_maxcut(S1, C).objective == pytest.approx(
         -np.trace(C @ S1), rel=1e-12, abs=1e-12)
+
+
+def box_toy_reference(tol):
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    return reference_solution(spec, tol, q0=q0, w0=w0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_cme_problem(np.eye(2), 0.0, 1.0, 1),
+     "need tau > 0, s > 0, k_hat >= 1"),
+    (lambda: build_maxcut_problem(np.ones((2, 3)), 1), "C must be square"),
+    (lambda: metrics_cme(np.eye(2), np.eye(3), np.eye(2), 1.0),
+     "shape mismatch"),
+    (lambda: metrics_cme(np.eye(2), np.zeros((2, 2)), np.eye(2), 1.0),
+     "zero-norm reference matrix"),
+    (lambda: metrics_maxcut(np.eye(2), np.eye(3)), "shape mismatch"),
+    (lambda: box_toy_reference(0.0), "tol must be positive"),
+], ids=["cme-tau", "maxcut-not-square", "cme-shape", "cme-zero-norm",
+        "maxcut-shape", "reference-tol"])
+def test_harness_inputs_are_checked_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------

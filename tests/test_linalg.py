@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from bruteforce import (
 from wpmm.linalg import (
     ConvergenceError,
     _checked_symmetric,
+    _fresh_direction,
     _single_allowance,
     project_l1_ball,
     project_simplex,
@@ -232,6 +234,20 @@ def test_eigh_k_out_of_range():
         truncated_eigh(np.eye(3), 0, 1e-8)
     with pytest.raises(ValueError):
         truncated_eigh(np.eye(3), 4, 1e-8)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: truncated_eigh(np.ones((2, 3)), 1, 1e-8), ValueError,
+     "expected a square matrix, got (2, 3)"),
+    (lambda: truncated_svd(np.ones(3), 1, 1e-8), ValueError,
+     "expected a 2-D array, got shape (3,)"),
+    # a full basis leaves no direction orthogonal to it
+    (lambda: _fresh_direction(np.random.default_rng(0), np.eye(3)),
+     ConvergenceError, "could not generate a new orthogonal direction"),
+], ids=["eigh-not-square", "svd-1d", "full-basis"])
+def test_kernel_inputs_are_checked_by_name(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def symmetric(d, seed, dtype=float):

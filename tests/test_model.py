@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from bruteforce import fd_gradient, smooth_part
-from wpmm.cli import _build_smooth
+from wpmm.cli import _Section, _build_smooth
 from wpmm.model import (
     LinearMap,
     PrimalPoint,
     ProblemSpec,
     SmoothTerm,
     k_apply,
+    shifted_multiplier,
     smooth_grad,
 )
 from wpmm.oracles import BoxIndicator, NuclearNormReg, ZeroReg
@@ -188,7 +191,7 @@ SMOOTH_KINDS = {
 @pytest.mark.parametrize("kind", sorted(SMOOTH_KINDS))
 def test_smooth_term_value_gradient_hessian_agree(kind):
     # central differences are exact for quadratics, so a unit step is fine
-    f = _build_smooth(SMOOTH_KINDS[kind])
+    f = _build_smooth(_Section("problem", "f", SMOOTH_KINDS[kind]))
     rng = np.random.default_rng(4)
     for _ in range(5):
         x, d = rng.standard_normal(3), rng.standard_normal(3)
@@ -370,3 +373,22 @@ def test_problem_spec_validates_dimensions():
     with pytest.raises(ValueError, match="f's linear term has 3 entries"):
         ProblemSpec(f=zero_smooth(3), A=LinearMap.identity(2),
                     rx=ZeroReg(2), ry=ZeroReg(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ProblemSpec(f=zero_smooth(2), A=LinearMap.identity(2),
+                         rx=ZeroReg(2), ry=ZeroReg(3)),
+     "y-block dimension 3 != A.dim_out 2"),
+    (lambda: make_spec(pqg_alpha=0.0),
+     "pqg_alpha must be positive when supplied"),
+    (lambda: LinearMap.from_dense([1.0, 2.0]), "dense map needs a 2-D array"),
+    (lambda: LinearMap.stacked_identity(3, 0), "copies must be >= 1"),
+    (lambda: SmoothTerm.quadratic([[1.0, 0.0], [0.0, -1.0]]),
+     "quadratic form is not positive semidefinite"),
+    (lambda: shifted_multiplier(make_spec(), q_of([0.0, 0.0], [0.0, 0.0]),
+                                np.zeros(2), -1.0),
+     "rho must be nonnegative"),
+], ids=["y-block", "pqg-alpha", "dense-1d", "no-copies", "not-psd", "rho"])
+def test_model_inputs_are_checked_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

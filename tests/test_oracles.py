@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import product
 
@@ -12,6 +13,7 @@ from wpmm.linalg import (_shrink, project_l1_ball, project_simplex,
 from wpmm.model import (LinearMap, PrimalPoint, ProblemSpec, SmoothTerm,
                         indicator_tol, smooth_grad)
 from wpmm.oracles import (
+    PRUNE_TOL,
     BoxIndicator,
     DiagOnesIndicator,
     L1BallIndicator,
@@ -25,6 +27,7 @@ from wpmm.oracles import (
     SpectrahedronIndicator,
     WpoComponent,
     ZeroReg,
+    _pruned_state,
     _single_holds,
     _symmetric_part,
     hypercube_lmo,
@@ -142,6 +145,24 @@ def test_block_dimension_below_one_is_rejected():
                   lambda: DiagOnesIndicator(-3)):
         with pytest.raises(ValueError, match="is below 1"):
             build()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ZeroReg(2).compute(np.zeros(2), np.zeros(2), 0.0), ValueError,
+     "step coefficient must be positive"),
+    (lambda: WpoComponent(2).value(np.zeros(2)), NotImplementedError, None),
+    (lambda: NuclearNormReg((2, 3), nu=1.0, k=3), ValueError,
+     "k=3 out of range for shape (2, 3)"),
+    (lambda: ProductComponent([]), ValueError,
+     "product needs at least one part"),
+    (lambda: simplex_qp(np.ones(3), np.zeros(3), np.zeros(3), 1.0), ValueError,
+     "vertex matrix must be 2-D with at least one column"),
+    (lambda: simplex_qp(np.eye(2), np.zeros(2), np.zeros(2), 0.0), ValueError,
+     "step coefficient must be positive"),
+], ids=["coeff", "value", "rank", "empty-product", "qp-1d", "qp-coeff"])
+def test_oracle_inputs_are_checked_by_name(call, error, message):
+    with pytest.raises(error, match=message and re.escape(message)):
+        call()
 
 
 def test_prox_optimality_via_projection_characterization():
@@ -730,6 +751,11 @@ def test_wpo_polytope_prunes_zero_weights():
     comp.commit(1.0)  # the state becomes the output's, as compute left it
     assert all(w > 1e-12 for w in comp.state.weights)
     assert np.linalg.norm(comp.state.point() - v) <= 1e-10
+    # with every weight at or below the tolerance the heaviest vertex stays
+    pruned = _pruned_state(verts, np.array([0.2, 0.9, 0.0]) * PRUNE_TOL)
+    assert len(pruned.vertices) == 1
+    assert np.array_equal(pruned.vertices[0], verts[1])
+    assert np.array_equal(pruned.weights, [1.0])
 
 
 def test_wpo_polytope_state_center_mismatch():
@@ -775,6 +801,9 @@ def test_polytope_component_commit_blends_support():
     state = PolytopeState.at_vertex(np.zeros(2))
     comp = PolytopeIndicator(2, hypercube_lmo(0.0, 1.0), state, lam=4.0)
     run_comp = comp.for_run(np.zeros(2))
+    start = run_comp.state
+    run_comp.commit(0.25)  # no candidate yet: the state stays
+    assert run_comp.state is start
     center = np.zeros(2)
     p = np.array([-1.0, -1.0])  # pulls toward (1, 1)
     v = run_comp.compute(center, p, 1.0)

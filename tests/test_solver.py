@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from bruteforce import reference_run
-from wpmm.certify import check_linear_decay, check_obj_feas_split
+from wpmm.certify import (check_linear_decay, check_obj_feas_split,
+                          polytope_audit, run_suites)
 from wpmm.cli import _load_problem
 from wpmm.harness import (
     CmeConfig,
@@ -933,6 +935,8 @@ def test_domain_distance_checked_only_at_start_and_end():
 def test_check_linear_decay_constant_sequence():
     cert = check_linear_decay([1.0, 1.0, 1.0], 1.0, eta=0.1)
     assert cert.passed
+    cert = check_linear_decay([2.0], 1.0, eta=0.1)
+    assert cert.passed and cert.details == "fewer than two points"
 
 
 def test_check_linear_decay_flags_increase():
@@ -986,6 +990,43 @@ def test_solver_config_validation():
         SolverConfig(rho=1.0, mu=0.1, iters=1, step_policy="warp")
     with pytest.raises(ValueError):
         SolverConfig(rho=1.0, mu=0.1, iters=1, variant="median")
+
+
+# curvature constants with and without alpha_s
+_CONSTS = StepConstants(0.5, 5.0, 1.0, 1.0)
+_FLAT = StepConstants(None, 5.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(rho=1.0, mu=0.1, iters=-1),
+     "iters must be nonnegative"),
+    (lambda: SolverConfig(rho=1.0, mu=0.1, iters=1, eta=0.0),
+     "eta must lie in (0, 1]"),
+    (lambda: SolverConfig(rho=1.0, mu=0.1, iters=1, eta=1.5),
+     "eta must lie in (0, 1]"),
+    (lambda: StepConstants(None, 0.0, 1.0, 1.0), "beta_s must be positive"),
+    (lambda: _FLAT.mu_cap(), "the step-size formulas need a curvature"),
+    (lambda: _FLAT.eta(0.1), "the step-size formulas need a curvature"),
+    (lambda: _FLAT.ergodic_bound(1.0, 0.0, 1.0, 0.1),
+     "the step-size formulas need a curvature"),
+    (lambda: _CONSTS.beta_hat(-1.0), "mu must be nonnegative"),
+    (lambda: _CONSTS.eta(0.0), "mu must be positive"),
+    (lambda: _CONSTS.ergodic_bound(0.0, 0.0, 1.0, 0.1),
+     "c and mu must be positive"),
+    (lambda: _CONSTS.ergodic_bound(1.0, 0.0, 1.0, 0.0),
+     "c and mu must be positive"),
+    (lambda: check_obj_feas_split(0.0, 0.0, 1.0, 0.0, 1.0),
+     "c must be positive"),
+    (lambda: check_obj_feas_split(0.0, 1.0, 1.0, 0.0, -1.0),
+     "delta must be nonnegative"),
+    (lambda: polytope_audit("cube"), "unknown polytope kind 'cube'"),
+    (lambda: run_suites("nope"), "unknown suite 'nope'"),
+], ids=["iters", "eta-zero", "eta-above-one", "beta-s", "mu-cap-flat",
+        "eta-flat", "ergodic-flat", "beta-hat-mu", "eta-mu", "ergodic-c",
+        "ergodic-mu", "split-c", "split-delta", "polytope-kind", "suite"])
+def test_solver_and_certificate_inputs_are_checked_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("rho, mu", [(math.inf, 0.1), (math.nan, 0.1),
