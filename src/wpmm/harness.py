@@ -276,8 +276,8 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
     rx = SpectrahedronIndicator(d, float(d), k_hat, svd_tol=svd_tol)
     ry = DiagOnesIndicator(d)
     spec = ProblemSpec(f=f, A=A, rx=rx, ry=ry)
-    x0 = np.eye(d).ravel()
-    return spec, PrimalPoint(x0.copy(), x0.copy()), np.zeros(d * d)
+    return (spec, PrimalPoint(np.eye(d).ravel(), np.eye(d).ravel()),
+            np.zeros(d * d))
 
 
 def build_box_toy(a, lo=0.0, hi=1.0):

@@ -26,9 +26,9 @@ __all__ = [
     "PrimalPoint",
     "ProblemSpec",
     "k_apply",
-    "shifted_multiplier",
     "smooth_grad",
     "smooth_grad_x",
+    "smooth_grad_y",
 ]
 
 # A point counts as inside an indicator set when its distance to the set is
@@ -232,34 +232,32 @@ def k_apply(spec, q):
     return spec.A.apply(q.x) - q.y
 
 
-def shifted_multiplier(spec, q, w, rho, kq=None):
-    """r = w + rho K q, the multiplier shifted by the penalized constraint
-    residual: the augmented Lagrangian's smooth part has the gradient
-    (``smooth_grad_x(spec, q.x, r)``, -r). ``kq`` is K q when the caller
-    has already formed it; it is consumed in place, its buffer becoming r,
-    so K q is not formed again."""
+def smooth_grad_y(spec, q, w, rho, kq=None):
+    """The y-part -r = -(w + rho K q) of the gradient of the augmented
+    Lagrangian's smooth part, r being the multiplier shifted by the
+    penalized constraint residual. ``kq`` is K q when the caller has
+    already formed it; it is consumed in place, its buffer becoming the
+    y-part, so K q is not formed again."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    r = k_apply(spec, q) if kq is None else kq
-    r *= rho
-    r += w
-    return r
+    gy = k_apply(spec, q) if kq is None else kq
+    gy *= -rho
+    gy -= w
+    return gy
 
 
-def smooth_grad_x(spec, x, r):
-    """The x-part grad f(x) + A^T r of the augmented Lagrangian's smooth
-    part, from r = ``shifted_multiplier``, as a new array; r is not
-    changed."""
+def smooth_grad_x(spec, x, gy):
+    """The x-part grad f(x) + A^T r = grad f(x) - A^T gy of the augmented
+    Lagrangian's smooth part, from its y-part gy = ``smooth_grad_y``, as a
+    new array; gy is not changed."""
     gx = spec.f.gradient(x)
-    gx += spec.A.adjoint(r)
+    gx -= spec.A.adjoint(gy)
     return gx
 
 
-def smooth_grad(spec, q, w, rho, kq=None):
+def smooth_grad(spec, q, w, rho):
     """Gradient w.r.t. q of the augmented Lagrangian's smooth part
     f(x) + <w, Kq> + (rho/2) ||Kq||^2, as an (x-part, y-part) pair:
-    (grad f(x) + A^T r, -r) with r = w + rho Kq. ``kq`` is K q when the
-    caller has already formed it; it is consumed in place, its buffer
-    becoming the y-part, so K q is not formed again."""
-    r = shifted_multiplier(spec, q, w, rho, kq)
-    return smooth_grad_x(spec, q.x, r), np.negative(r, out=r)
+    (grad f(x) + A^T r, -r) with r = w + rho Kq."""
+    gy = smooth_grad_y(spec, q, w, rho)
+    return smooth_grad_x(spec, q.x, gy), gy

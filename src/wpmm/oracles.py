@@ -472,17 +472,14 @@ def _symmetric_part(C, P=None, coeff=1.0, dtype=float):
     m = C - P / coeff (m = C when P is None), computed in float64 and
     rounded once to dtype in one new, exactly symmetric array, a row panel
     of the upper triangle at a time so that no second d x d array is made.
-    In float64, m is written into the answer first and symmetrized in
-    place: panel i reads only rows and columns >= i, which no earlier panel
-    wrote. Overflow is left for the caller to find."""
+    In float64 with P given, m is written into the answer first and
+    symmetrized in place: panel i reads only rows and columns >= i, which
+    no earlier panel wrote. Overflow is left for the caller to find."""
     d = len(C)
     S = np.empty((d, d), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        if S.dtype == np.float64:  # m into S, symmetrized in place below
-            if P is None:
-                np.copyto(S, C)
-            else:
-                np.subtract(C, np.divide(P, coeff, out=S), out=S)
+        if S.dtype == np.float64 and P is not None:  # m into S, see above
+            np.subtract(C, np.divide(P, coeff, out=S), out=S)
             C, P = S, None
         for i in range(0, d, _PANEL):
             rows = slice(i, i + _PANEL)

@@ -45,8 +45,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import (PrimalPoint, _check_point, k_apply, shifted_multiplier,
-                    smooth_grad_x)
+from .model import (PrimalPoint, _check_point, k_apply, smooth_grad_x,
+                    smooth_grad_y)
 
 __all__ = [
     "SolverError",
@@ -88,8 +88,9 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Run parameters.
 
-    step_policy is one of "theoretical" (eta from the curvature formula, mu
-    checked against ``StepConstants.mu_cap``), "fixed" (eta required), or
+    step_policy is one of "theoretical" (eta from the curvature formula, so
+    eta unset, and mu checked against ``StepConstants.mu_cap``), "fixed"
+    (eta required), or
     "line_search" (the oracle still receives the base eta -- the configured
     value, else the theoretical one -- and the combination parameter is then
     optimized exactly over [0, 1]). The curvature-based steps assume the
@@ -117,6 +118,9 @@ class SolverConfig:
             raise ValueError("fixed policy needs eta in (0, 1]")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        if self.step_policy == "theoretical" and self.eta is not None:
+            raise ValueError("eta must be unset under the theoretical "
+                             "policy, whose step is the curvature-based one")
         if self.variant not in ("mean", "last", "both"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -280,11 +284,11 @@ def default_steps(spec, rho, step_policy=None, mu=None, eta=None):
 
 def _base_step(spec, config):
     """(eta, coeff, search): the run's step rule, decided once. eta is the
-    policy's base primal step -- the configured one, else (and always under
-    the theoretical policy, whose mu is checked against its cap) the
-    curvature-based one -- and coeff = eta * beta_hat(mu) the oracle
-    coefficient. search is whether each step line-searches instead: the
-    policy asks for it and both blocks are constant on segments."""
+    policy's base primal step -- the configured one, else the
+    curvature-based one, whose mu the theoretical policy checks against its
+    cap -- and coeff = eta * beta_hat(mu) the oracle coefficient. search is
+    whether each step line-searches instead: the policy asks for it and
+    both blocks are constant on segments."""
     consts = step_constants(spec, config.rho)
     policy = config.step_policy
     if policy == "theoretical":
@@ -294,8 +298,7 @@ def _base_step(spec, config):
                 f"mu={config.mu:g} exceeds the dual step bound {mu_cap:g} "
                 "required by the theoretical policy"
             )
-    base = (consts.eta(config.mu)
-            if policy == "theoretical" or config.eta is None else config.eta)
+    base = consts.eta(config.mu) if config.eta is None else config.eta
     search = policy == "line_search" and all(
         comp.constant_on_segments for comp in (spec.rx, spec.ry))
     return base, base * consts.beta_hat(config.mu), search
@@ -369,29 +372,27 @@ def _moved(comp, d, center, eta):
 def _step(spec, state, rx, ry, config, eta, coeff, search):
     # a plain function, not inlined into the generator: its block-sized
     # temporaries are freed before the caller sees the new state. Each new
-    # block value goes into an array the step owns: r = w + rho' K q and
-    # the y-gradient -r into the carried K q's buffer, each oracle output
-    # into the direction d = v - q and then the new iterate q + eta d. The
+    # block value goes into an array the step owns: the y-gradient
+    # -(w + rho' K q) into the carried K q's buffer, each oracle output into
+    # the direction d = v - q and then the new iterate q + eta d. The
     # y-oracle runs first; unless the step line-searches, y then moves and
-    # its old block is freed before r is negated back (exactly) and the
-    # x-gradient formed from it, so each oracle runs beside the iterate, the
-    # multiplier, its own gradient and its output. Line search holds y and
-    # dy through the x-oracle, then the iterate, the multiplier, d and
-    # A dx - dy. The old iterate and multiplier are let go as soon as their
-    # successors exist. Returns the step taken and ||K q|| at the new point.
+    # its old block is freed before the x-gradient is formed from the
+    # y-gradient, so each oracle runs beside the iterate, the multiplier,
+    # its own gradient and its output. Line search holds y and dy through
+    # the x-oracle, then the iterate, the multiplier, d and A dx - dy. The
+    # old iterate and multiplier are let go as soon as their successors
+    # exist. Returns the step taken and ||K q|| at the new point.
     q, w = state.q, state.w
-    py = shifted_multiplier(spec, q, w, config.rho + 2.0 * config.mu,
-                            kq=state.kq)
-    state.kq = None  # consumed: r is its buffer
-    np.negative(py, out=py)  # the y-gradient -r
+    py = smooth_grad_y(spec, q, w, config.rho + 2.0 * config.mu, kq=state.kq)
+    state.kq = None  # consumed: the y-gradient is its buffer
     dy = _direction(ry, q.y, py, coeff, state)
     if search:
         lin = float(py @ dy)
     else:  # the old y is freed here unless the caller holds it
         state.q = q = PrimalPoint(q.x, _moved(ry, dy, q.y, eta))
         dy = None
-    px = smooth_grad_x(spec, q.x, np.negative(py, out=py))
-    py = None  # r: read by no one else, freed before the x-oracle runs
+    px = smooth_grad_x(spec, q.x, py)
+    py = None  # read by no one else, freed before the x-oracle runs
     dx = _direction(rx, q.x, px, coeff, state)
     if search:
         lin += float(px @ dx)

@@ -6,12 +6,13 @@ exhaustive active-set / sign-pattern enumeration or sorting instead of a
 pivot iteration, gradients use central finite differences, and the
 augmented Lagrangian's smooth part is summed term by term from the problem's
 callables. The one exception, ``reference_run``, shares the oracles and the
-formulas with the solver and checks only the order of its work.
+step rule with the solver, writes its gradient out, and checks only the
+order of its work.
 """
 
 import numpy as np
 
-from wpmm.model import PrimalPoint, k_apply, smooth_grad
+from wpmm.model import PrimalPoint, k_apply
 from wpmm.solver import _base_step, line_search_eta, record_values
 
 
@@ -238,7 +239,8 @@ def reference_run(spec, q0, w0, config):
     q, w = q0.copy(), np.array(w0, dtype=float)
     total, records, mean = np.zeros_like(q.x), [], None
     for t in range(1, config.iters + 1):
-        px, py = smooth_grad(spec, q, w, config.rho + 2.0 * config.mu)
+        r = w + (config.rho + 2.0 * config.mu) * (spec.A.apply(q.x) - q.y)
+        px, py = spec.f.gradient(q.x) + spec.A.adjoint(r), -r
         d = PrimalPoint(np.array(rx.compute(q.x, px, coeff), dtype=float) - q.x,
                         np.array(ry.compute(q.y, py, coeff), dtype=float) - q.y)
         eta = eta0

@@ -299,6 +299,9 @@ def test_maxcut_edge_probability_outside_unit_interval(tmp_path, capsys, p):
      "seed must be non-negative, got -1"),
     (["maxcut", "--random-n", "20", "--seed", "-1"],
      "seed must be non-negative, got -1"),
+    # the theoretical step is the curvature-based one: an eta would go unused
+    (["cme", "--d", "8", "--r", "2", "--step-policy", "theoretical",
+      "--eta", "0.3"], "eta must be unset under the theoretical policy"),
 ])
 def test_size_rank_and_seed_are_checked_by_name(tmp_path, capsys, args,
                                                 message):
@@ -666,6 +669,8 @@ def test_generic_section_not_object_is_config_error(tmp_path, capsys, section):
      "'radius' must be a number, got Infinity"),
     ("rx", {"kind": "spectrahedron", "n": 2, "radius": 1.0, "rank": 1,
             "svd_tol": 0}, "svd_tol must be positive and finite"),
+    # pqg_alpha gives a curvature, so the default policy is theoretical
+    ("solver", {"eta": 0.1}, "eta must be unset under the theoretical policy"),
 ])
 def test_generic_missing_key_is_config_error(tmp_path, capsys, section, value,
                                              message):

@@ -11,8 +11,8 @@ from wpmm.model import (
     ProblemSpec,
     SmoothTerm,
     k_apply,
-    shifted_multiplier,
     smooth_grad,
+    smooth_grad_y,
 )
 from wpmm.oracles import BoxIndicator, NuclearNormReg, ZeroReg
 from wpmm.solver import (
@@ -385,8 +385,8 @@ def test_problem_spec_validates_dimensions():
     (lambda: LinearMap.stacked_identity(3, 0), "copies must be >= 1"),
     (lambda: SmoothTerm.quadratic([[1.0, 0.0], [0.0, -1.0]]),
      "quadratic form is not positive semidefinite"),
-    (lambda: shifted_multiplier(make_spec(), q_of([0.0, 0.0], [0.0, 0.0]),
-                                np.zeros(2), -1.0),
+    (lambda: smooth_grad_y(make_spec(), q_of([0.0, 0.0], [0.0, 0.0]),
+                           np.zeros(2), -1.0),
      "rho must be nonnegative"),
 ], ids=["y-block", "pqg-alpha", "dense-1d", "no-copies", "not-psd", "rho"])
 def test_model_inputs_are_checked_by_name(call, message):

@@ -431,11 +431,33 @@ def test_x_oracle_failure_after_the_y_step_logs_the_moved_y():
     assert np.array_equal(partial.w_final, w2)
 
 
-@pytest.mark.parametrize("problem", ["maxcut", "cme", "polytope2"])
+@pytest.mark.parametrize("problem", ["maxcut", "cme", "polytope2", "dense",
+                                     "stacked"])
 def test_run_is_bit_identical_to_the_plainly_ordered_reference(problem):
     # the step's order of work and its buffers change no logged bit: the
-    # golden traces compare at rtol 1e-9 and would miss a reordered sum
-    if problem == "maxcut":
+    # golden traces compare at rtol 1e-9 and would miss a reordered sum.
+    # The last two cases take their gradient through a map other than the
+    # identity and start from a nonzero multiplier
+    rng = np.random.default_rng(3)
+    if problem == "dense":
+        B = rng.standard_normal((4, 4))
+        spec = ProblemSpec(
+            f=SmoothTerm.quadratic(B @ B.T, rng.standard_normal(4)),
+            A=LinearMap.from_dense(rng.standard_normal((3, 4))),
+            rx=BoxIndicator(4, -1.0, 1.0), ry=L1BallIndicator(3, 1.0))
+        q0, w0 = q_of(np.zeros(4), np.zeros(3)), np.array([0.5, -1.0, 0.25])
+        # a base step this small keeps most searched steps inside (0, 1)
+        settings = dict(rho=1.0, mu=0.2, eta=0.1, step_policy="line_search")
+    elif problem == "stacked":
+        spec = ProblemSpec(
+            f=SmoothTerm.half_sq_distance(rng.standard_normal(3)),
+            A=LinearMap.stacked_identity(3, 2), rx=BoxIndicator(3, 0.0, 1.0),
+            ry=ProductComponent([BoxIndicator(3, 0.0, 0.5),
+                                 SimplexIndicator(3, 1.0)]))
+        q0 = q_of(np.zeros(3), [0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        w0 = rng.standard_normal(6)
+        settings = dict(rho=1.0, mu=0.2, eta=0.3, step_policy="fixed")
+    elif problem == "maxcut":
         spec, q0, w0 = build_maxcut_problem(
             laplacian(gen_er_graph(30, 0.2, seed=0)), 5)
         settings = dict(rho=1.0, mu=0.2, eta=0.2, step_policy="fixed")
@@ -1004,6 +1026,9 @@ _FLAT = StepConstants(None, 5.0, 1.0, 1.0)
      "eta must lie in (0, 1]"),
     (lambda: SolverConfig(rho=1.0, mu=0.1, iters=1, eta=1.5),
      "eta must lie in (0, 1]"),
+    (lambda: SolverConfig(rho=1.0, mu=0.1, iters=1, eta=0.3,
+                          step_policy="theoretical"),
+     "eta must be unset under the theoretical policy"),
     (lambda: StepConstants(None, 0.0, 1.0, 1.0), "beta_s must be positive"),
     (lambda: _FLAT.mu_cap(), "the step-size formulas need a curvature"),
     (lambda: _FLAT.eta(0.1), "the step-size formulas need a curvature"),
@@ -1021,9 +1046,10 @@ _FLAT = StepConstants(None, 5.0, 1.0, 1.0)
      "delta must be nonnegative"),
     (lambda: polytope_audit("cube"), "unknown polytope kind 'cube'"),
     (lambda: run_suites("nope"), "unknown suite 'nope'"),
-], ids=["iters", "eta-zero", "eta-above-one", "beta-s", "mu-cap-flat",
-        "eta-flat", "ergodic-flat", "beta-hat-mu", "eta-mu", "ergodic-c",
-        "ergodic-mu", "split-c", "split-delta", "polytope-kind", "suite"])
+], ids=["iters", "eta-zero", "eta-above-one", "eta-theoretical", "beta-s",
+        "mu-cap-flat", "eta-flat", "ergodic-flat", "beta-hat-mu", "eta-mu",
+        "ergodic-c", "ergodic-mu", "split-c", "split-delta", "polytope-kind",
+        "suite"])
 def test_solver_and_certificate_inputs_are_checked_by_name(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
