@@ -65,12 +65,43 @@ class CmeConfig:
             raise ValueError("entry_threshold must be below 1")
 
 
-@dataclass
-class GsetGraph:
-    """Weighted undirected graph in Gset conventions (1-based vertices)."""
+def _check_node_count(n):
+    if n < 0:
+        raise ValueError(f"node count must be nonnegative, got {n}")
 
-    n: int
-    edges: list  # (u, v, weight) tuples, u <= v, no self-loops
+
+class GsetGraph:
+    """Weighted undirected graph in Gset conventions, held as columns: int64
+    vertex columns ``u`` and ``v`` (1-based) and a weight column ``w``, int64
+    when every weight is an integer and float64 otherwise.
+
+    ``GsetGraph(n, edges)`` reads (u, v, weight) tuples; ``from_columns``
+    takes the columns as they are. ``edges`` lists the tuples back, with
+    Python ints for int64 weights.
+    """
+
+    def __init__(self, n, edges=()):
+        u, v, w = tuple(zip(*edges)) or ((), (), ())
+        self._set(n, u, v, w)
+
+    @classmethod
+    def from_columns(cls, n, u, v, w):
+        graph = cls.__new__(cls)
+        graph._set(n, u, v, w)
+        return graph
+
+    def _set(self, n, u, v, w):
+        _check_node_count(n)
+        w = np.asarray(w)
+        self.n = n
+        self.u = np.asarray(u, dtype=np.int64)
+        self.v = np.asarray(v, dtype=np.int64)
+        self.w = w.astype(np.int64 if w.dtype.kind in "iu" or not w.size
+                          else np.float64, copy=False)
+
+    @property
+    def edges(self):
+        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
 
 @dataclass
@@ -159,6 +190,8 @@ def load_gset(path):
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ValueError(f"{path}:1: malformed header {lines[0]!r}") from exc
+    if n < 0:
+        raise ValueError(f"{path}:1: negative node count in {lines[0]!r}")
 
     acc = {}
     parsed = 0
@@ -186,36 +219,46 @@ def load_gset(path):
             acc[key] = w
     if parsed != m:
         raise ValueError(f"{path}: header declares {m} edges, found {parsed}")
-    edges = [(u, v, w) for (u, v), w in acc.items()]
-    return GsetGraph(n=n, edges=edges)
+    try:
+        uv = np.array(list(acc), dtype=np.int64).reshape(-1, 2)
+        w = np.fromiter(acc.values(), dtype=np.int64, count=len(acc))
+    except OverflowError as exc:
+        raise ValueError(f"{path}: an edge weight or vertex lies outside "
+                         "the int64 range") from exc
+    return GsetGraph.from_columns(n, uv[:, 0], uv[:, 1], w)
 
 
 def gen_er_graph(n, p, seed=0):
     """Erdos-Renyi G(n, p) with unit edge weights: one uniform draw per
     vertex pair u < v, pairs taken in row-major order."""
+    _check_node_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p:g} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    us, vs = np.triu_indices(n, 1)
-    keep = rng.random(us.size) < p
-    edges = [(u + 1, v + 1, 1)
-             for u, v in zip(us[keep].tolist(), vs[keep].tolist())]
-    return GsetGraph(n=n, edges=edges)
+    # row u (0-based) of the strict upper triangle holds pairs starts[u] ..
+    # starts[u + 1] - 1 of the flat order, (u, u + 1) first
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    u = np.searchsorted(starts, kept, side="right") - 1
+    v = kept - starts[u] + u + 1
+    return GsetGraph.from_columns(n, u + 1, v + 1,
+                                  np.ones(kept.size, dtype=np.int64))
 
 
 def laplacian(graph):
     """Combinatorial Laplacian D - W; symmetric with zero row sums. Repeated
     edges add up, in the order of ``graph.edges``."""
-    n = graph.n
-    W = np.zeros(n * n)
-    if graph.edges:
-        u, v, w = (np.asarray(col) for col in zip(*graph.edges))
+    n, u, v = graph.n, graph.u, graph.v
+    if not u.size:
+        W = np.zeros(n * n)
+    else:
         if min(u.min(), v.min()) < 1 or max(u.max(), v.max()) > n:
             raise ValueError(f"an edge vertex lies outside 1..{n}")
         # w_uv into (u, v) and (v, u), edge by edge: bincount adds its
         # weights in input order, as a loop over the edges would
         cells = np.stack([(u - 1) * n + (v - 1), (v - 1) * n + (u - 1)], 1)
-        W = np.bincount(cells.ravel(), weights=np.repeat(w, 2),
+        W = np.bincount(cells.ravel(), weights=np.repeat(graph.w, 2),
                         minlength=n * n)
     W = W.reshape(n, n)
     degree = W.sum(axis=1)
@@ -263,13 +306,14 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
     d = C.shape[0]
     if C.shape != (d, d):
         raise ValueError("C must be square")
+    if d == 0:
+        raise ValueError("C must have at least one row")
     # a row panel of the upper triangle at a time: no d x d temporary
-    gaps, sizes = [], []
-    for i in range(0, d, _PANEL):
-        rows = slice(i, i + _PANEL)
-        gaps.append(np.abs(C[rows, i:] - C[i:, rows].T).max())
-        sizes.append(np.abs(C[rows]).max())
-    if float(np.max(gaps)) > 1e-10 * max(1.0, float(np.max(sizes))):
+    gap = np.max([np.abs(C[i:i + _PANEL, i:] - C[i:, i:i + _PANEL].T).max()
+                  for i in range(0, d, _PANEL)])
+    # the tolerance is 1e-10 max(1, max |c_ij|), so the scale is read only
+    # for a gap above 1e-10
+    if gap > 1e-10 and gap > 1e-10 * max(C.max(), -C.min()):
         raise ValueError("C must be symmetric")
     f = SmoothTerm.linear(-C.ravel())
     A = LinearMap.identity(d * d)

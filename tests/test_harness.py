@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -131,7 +132,11 @@ def test_gset_malformed_line_reports_number(tmp_path):
     ("3\n1 2 1\n", ":1: expected 'n m' header"),
     ("3 x\n1 2 1\n", ":1: malformed header"),
     ("3 1\n1 4 1\n", ":2: vertex out of range"),
-], ids=["empty", "short-header", "non-integer-header", "vertex-range"])
+    ("-3 0\n", ":1: negative node count"),
+    ("2 1\n1 2 99999999999999999999\n", ": an edge weight or vertex lies "
+     "outside the int64 range"),
+], ids=["empty", "short-header", "non-integer-header", "vertex-range",
+        "negative-node-count", "weight-overflow"])
 def test_gset_errors_name_the_path_and_line(tmp_path, text, where):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -145,6 +150,33 @@ def test_gset_edge_count_mismatch(tmp_path):
     path.write_text("2 2\n1 2 1\n")
     with pytest.raises(ValueError, match="declares 2"):
         load_gset(path)
+
+
+def test_graph_columns_keep_integer_weights(tmp_path):
+    # the graph of test_gset_parses_full_size_graph
+    g = gen_er_graph(800, 0.005, seed=17)
+    path = tmp_path / "g800.txt"
+    write_gset(g, path)
+    loaded = load_gset(path)
+    for graph in (g, loaded):
+        assert [graph.u.dtype, graph.v.dtype, graph.w.dtype] == [np.int64] * 3
+    assert laplacian(loaded).tobytes() == laplacian(g).tobytes()
+    # one fractional weight makes the weight column float64
+    g = GsetGraph(n=3, edges=[(1, 2, 2), (2, 3, 0.5)])
+    assert [g.u.dtype, g.v.dtype, g.w.dtype] == [np.int64] * 2 + [np.float64]
+    assert g.edges == [(1, 2, 2.0), (2, 3, 0.5)]
+    assert GsetGraph(n=3, edges=[(1, 2, 2)]).w.dtype == np.int64
+
+
+def test_er_graph_survives_pickling():
+    # wpmm maxcut --jobs 2 sends a graph to its worker processes by pickle
+    g = gen_er_graph(60, 0.2, seed=8)
+    back = pickle.loads(pickle.dumps(g))
+    assert back.n == g.n and back.edges == g.edges
+    for col in "uvw":
+        got, want = getattr(back, col), getattr(g, col)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert laplacian(back).tobytes() == laplacian(g).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +333,20 @@ def box_toy_reference(tol):
     (lambda: build_cme_problem(np.eye(2), 0.0, 1.0, 1),
      "need tau > 0, s > 0, k_hat >= 1"),
     (lambda: build_maxcut_problem(np.ones((2, 3)), 1), "C must be square"),
+    (lambda: build_maxcut_problem(np.zeros((0, 0)), 1),
+     "C must have at least one row"),
+    (lambda: gen_er_graph(-3, 0.5), "node count must be nonnegative, got -3"),
+    (lambda: GsetGraph(n=-3, edges=[]),
+     "node count must be nonnegative, got -3"),
     (lambda: metrics_cme(np.eye(2), np.eye(3), np.eye(2), 1.0),
      "shape mismatch"),
     (lambda: metrics_cme(np.eye(2), np.zeros((2, 2)), np.eye(2), 1.0),
      "zero-norm reference matrix"),
     (lambda: metrics_maxcut(np.eye(2), np.eye(3)), "shape mismatch"),
     (lambda: box_toy_reference(0.0), "tol must be positive"),
-], ids=["cme-tau", "maxcut-not-square", "cme-shape", "cme-zero-norm",
-        "maxcut-shape", "reference-tol"])
+], ids=["cme-tau", "maxcut-not-square", "maxcut-empty", "er-negative-n",
+        "graph-negative-n", "cme-shape", "cme-zero-norm", "maxcut-shape",
+        "reference-tol"])
 def test_harness_inputs_are_checked_by_name(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
