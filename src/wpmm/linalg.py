@@ -13,7 +13,8 @@ the Krylov dimension, so memory is proportional to the rank sought, not to
 the square of the input's dimensions.
 
 ``truncated_eigh`` takes only a square matrix that equals its transpose
-entry for entry, and raises ValueError on any other; it never copies it. It
+entry for entry, and raises ValueError on any other (``NotSymmetricError``
+on a finite square one); it never copies it. It
 keeps a float32 input in float32 and takes every other input as float64. On
 a float32 input only the products are single precision
 (``M @ q.astype(float32)``); the basis, the Rayleigh-Ritz step, the
@@ -33,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
+    "NotSymmetricError",
     "truncated_svd",
     "truncated_eigh",
     "project_simplex",
@@ -48,6 +50,11 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+class NotSymmetricError(ValueError):
+    """A finite square matrix that ``truncated_eigh`` was given differs from
+    its transpose."""
+
+
 def _check_matrix(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -55,6 +62,14 @@ def _check_matrix(M):
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
+
+
+def _check_finite(M):
+    """Raise ValueError unless every entry of the non-empty array M is
+    finite. A NaN or an infinity shows in M's least or greatest entry, so
+    no array of M's size is made."""
+    if not (math.isfinite(M.min()) and math.isfinite(M.max())):
+        raise ValueError("matrix has non-finite entries")
 
 
 def _reorthogonalize(w, B):
@@ -216,7 +231,8 @@ def _checked_symmetric(M):
     """``(M, ||M||_F)`` for a finite square matrix M that equals its
     transpose entry for entry, as float32 for a float32 M and float64 for
     any other; M itself is returned, not a copy. Raises ValueError
-    otherwise."""
+    otherwise, NotSymmetricError when M is finite, square and not
+    symmetric."""
     M = np.asarray(M)
     if M.dtype != np.float32:
         M = np.asarray(M, dtype=float)
@@ -224,12 +240,12 @@ def _checked_symmetric(M):
         _check_matrix(M)
         raise ValueError(f"expected a square matrix, got {M.shape}")
     if not _exactly_symmetric(M):  # a NaN entry too
-        _check_matrix(M)
-        raise ValueError("matrix is not symmetric")
+        _check_finite(M)
+        raise NotSymmetricError("matrix is not symmetric")
     with np.errstate(over="ignore"):  # an overflowed sum is taken below
         fro = float(np.linalg.norm(M))
     if not math.isfinite(fro):  # an infinite entry, or an overflowed sum
-        _check_matrix(M)
+        _check_finite(M)
         if M.dtype == np.float32:  # a float32 sum of squares overflowed
             fro = math.sqrt(np.einsum("ij,ij->", M, M, dtype=float))
     return M, fro
@@ -250,7 +266,8 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     from those products, so a sweep multiplies by M only for the vectors it
     adds, and the basis takes O(d * Krylov dimension) memory. M must equal
     its transpose entry for entry; it is used as it is, with no d x d copy,
-    and any other matrix raises ValueError. A pair is accepted once
+    and any other matrix raises ValueError, a finite square one
+    ``NotSymmetricError``. A pair is accepted once
     ``||M u - lam u|| + allowance <= tol * max(1, |lam_1|)``.
 
     A float32 M keeps its dtype; any other input is taken as float64, with

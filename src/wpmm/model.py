@@ -136,6 +136,13 @@ class SmoothTerm:
     def value(self, x):
         return 0.5 * self.curvature(x) + float(self.b @ x) + self.c0
 
+    def mean_value(self, total, t):
+        """f(total / t), the value at the mean of t points, from their sum:
+        <total, H total> / (2 t^2) + <b, total> / t + c0, with no array of
+        the mean formed."""
+        return (0.5 * self.curvature(total) / t**2
+                + float(self.b @ total) / t + self.c0)
+
     def gradient(self, x):
         """grad f(x) = H x + b, as a new array."""
         return self.b.copy() if self.hess is None else self.hess(x) + self.b
@@ -249,9 +256,13 @@ def smooth_grad_y(spec, q, w, rho, kq=None):
 def smooth_grad_x(spec, x, gy):
     """The x-part grad f(x) + A^T r = grad f(x) - A^T gy of the augmented
     Lagrangian's smooth part, from its y-part gy = ``smooth_grad_y``, as a
-    new array; gy is not changed."""
-    gx = spec.f.gradient(x)
-    gx -= spec.A.adjoint(gy)
+    new array; gy is not changed. For a linear f it is b - A^T gy, formed
+    in one pass."""
+    f, atg = spec.f, spec.A.adjoint(gy)
+    if f.hess is None:
+        return np.subtract(f.b, atg)
+    gx = f.gradient(x)
+    gx -= atg
     return gx
 
 

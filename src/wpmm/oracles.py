@@ -13,6 +13,14 @@ call plus a small simplex QP, with a geometry-dependent lam.
 Each component's ``compute`` is its one oracle entry point: an exact-prox
 component supplies ``prox`` to the default one; the polytope oracle holds its
 output's vertex representation until ``commit``.
+
+The spectrahedron's oracle and prox return F F^T, exactly symmetric. The
+solver updates that block, its gradient and the oracle's center elementwise,
+so on a problem whose data is symmetric (the Max Cut and covariance
+builders) they stay exactly symmetric through a run. The oracle hands its
+center to ``linalg.truncated_eigh`` as it is: the kernel's symmetry check is
+the only one, and a center the kernel refuses is symmetrized first, to the
+bits the symmetrization always gave.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ except ImportError:  # np.linalg.cholesky then, into a second array
     _umath_linalg = None
 
 from . import linalg
-from .linalg import _CHUNK, _PANEL
+from .linalg import _CHUNK, _PANEL, _exactly_symmetric
 from .model import _norm, indicator_tol
 
 __all__ = [
@@ -362,13 +370,15 @@ class NuclearBallIndicator(_MatrixComponent, _IndicatorComponent):
 class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
     """Indicator of {X PSD, tr X = tau} with a rank-k oracle. Both
     decompositions see only the symmetric part of their input, which is all
-    the prox over symmetric matrices depends on; this also sheds the
-    roundoff-level asymmetry that accumulates over many iterations. The
-    distance to the set is taken from the eigenvalues of the symmetric part
-    and the norm of the skew part alone. ``contains`` needs no eigenvalues
-    when an upper bound on the distance, from a certified lower bound on the
-    least eigenvalue, settles it, from one symmetric part factored in
-    place; it falls back on ``distance`` otherwise."""
+    the prox over symmetric matrices depends on. Both return ``_gram``'s
+    exactly symmetric F F^T, so a run whose other updates are elementwise
+    keeps its centers exactly symmetric, and the center goes to the kernel
+    without a symmetrizing pass. The distance to the set is taken from the
+    eigenvalues of the symmetric part and the norm of the skew part alone.
+    ``contains`` needs no eigenvalues when an upper bound on the distance,
+    from a certified lower bound on the least eigenvalue, settles it, from
+    one symmetric part factored in place; it falls back on ``distance``
+    otherwise."""
 
     def __init__(self, n, tau, k, svd_tol=1e-9):
         super().__init__((n, n), k, svd_tol)
@@ -376,25 +386,42 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
             raise ValueError("tau must be positive")
         self.tau = float(tau)
 
-    def _shifted(self, center, p, coeff):
-        # an exactly symmetric buffer, the only input truncated_eigh takes,
-        # used without a copy: in float32 at loose tolerances, where float32
-        # round-off keeps it within tol, else in float64
+    def _shifted(self, center, p, coeff, form=None):
+        """The shifted center in one new buffer, as ``form(C, P, coeff,
+        dtype)`` (default ``_symmetric_part``) forms it from the center C
+        and the gradient P: in float32 at loose tolerances, where float32
+        round-off keeps it within tol, else in float64."""
+        form = form or _symmetric_part
         C, P = self._mat(center), self._mat(p)
         if self.svd_tol >= _SINGLE_TOL:
-            M = _symmetric_part(C, P, coeff, np.float32)
+            M = form(C, P, coeff, np.float32)
             if _single_holds(M, self.svd_tol):
                 return M
             del M  # freed before the float64 one is formed
-        return _symmetric_part(C, P, coeff)
+        return form(C, P, coeff)
 
-    def _top(self, M):
-        U, lam = linalg.truncated_eigh(M, self.k, self.svd_tol)
-        return U, lam, U
+    def compute(self, center, p, coeff):
+        if self._exact:
+            return super().compute(center, p, coeff)
+        # the kernel's symmetry check is the only one: m = center - p / coeff
+        # goes to it as it is, and only an m it refuses is symmetrized, after
+        # the refused buffer is freed with the exception
+        try:
+            return self._answer(center, p, coeff, _difference)
+        except linalg.NotSymmetricError:
+            pass
+        return self._answer(center, p, coeff, _symmetric_part)
 
-    def _full(self, M):
-        lam, U = np.linalg.eigh(_symmetric_part(M))
-        return U, lam, U
+    def _answer(self, center, p, coeff, form):
+        # the shifted center is freed when the kernel returns, before the
+        # answer is formed
+        U, lam = linalg.truncated_eigh(self._shifted(center, p, coeff, form),
+                                       self.k, self.svd_tol)
+        return _gram(U, self._spectral(lam, coeff))
+
+    def prox(self, point, scale):
+        lam, U = np.linalg.eigh(_symmetric_part(self._mat(point)))
+        return _gram(U, self._spectral(lam, scale))
 
     def _spectral(self, lam, c):
         return linalg.project_simplex(lam, self.tau)
@@ -467,19 +494,44 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
 _SINGLE_TOL = 1e-4  # svd_tol from which the Lanczos products may be float32
 
 
+def _difference(C, P=None, coeff=1.0, dtype=float):
+    """m = C - P / coeff (a copy of C when P is None) in one new array of
+    dtype: each entry computed in float64 and rounded once to dtype, a row
+    panel at a time for float32, so that no second d x d array is made."""
+    d = len(C)
+    m = np.empty((d, d), dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if P is None:
+            m[...] = C
+        elif m.dtype == np.float64:
+            np.subtract(C, np.divide(P, coeff, out=m), out=m)
+        else:
+            for i in range(0, d, _PANEL):
+                rows = slice(i, i + _PANEL)
+                np.subtract(C[rows], np.divide(P[rows], coeff), out=m[rows])
+    return m
+
+
 def _symmetric_part(C, P=None, coeff=1.0, dtype=float):
     """The symmetric part ``0.5 * (m_ij + m_ji)`` of the square matrix
     m = C - P / coeff (m = C when P is None), computed in float64 and
-    rounded once to dtype in one new, exactly symmetric array, a row panel
-    of the upper triangle at a time so that no second d x d array is made.
-    In float64 with P given, m is written into the answer first and
-    symmetrized in place: panel i reads only rows and columns >= i, which
-    no earlier panel wrote. Overflow is left for the caller to find."""
+    rounded once to dtype in one new, exactly symmetric array. m is written
+    into the answer first (``_difference``) and returned as it is when it
+    equals its transpose: the same bits, since two equal float64 values
+    average to themselves, and two float64 values that round to the same
+    float32 value have a float64 mean that rounds to it too, rounding being
+    monotone. Only an entry of magnitude 2**1023 or more, whose doubled
+    float64 sum would overflow, keeps its finite value. Any other m is
+    symmetrized a row panel of the upper triangle at a time, so that no
+    second d x d array is made: in place in float64, where panel i reads
+    only rows and columns >= i, which no earlier panel wrote; from C and P
+    in float32. Overflow is left for the caller to find."""
+    S = _difference(C, P, coeff, dtype)
+    if _exactly_symmetric(S):
+        return S
     d = len(C)
-    S = np.empty((d, d), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        if S.dtype == np.float64 and P is not None:  # m into S, see above
-            np.subtract(C, np.divide(P, coeff, out=S), out=S)
+        if S.dtype == np.float64:  # symmetrized in place, see above
             C, P = S, None
         for i in range(0, d, _PANEL):
             rows = slice(i, i + _PANEL)
@@ -497,6 +549,17 @@ def _symmetric_part(C, P=None, coeff=1.0, dtype=float):
             S[i:, rows] = s.T
             del s  # freed before the next panel is formed
     return S
+
+
+def _gram(U, w):
+    """``U diag(w) U^T`` for weights w >= 0, flattened, as F F^T with
+    F = U[:, w > 0] sqrt(w[w > 0]): only the columns of positive weight
+    enter, and NumPy forms ``F @ F.T`` as a symmetric rank-r update, which
+    mirrors its triangle, so the answer is exactly symmetric."""
+    keep = w > 0
+    F = U[:, keep]
+    F *= np.sqrt(w[keep])
+    return (F @ F.T).ravel()
 
 
 def _single_holds(M, tol):

@@ -128,14 +128,16 @@ class SolverConfig:
 @dataclass
 class IterateState:
     """Mutable per-run state: the current pair, the multiplier, the
-    iteration counter and ``kq``, K q at q. The next step consumes ``kq`` in
-    place as its gradient residual and sets it to None until it has formed
-    K q at the new point."""
+    iteration counter, ``kq``, K q at q, and ``kq_sq``, ||K q||^2 once a
+    step has taken it. The next step consumes ``kq`` in place as its
+    gradient residual and sets it to None until it has formed K q at the
+    new point."""
 
     q: PrimalPoint
     w: np.ndarray
     t: int = 0
     kq: Optional[np.ndarray] = None
+    kq_sq: Optional[float] = None
 
 
 @dataclass
@@ -157,7 +159,10 @@ class RunRecord:
 class RunLog:
     """Per-iteration trace plus the final Mean/Last outputs. After steps,
     ``last_point``, ``mean_point`` and ``w_final`` are the arrays the solver
-    formed, not copies of them."""
+    formed, not copies of them. A traced mean record before the final one
+    of a problem whose two blocks are indicators is read from dot products
+    (see ``run``), so it matches ``record_values`` at the mean point to
+    rounding, not bit for bit."""
 
     records: list
     last_point: PrimalPoint
@@ -381,7 +386,8 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
     # its own gradient and its output. Line search holds y and dy through
     # the x-oracle, then the iterate, the multiplier, d and A dx - dy. The
     # old iterate and multiplier are let go as soon as their successors
-    # exist. Returns the step taken and ||K q|| at the new point.
+    # exist. Returns the step taken and ||K q|| at the new point, the square
+    # root of ``state.kq_sq`` as np.linalg.norm takes it.
     q, w = state.q, state.w
     py = smooth_grad_y(spec, q, w, config.rho + 2.0 * config.mu, kq=state.kq)
     state.kq = None  # consumed: the y-gradient is its buffer
@@ -410,7 +416,8 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
     del w
     state.kq = kq
     state.t += 1
-    return eta, float(np.linalg.norm(kq))
+    state.kq_sq = float(kq @ kq)
+    return eta, math.sqrt(state.kq_sq)
 
 
 def iterate(spec, q0, w0, config):
@@ -451,23 +458,30 @@ def _coupling(w, kq):
     return float(w @ kq), float(kq @ kq)
 
 
-def record_values(spec, q, w, rho, audit=False, kq=None):
+def record_values(spec, q, w, rho, audit=False, kq=None, fval=None):
     """(objective, flagged, al_value) at q as a run record logs them, from
     each block's ``logged_value``: unless ``audit``, q lies in its indicator
     domains (also inside a product), which contribute 0 unchecked; an audit
     that finds a violation flags the objective and the AL value is +inf.
     ``kq`` is K q when the caller has already formed it, or the pair
     ``_coupling(w, K q)`` when the caller has taken that and let K q go;
-    with either, ``q.y`` may be None when the y-block is an indicator and
-    nothing is audited."""
-    fval = float(spec.f.value(q.x))
-    vx, fx = spec.rx.logged_value(q.x, audit)
-    if q.y is None:  # the unaudited indicator's 0 needs no point
-        if audit or kq is None or not spec.ry.is_indicator:
-            raise ValueError("q.y is needed to audit or to value the y-block")
-        vy, fy = 0.0, False
-    else:
-        vy, fy = spec.ry.logged_value(q.y, audit)
+    ``fval`` is f(q.x) when the caller has taken it. A block of q may be
+    None when its component is an indicator and nothing is audited: ``q.y``
+    given ``kq``, ``q.x`` given ``kq`` and ``fval``."""
+    values = []
+    for name, comp, block, given in (
+            ("x", spec.rx, q.x, kq is not None and fval is not None),
+            ("y", spec.ry, q.y, kq is not None)):
+        if block is not None:
+            values.append(comp.logged_value(block, audit))
+        elif audit or not given or not comp.is_indicator:
+            raise ValueError(f"q.{name} is needed to audit or to value the "
+                             f"{name}-block")
+        else:  # the unaudited indicator's 0 needs no point
+            values.append((0.0, False))
+    (vx, fx), (vy, fy) = values
+    if fval is None:
+        fval = float(spec.f.value(q.x))
     if fx or fy:
         return fval + vx + vy, True, float("inf")
     if kq is None:
@@ -475,6 +489,20 @@ def record_values(spec, q, w, rho, audit=False, kq=None):
     wkq, kq_sq = kq if isinstance(kq, tuple) else _coupling(w, kq)
     al = fval + wkq + 0.5 * rho * kq_sq + vx + vy
     return fval + vx + vy, False, al
+
+
+def _mean_from_dots(spec, w, dw, total, t, config):
+    """(||K qbar||, ``record_values`` at the mean qbar) for a mean record
+    of two indicator blocks, no block of the mean formed: given
+    dw = w - w0 = mu t K qbar, ||K qbar|| = ||dw|| / (mu t) and
+    <w, K qbar> = <w, dw> / (mu t), and f(xbar) comes from the running sum
+    ``total`` of the x-blocks."""
+    scale = config.mu * t
+    dd = float(dw @ dw)
+    coupling = ((dd if dw is w else float(w @ dw)) / scale, dd / scale**2)
+    return math.sqrt(dd) / scale, record_values(
+        spec, PrimalPoint(None, None), w, config.rho, kq=coupling,
+        fval=spec.f.mean_value(total, t))
 
 
 def run(spec, q0, w0, config):
@@ -489,11 +517,18 @@ def run(spec, q0, w0, config):
     ``run`` keeps one running sum, of the x-blocks. The mean's constraint
     residual comes from the multiplier: w_t - w_0 = mu sum_s K q_s, so
     K qbar_t = (w_t - w_0) / (mu t), and the mean's y-block is
-    A xbar_t - K qbar_t, formed only where something reads it (the final
-    record, and traced records whose y-block is not an indicator). A mean
-    record holds one block of its own where it can: it takes the inner
-    products of K qbar first and, unless the y-block is formed into K qbar's
-    buffer, frees K qbar before xbar is formed.
+    A xbar_t - K qbar_t. A mean block is formed only where something reads
+    it. A traced record before the final one whose two blocks are both
+    indicators forms none: its values are dot products, ||K qbar_t|| =
+    ||w_t - w_0|| / (mu t), <w_t, K qbar_t> = <w_t, w_t - w_0> / (mu t) and
+    f(xbar_t) from the running sum (``SmoothTerm.mean_value``), with w_t
+    itself for w_t - w_0 when w_0 is zero. The final record, and a traced
+    record with a block that is not an indicator, form K qbar and xbar, and
+    the y-block where it is read (the final record, and traced records
+    whose y-block is not an indicator). Such a mean record holds one block
+    of its own where it can: it takes the inner products of K qbar first
+    and, unless the y-block is formed into K qbar's buffer, frees K qbar
+    before xbar is formed.
 
     The returned points and multiplier are the solver's own arrays, not
     copies: the final iterate, and the running sum divided in place into the
@@ -509,14 +544,19 @@ def run(spec, q0, w0, config):
     records, state, mean_point = [], None, None
     # running sum of the post-step x-blocks, the mean's x-block times t
     total = np.zeros_like(q0.x)
+    # a traced mean record before the final one is read from dot products
+    # when both blocks are indicators; w - w0 is w itself when w0 is zero
+    dots = config.trace_mean and spec.rx.is_indicator and spec.ry.is_indicator
+    w0_zero = not w0.any()
     start = time.perf_counter()
     try:
         for state, step in steps:
             t = state.t
             total += state.q.x
             final = t == config.iters
-            obj, flagged, alv = record_values(spec, state.q, state.w,
-                                              config.rho, final, kq=state.kq)
+            obj, flagged, alv = record_values(
+                spec, state.q, state.w, config.rho, final,
+                kq=(float(state.w @ state.kq), state.kq_sq))
             rec = RunRecord(
                 t=t,
                 objective=obj,
@@ -529,7 +569,12 @@ def run(spec, q0, w0, config):
             )
             if final:  # no step reads K q again: freed before the audits
                 state.kq = None
-            if final or config.trace_mean:
+            if dots and not final:
+                dw = state.w if w0_zero else np.subtract(state.w, w0)
+                rec.mean_feasibility, values = _mean_from_dots(
+                    spec, state.w, dw, total, t, config)
+                del dw
+            elif final or config.trace_mean:
                 # K qbar, from the multiplier: the record reads it first,
                 # and it is freed before xbar is formed unless the y-block,
                 # A xbar - K qbar, is needed and written into its buffer
@@ -548,13 +593,12 @@ def run(spec, q0, w0, config):
                 if final:
                     mean_point = qb
                 if config.trace_mean:
-                    mobj, mflag, mal = record_values(spec, qb, state.w,
-                                                     config.rho, final,
-                                                     kq=coupling)
-                    rec.objective_flagged |= mflag
-                    rec.mean_objective = mobj
-                    rec.mean_al_value = mal
+                    values = record_values(spec, qb, state.w, config.rho,
+                                           final, kq=coupling)
                 del kqb, xb, yb, qb  # not held through the next step
+            if config.trace_mean:
+                rec.mean_objective, mflag, rec.mean_al_value = values
+                rec.objective_flagged |= mflag
             records.append(rec)
     except SolverError as exc:
         exc.partial_log = RunLog(records, exc.state.q, None, exc.state.w,

@@ -10,6 +10,8 @@ step rule with the solver, writes its gradient out, and checks only the
 order of its work.
 """
 
+import math
+
 import numpy as np
 
 from wpmm.model import PrimalPoint, k_apply
@@ -189,6 +191,13 @@ def dykstra_two_sets(z, project_a, project_b, iters=5000, tol=1e-12):
     return x
 
 
+def symmetric_part(C, P=None, coeff=1.0, dtype=float):
+    """The symmetric part 0.5 (m + m^T) of m = C - P / coeff (m = C when P
+    is None), formed densely in float64 and rounded once to dtype."""
+    m = np.array(C, dtype=float) if P is None else C - P / coeff
+    return (0.5 * (m + m.T)).astype(dtype)
+
+
 def smooth_part(spec, q, w, rho):
     """The augmented Lagrangian's smooth part f(x) + <w, Kq> + (rho/2)||Kq||^2
     with K q = A x - y."""
@@ -230,14 +239,19 @@ def write_gset(graph, path):
 def reference_run(spec, q0, w0, config):
     """What ``solver.run`` logs, from steps taken in the plain order and on
     whole new arrays: both oracles at q (x first), then line search,
-    q + eta (v - q) and w + mu K q, and each mean record from xbar and
-    K qbar at once. Returns (records, last point, mean point, multiplier),
-    a record being the tuple of a ``RunRecord``'s fields but ``elapsed``."""
+    q + eta (v - q) and w + mu K q. A traced mean record before the final
+    one of two indicator blocks is read from dot products with
+    dw = w - w0 = mu t K qbar: ||dw|| / (mu t), <w, dw> / (mu t) and
+    f(xbar) = <S, H S> / (2 t^2) + <b, S> / t + c0 for the sum S of the
+    x-blocks; every other one from xbar and K qbar at once. Returns
+    (records, last point, mean point, multiplier), a record being the tuple
+    of a ``RunRecord``'s fields but ``elapsed``."""
     eta0, coeff, search = _base_step(spec, config)
     fallback = config.step_policy == "line_search" and not search
     rx, ry = spec.rx.for_run(q0.x), spec.ry.for_run(q0.y)
     q, w = q0.copy(), np.array(w0, dtype=float)
     total, records, mean = np.zeros_like(q.x), [], None
+    dots = spec.rx.is_indicator and spec.ry.is_indicator
     for t in range(1, config.iters + 1):
         r = w + (config.rho + 2.0 * config.mu) * (spec.A.apply(q.x) - q.y)
         px, py = spec.f.gradient(q.x) + spec.A.adjoint(r), -r
@@ -256,7 +270,15 @@ def reference_run(spec, q0, w0, config):
         final = t == config.iters
         obj, flagged, al = record_values(spec, q, w, config.rho, final, kq=kq)
         means = (None, None, None)
-        if final or config.trace_mean:
+        if config.trace_mean and dots and not final:
+            dw, scale, f = w - w0, config.mu * t, spec.f
+            dd = float(dw @ dw)
+            fval = (0.5 * f.curvature(total) / t**2 + float(f.b @ total) / t
+                    + f.c0)
+            mal = fval + float(w @ dw) / scale + 0.5 * config.rho * (
+                dd / scale**2)
+            means = (fval, math.sqrt(dd) / scale, mal)
+        elif final or config.trace_mean:
             kqb = (w - w0) / (config.mu * t)
             xb = total / t
             mean = PrimalPoint(xb, spec.A.apply(xb) - kqb)

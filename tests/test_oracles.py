@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import fd_gradient
+import wpmm.linalg as linalg
+from bruteforce import fd_gradient, symmetric_part
 from wpmm.harness import build_maxcut_problem, gen_er_graph, laplacian
 from wpmm.linalg import (_shrink, project_l1_ball, project_simplex,
                          truncated_eigh, truncated_svd)
@@ -996,6 +997,62 @@ def test_symmetric_part_is_the_dense_formula_bit_for_bit(d, dtype):
     assert np.array_equal(C, C0) and np.array_equal(P, P0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_symmetric_part_of_a_symmetric_m_is_m_bit_for_bit(dtype):
+    # m is returned as it is when it equals its transpose: two equal float64
+    # values average to themselves, and two float64 values that round to
+    # one float32 value have a float64 mean that rounds to it too
+    rng = np.random.default_rng(5)
+    d = 130
+    C, P = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    C, P = C + C.T, P + P.T
+    m = C - P / 3.0
+    assert np.array_equal(m, m.T)
+    assert np.array_equal(_symmetric_part(C, P, 3.0, dtype),
+                          symmetric_part(C, P, 3.0, dtype))
+    assert np.array_equal(m.astype(dtype), symmetric_part(m, dtype=dtype))
+    # one float64 ulp up below the diagonal: not symmetric in float64, but
+    # every pair still rounds to one float32 value
+    skewed = np.where(np.tri(d, k=-1, dtype=bool), np.nextafter(m, np.inf), m)
+    single = skewed.astype(np.float32)
+    assert not np.array_equal(skewed, skewed.T)
+    assert np.array_equal(single, single.T)
+    assert np.array_equal(single, symmetric_part(skewed, dtype=np.float32))
+    assert np.array_equal(_symmetric_part(skewed, dtype=dtype),
+                          symmetric_part(skewed, dtype=dtype))
+
+
+@pytest.mark.parametrize("tol, dtype", [(1e-2, np.float32),
+                                        (1e-6, np.float64)])
+def test_spectrahedron_oracle_symmetrizes_only_a_refused_center(
+        monkeypatch, tol, dtype):
+    # the kernel's check is the only one: a center it refuses is symmetrized
+    # to the bits of the dense formula; a symmetric one goes through as is
+    rng = np.random.default_rng(25)
+    d = 90
+    C = rng.standard_normal((d, d))
+    C = C + C.T + 60.0 * np.eye(d)
+    P = rng.standard_normal((d, d))
+    kernel, refused = linalg.truncated_eigh, []
+
+    def watched(M, *args, **kwargs):
+        try:
+            return kernel(M, *args, **kwargs)
+        except linalg.NotSymmetricError:
+            refused.append(M.dtype)
+            raise
+
+    monkeypatch.setattr(linalg, "truncated_eigh", watched)
+    comp = SpectrahedronIndicator(d, 2.0, 4, svd_tol=tol)
+    for grad, refusals in ((P, [dtype]), (P + P.T, [])):
+        refused.clear()
+        out = comp.compute(C.ravel(), grad.ravel(), 2.0)
+        assert refused == refusals
+        assert np.array_equal(out, spectrahedron_oracle(
+            comp, C.ravel(), grad.ravel(), 2.0, dtype))
+        assert np.array_equal(out.reshape(d, d), out.reshape(d, d).T)
+
+
 def test_float64_symmetric_part_peaks_near_its_answer():
     # m is written into the answer and symmetrized there: the peak is the
     # answer plus a row panel and its transpose buffer
@@ -1016,14 +1073,16 @@ def test_float64_symmetric_part_peaks_near_its_answer():
 # spectrahedron oracle: float32 Lanczos products at loose tolerances
 
 
-def float64_spectrahedron_oracle(comp, center, p, c):
-    """The spectrahedron oracle's float64 path, step for step: the
-    symmetric part of the shifted center, formed densely, decomposed in
-    float64."""
-    M = comp._mat(p) / c
-    np.subtract(comp._mat(center), M, out=M)
-    U, lam = truncated_eigh(0.5 * (M + M.T), comp.k, comp.svd_tol)
-    return ((U * project_simplex(lam, comp.tau)) @ U.T).ravel()
+def spectrahedron_oracle(comp, center, p, c, dtype=float):
+    """The spectrahedron oracle step for step: the symmetric part of the
+    shifted center, formed densely in dtype, its top eigenpairs, and the
+    answer F F^T over the positive simplex weights."""
+    M = symmetric_part(comp._mat(center), comp._mat(p), c, dtype)
+    U, lam = truncated_eigh(M, comp.k, comp.svd_tol)
+    w = project_simplex(lam, comp.tau)
+    F = U[:, w > 0] * np.sqrt(w[w > 0])
+    return (F @ F.T).ravel()
+
 
 
 def test_single_shifted_is_the_rounded_symmetric_part():
@@ -1040,7 +1099,7 @@ def test_single_shifted_is_the_rounded_symmetric_part():
     comp = SpectrahedronIndicator(d, 1.0, 3, svd_tol=1e-5)
     center, p = C.ravel(), P.ravel()
     assert np.array_equal(comp.compute(center, p, 2.0),
-                          float64_spectrahedron_oracle(comp, center, p, 2.0))
+                          spectrahedron_oracle(comp, center, p, 2.0))
 
 
 def test_spectrahedron_float32_path_meets_tol_on_maxcut_center():
@@ -1085,7 +1144,7 @@ def test_spectrahedron_takes_float64_when_float32_cannot_hold_tol():
             _symmetric_part(center, P, 2.0, np.float32), tol)
         comp = SpectrahedronIndicator(d, 1.0, 4, svd_tol=tol)
         out = comp.compute(center.ravel(), P.ravel(), 2.0)
-        assert np.array_equal(out, float64_spectrahedron_oracle(
+        assert np.array_equal(out, spectrahedron_oracle(
             comp, center.ravel(), P.ravel(), 2.0))
 
 
@@ -1110,7 +1169,7 @@ def test_spectrahedron_takes_float64_past_float32_range_on_diagonal():
     assert not _single_holds(_symmetric_part(C, P, 2.0, np.float32), 1e-2)
     comp = SpectrahedronIndicator(d, 1.0, 3, svd_tol=1e-2)
     out = comp.compute(C.ravel(), P.ravel(), 2.0)
-    assert np.array_equal(out, float64_spectrahedron_oracle(
+    assert np.array_equal(out, spectrahedron_oracle(
         comp, C.ravel(), P.ravel(), 2.0))
 
 

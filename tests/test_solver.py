@@ -7,6 +7,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import wpmm.linalg as linalg
 from bruteforce import reference_run
 from wpmm.certify import (check_linear_decay, check_obj_feas_split,
                           polytope_audit, run_suites)
@@ -630,6 +631,86 @@ def test_traced_mean_values_are_record_values_at_the_mean(ry):
         else:
             assert record_values(spec, q, w0, config.rho, audit, kq=kq) == \
                 record_values(spec, log.mean_point, w0, config.rho, kq=kq)
+
+
+@pytest.mark.parametrize("w0_scale", [0.0, 1.0])
+def test_dot_product_mean_values_are_record_values_at_the_mean(w0_scale):
+    # two indicator blocks: the records before the final one take the mean's
+    # values from dot products and the running sum, the final one from the
+    # mean it forms; both agree with record_values at the averaged iterates
+    rng = np.random.default_rng(8)
+    B = rng.standard_normal((5, 5))
+    spec = ProblemSpec(f=SmoothTerm.quadratic(B @ B.T, rng.standard_normal(5),
+                                              0.7),
+                       A=LinearMap.from_dense(rng.standard_normal((4, 5))),
+                       rx=BoxIndicator(5, -1.0, 1.0),
+                       ry=L1BallIndicator(4, 1.5))
+    q0, w0 = q_of(np.zeros(5), np.zeros(4)), w0_scale * rng.standard_normal(4)
+    config = SolverConfig(rho=1.0, mu=0.2, eta=0.3, iters=12,
+                          step_policy="fixed", trace_mean=True)
+    log = run(spec, q0, w0, config)
+    points = collected(spec, q0, w0, config)
+    for rec in log.records:
+        qs, w = [q for q, _ in points[:rec.t]], points[rec.t - 1][1]
+        mean = mean_of(qs)
+        obj, flagged, al = record_values(spec, mean, w, config.rho,
+                                         audit=rec.t == config.iters)
+        assert not flagged and not rec.objective_flagged
+        assert rec.mean_objective == pytest.approx(obj, rel=1e-12, abs=0)
+        assert rec.mean_al_value == pytest.approx(al, rel=1e-12, abs=0)
+        assert rec.mean_feasibility == pytest.approx(
+            np.linalg.norm(k_apply(spec, mean)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("problem, tol", [
+    ("maxcut", 1e-2), ("maxcut", 1e-9), ("cme", 1e-2), ("cme", 1e-9)])
+def test_spectrahedron_blocks_stay_exactly_symmetric(monkeypatch, problem,
+                                                     tol):
+    # the oracle returns F F^T and every other update is elementwise, so the
+    # x-iterates, the x-oracle's centers and gradients, and the other
+    # blocks stay exactly symmetric, and the kernel refuses no center
+    if problem == "maxcut":
+        n = 40
+        spec, q0, w0 = build_maxcut_problem(
+            laplacian(gen_er_graph(n, 0.2, seed=2)), 4, svd_tol=tol)
+        config = SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=15,
+                              step_policy="fixed", trace_mean=True)
+    else:
+        n = 16
+        _sigma, sigma_hat, tau, s = gen_cme_instance(CmeConfig(d=n, r=2))
+        spec, q0, w0 = build_cme_problem(sigma_hat, tau, s, 3, svd_tol=tol)
+        config = SolverConfig(rho=25.0, mu=0.2, iters=15,
+                              step_policy="line_search", trace_mean=True)
+
+    def symmetric(v):
+        return np.array_equal(v.reshape(n, n), v.reshape(n, n).T)
+
+    kernel, refused, calls = linalg.truncated_eigh, [], []
+
+    def watched(M, *args, **kwargs):
+        try:
+            return kernel(M, *args, **kwargs)
+        except linalg.NotSymmetricError:
+            refused.append(True)
+            raise
+
+    monkeypatch.setattr(linalg, "truncated_eigh", watched)
+    compute = spec.rx.compute
+
+    def recorded(center, p, coeff):
+        out = compute(center, p, coeff)
+        calls.append(symmetric(center) and symmetric(p) and symmetric(out))
+        return out
+
+    spec.rx.compute = recorded
+    assert symmetric(q0.x) and symmetric(q0.y)
+    for state, _ in iterate(spec, q0, w0, config):
+        assert symmetric(state.q.x) and symmetric(state.q.y)
+        assert symmetric(state.w) and symmetric(state.kq)
+    log = run(spec, q0, w0, config)
+    assert symmetric(log.mean_point.x) and symmetric(log.mean_point.y)
+    assert len(calls) == 2 * config.iters and all(calls)
+    assert refused == []
 
 
 @pytest.mark.parametrize("A", [
