@@ -1,5 +1,4 @@
-"""Experiment harness: instance generation, problem builders, metrics, and a
-high-accuracy reference-solution oracle.
+"""Experiment harness: instance generation, problem builders and metrics.
 
 Covers two desk-scale studies: covariance estimation over the spectrahedron
 intersected with an l1 ball (synthetic low-rank + sparse ground truth), and
@@ -22,14 +21,12 @@ from .oracles import (
     L1BallIndicator,
     SpectrahedronIndicator,
 )
-from .solver import SolverConfig, default_steps, iterate, record_values
 
 __all__ = [
     "CmeConfig",
     "GsetGraph",
     "CmeMetrics",
     "MaxcutMetrics",
-    "ReferenceSolution",
     "gen_cme_instance",
     "load_gset",
     "gen_er_graph",
@@ -39,7 +36,6 @@ __all__ = [
     "build_box_toy",
     "metrics_cme",
     "metrics_maxcut",
-    "reference_solution",
 ]
 
 
@@ -115,16 +111,6 @@ class CmeMetrics:
 class MaxcutMetrics:
     objective: float
     diag_feasibility: float
-
-
-@dataclass
-class ReferenceSolution:
-    q: PrimalPoint
-    w: np.ndarray
-    h_value: float
-    al_value: float
-    iterations: int
-    k_norm: float
 
 
 # ---------------------------------------------------------------------------
@@ -368,57 +354,4 @@ def metrics_maxcut(S, C):
     return MaxcutMetrics(
         objective=-float(np.einsum("ij,ji->", C, S)),  # tr(C S), no C @ S
         diag_feasibility=float(np.linalg.norm(np.diag(S) - 1.0)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# reference oracle
-
-
-def reference_solution(spec, tol, *, q0, w0, config=None):
-    """High-accuracy reference point via the same solver loop with exact
-    full-decomposition prox oracles (lam = 1).
-
-    Runs ``config``, whose ``iters`` is the budget; by default the steps of
-    ``default_steps`` at rho = 1 for 10^6 iterations. A line-search config
-    with a larger mu converges much faster on larger instances. Stops once
-    the constraint residual and the successive objective change both drop
-    below ``tol``; raises when the budget is spent. Each value reads the
-    step's own K q, so a step applies A once.
-
-    Returns a ReferenceSolution carrying the point and the converged
-    multiplier, the solver's own arrays (no step writes them again), and h
-    (+inf outside the domains) and the augmented-Lagrangian value at the
-    pair, from one audited ``record_values``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    spec_e = ProblemSpec(f=spec.f, A=spec.A, rx=spec.rx.exact(),
-                         ry=spec.ry.exact(), pqg_alpha=spec.pqg_alpha)
-    if config is None:
-        policy, mu, eta = default_steps(spec_e, 1.0)
-        config = SolverConfig(rho=1.0, mu=mu, iters=10**6,
-                              step_policy=policy, eta=eta)
-    rho = config.rho
-
-    h_prev = record_values(spec_e, q0, w0, rho)[0]
-    k_norm = np.inf
-    for state, step in iterate(spec_e, q0, w0, config):
-        k_norm = step.k_norm
-        h_cur = record_values(spec_e, state.q, state.w, rho, kq=state.kq)[0]
-        if k_norm <= tol and abs(h_cur - h_prev) <= tol:
-            h, flagged, al = record_values(spec_e, state.q, state.w, rho,
-                                           audit=True, kq=state.kq)
-            return ReferenceSolution(
-                q=state.q,
-                w=state.w,
-                h_value=float("inf") if flagged else h,
-                al_value=al,
-                iterations=state.t,
-                k_norm=k_norm,
-            )
-        h_prev = h_cur
-    raise RuntimeError(
-        f"reference solve did not converge in {config.iters} iterations "
-        f"(constraint residual {k_norm:.3e})"
     )

@@ -26,7 +26,6 @@ __all__ = [
     "PrimalPoint",
     "ProblemSpec",
     "k_apply",
-    "smooth_grad",
     "smooth_grad_x",
     "smooth_grad_y",
 ]
@@ -264,11 +263,3 @@ def smooth_grad_x(spec, x, gy):
     gx = f.gradient(x)
     gx -= atg
     return gx
-
-
-def smooth_grad(spec, q, w, rho):
-    """Gradient w.r.t. q of the augmented Lagrangian's smooth part
-    f(x) + <w, Kq> + (rho/2) ||Kq||^2, as an (x-part, y-part) pair:
-    (grad f(x) + A^T r, -r) with r = w + rho Kq."""
-    gy = smooth_grad_y(spec, q, w, rho)
-    return smooth_grad_x(spec, q.x, gy), gy

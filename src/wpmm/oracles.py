@@ -25,7 +25,6 @@ bits the symmetrization always gave.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -157,14 +156,6 @@ class WpoComponent:
         """Per-run instance; stateful components return a fresh copy."""
         return self
 
-    def exact(self):
-        """Exact-prox equivalent (full decompositions); a component whose
-        oracle is its exact prox is its own. Raises if none exists."""
-        if type(self).compute is not WpoComponent.compute:
-            raise OracleError(
-                f"{type(self).__name__} has no exact-prox equivalent")
-        return self
-
 
 class _IndicatorComponent(WpoComponent):
     """Indicator of a set with an exactly computable projection. A subclass
@@ -281,8 +272,6 @@ class _MatrixComponent(WpoComponent):
     center at coefficient c; the oracle applies it to the top-k part of the
     decomposition and the exact prox to the full one."""
 
-    _exact = False  # set on the exact-prox view
-
     def __init__(self, shape, k, svd_tol=1e-9):
         rows, cols = shape
         super().__init__(rows * cols)
@@ -312,8 +301,6 @@ class _MatrixComponent(WpoComponent):
         return U, s, Vt.T
 
     def compute(self, center, p, coeff):
-        if self._exact:
-            return super().compute(center, p, coeff)
         # the shifted center is freed when _top returns, before the answer
         # is formed
         U, s, V = self._top(self._shifted(center, p, coeff))
@@ -322,13 +309,6 @@ class _MatrixComponent(WpoComponent):
     def prox(self, point, scale):
         U, s, V = self._full(self._mat(point))
         return ((U * self._spectral(s, scale)) @ V.T).ravel()
-
-    def exact(self):
-        """Exact-prox view: the same component, whose oracle is the prox of
-        the shifted center by the full decomposition."""
-        view = copy.copy(self)
-        view._exact = True
-        return view
 
 
 class NuclearNormReg(_MatrixComponent):
@@ -401,8 +381,6 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         return form(C, P, coeff)
 
     def compute(self, center, p, coeff):
-        if self._exact:
-            return super().compute(center, p, coeff)
         # the kernel's symmetry check is the only one: m = center - p / coeff
         # goes to it as it is, and only an m it refuses is symmetrized, after
         # the refused buffer is freed with the exception
@@ -890,6 +868,3 @@ class ProductComponent(WpoComponent):
         if all(c is p for c, p in zip(clones, self.parts)):
             return self
         return ProductComponent(clones)
-
-    def exact(self):
-        return ProductComponent([p.exact() for p in self.parts])

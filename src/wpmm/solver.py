@@ -22,9 +22,8 @@ block-sized arrays, 6 with ``run``'s running sum. A line-search step holds
 per point) and a ``Step`` record (eta used, line-search fallback, constraint
 residual norm) after each of ``config.iters`` steps. ``run`` drives it, logs
 every iteration and forms the ergodic mean, whose constraint residual it
-reads off the multiplier; the reference solver in ``harness`` drives it with
-exact oracles and its own stopping rule; both read the objective h and the
-augmented Lagrangian from ``record_values``, their one evaluator.
+reads off the multiplier. It reads the objective h and the augmented
+Lagrangian from ``record_values``, their one evaluator.
 ``StepConstants`` is the step-size rule: ``step_constants`` builds it from
 the problem's curvature constants, and it gives the primal step, the dual-step
 cap, the oracle coefficient beta_hat(mu) = beta_S + 2 mu (||A||+1)^2 and the
@@ -314,14 +313,15 @@ def line_search_eta(spec, d, lin, mu, rho):
     oracle output v, for the merit mu ||K q(eta)||^2 + L_rho(q(eta), w) at
     q(eta) = q + eta d, eta in [0, 1].
 
-    ``lin`` is <grad, d>, grad the merit's gradient at q: the ``smooth_grad``
-    pair at penalty rho + 2 mu. Assumes, without checking, both endpoints
-    inside every indicator domain (true of the iterate and an oracle output)
-    and both regularizers constant on segments, so they drop out. f is
-    quadratic, so the merit moves by exactly lin*eta + curv*eta^2 along the
-    segment, with curv = <dx, H dx>/2 + (mu + rho/2) ||A dx - dy||^2 >= 0:
-    the endpoints and the clipped stationary point hold its minimizer. The
-    one array formed is A dx - dy; d is not changed.
+    ``lin`` is <grad, d>, grad the merit's gradient at q: the pair of
+    ``smooth_grad_x`` and ``smooth_grad_y`` at penalty rho + 2 mu. Assumes,
+    without checking, both endpoints inside every indicator domain (true of
+    the iterate and an oracle output) and both regularizers constant on
+    segments, so they drop out. f is quadratic, so the merit moves by
+    exactly lin*eta + curv*eta^2 along the segment, with curv = <dx, H dx>/2
+    + (mu + rho/2) ||A dx - dy||^2 >= 0: the endpoints and the clipped
+    stationary point hold its minimizer. The one array formed is A dx - dy;
+    d is not changed.
     """
     kd = np.subtract(spec.A.apply(d.x), d.y)
     curv = 0.5 * spec.f.curvature(d.x) + (mu + 0.5 * rho) * float(kd @ kd)

@@ -5,16 +5,21 @@ decompositions use Jacobi rotations instead of Lanczos, projections use
 exhaustive active-set / sign-pattern enumeration or sorting instead of a
 pivot iteration, gradients use central finite differences, and the
 augmented Lagrangian's smooth part is summed term by term from the problem's
-callables. The one exception, ``reference_run``, shares the oracles and the
-step rule with the solver, writes its gradient out, and checks only the
-order of its work.
+callables. Two exceptions: ``reference_run`` shares the oracles and the step
+rule with the solver, writes its gradient out, and checks only the order of
+its work; the certified optima of the two paper problems,
+``maxcut_reference`` and ``cme_reference``, take their projections from the
+library's exact ones, and each stops on a two-sided bound that does not
+depend on how its point was found.
 """
 
 import math
 
 import numpy as np
 
+from wpmm.linalg import project_l1_ball
 from wpmm.model import PrimalPoint, k_apply
+from wpmm.oracles import SpectrahedronIndicator
 from wpmm.solver import _base_step, line_search_eta, record_values
 
 
@@ -189,6 +194,90 @@ def dykstra_two_sets(z, project_a, project_b, iters=5000, tol=1e-12):
             break
         x = x_new
     return x
+
+
+def maxcut_bracket(C, V):
+    """Bounds on the Max Cut relaxation's optimum OPT = min -<C, X> over
+    {X PSD, diag X = 1}, from V with unit rows: -<C, V V^T> is attained by
+    the feasible V V^T, and weak duality gives <C, X> <= sum u + n max(0,
+    lambda_max(C - Diag u)) on the feasible set for any u; here u_i =
+    v_i . (C V)_i, with a dense ``eigvalsh`` for lambda_max (a Lanczos value
+    lies below it and would not bound). Returns (lower, upper)."""
+    CV = C @ V
+    u = np.einsum("ij,ij->i", V, CV)
+    lam = float(np.linalg.eigvalsh(C - np.diag(u))[-1])
+    total = float(u.sum())  # <C, V V^T>
+    return -(total + C.shape[0] * max(0.0, lam)), -total
+
+
+def maxcut_reference(C, tol=1e-9, sweeps=10_000, seed=0):
+    """Certified Max Cut optimum by the mixing method (Wang, Chang & Kolter,
+    arXiv 1706.00476): X = V V^T with unit rows v_i at rank r =
+    ceil(sqrt(2n)) + 1, each sweep setting v_i to the unit vector along
+    sum_{j != i} c_ij v_j. Stops once ``maxcut_bracket`` is within tol
+    relative. Returns (lower, upper, V); raises RuntimeError when ``sweeps``
+    run out."""
+    C = np.asarray(C, dtype=float)
+    n = C.shape[0]
+    V = np.random.default_rng(seed).standard_normal(
+        (n, math.ceil(math.sqrt(2 * n)) + 1))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    for _ in range(sweeps):
+        for i in range(n):
+            g = C[i] @ V - C[i, i] * V[i]
+            norm = np.linalg.norm(g)
+            if norm > 0.0:  # else v_i has no neighbour to follow
+                V[i] = g / norm
+        lower, upper = maxcut_bracket(C, V)
+        if upper - lower <= tol * abs(upper):
+            return lower, upper, V
+    raise RuntimeError(f"mixing method did not converge in {sweeps} sweeps "
+                       f"(gap {upper - lower:.3e})")
+
+
+def cme_bracket(Z, u, tau, s, toward=None):
+    """Bounds on the covariance optimum OPT = min (1/2)||X - Z||^2 over
+    S intersect B, S = {X PSD, tr X = tau} and B = {||X||_1 <= s}, from a
+    multiplier u of the split X = Y (arrays flattened, d x d matrices).
+
+    Lower: the dual function at u, (1/2)||X_u - Z||^2 + <u, X_u> - s
+    max |u_ij| with X_u = P_S(Z - u), a bound for every u. Upper: X_u lies
+    in S; it is mixed toward ``toward`` (default (tau/d) I, which lies in S
+    with ||.||_1 = tau <= s) by theta = (g0 - s) / (g0 - g1), g0 and g1 the
+    two points' l1 norms, clipped to [0, 1]. The l1 norm is convex along the
+    segment, so from a point of S intersect B that theta brings X_theta into
+    B, and (1/2)||X_theta - Z||^2 >= OPT. Returns (lower, upper, X_u,
+    X_theta).
+    """
+    z, u = np.ravel(Z), np.ravel(u)
+    d = math.isqrt(z.size)
+    if toward is None:
+        toward = np.diag(np.full(d, tau / d)).ravel()
+    X = SpectrahedronIndicator(d, tau, 1).project(z - u)
+    lower = (0.5 * float((X - z) @ (X - z)) + float(u @ X)
+             - s * float(np.abs(u).max()))
+    g0, g1 = float(np.abs(X).sum()), float(np.abs(toward).sum())
+    theta = 0.0 if g0 <= s else min(max((g0 - s) / (g0 - g1), 0.0), 1.0)
+    mixed = X + theta * (toward - X)
+    return lower, 0.5 * float((mixed - z) @ (mixed - z)), X, mixed
+
+
+def cme_reference(Z, tau, s, tol=1e-6, iters=100_000):
+    """Certified covariance optimum by Dykstra's projections onto S and B
+    (Boyle & Dykstra 1986): from q = 0, y = P_S(Z - q), x = P_B(y + q) and
+    q <- y + q - x, the l1-side increment. Stops once ``cme_bracket`` at
+    u = q, whose X_u is the step's y, is within tol relative. Returns
+    (lower, upper, u); raises RuntimeError when ``iters`` run out."""
+    z = np.ravel(Z)
+    q = np.zeros_like(z)
+    for _ in range(iters):
+        lower, upper, y, _ = cme_bracket(z, q, tau, s)
+        if upper - lower <= tol * abs(upper):
+            return lower, upper, q
+        q += y
+        q -= project_l1_ball(q, s)  # y + q - P_B(y + q)
+    raise RuntimeError(f"Dykstra's method did not converge in {iters} steps "
+                       f"(gap {upper - lower:.3e})")
 
 
 def symmetric_part(C, P=None, coeff=1.0, dtype=float):

@@ -4,7 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from bruteforce import er_graph_loop, laplacian_loop, write_gset
+from bruteforce import (
+    cme_bracket,
+    cme_reference,
+    dykstra_two_sets,
+    er_graph_loop,
+    laplacian_loop,
+    maxcut_bracket,
+    maxcut_reference,
+    write_gset,
+)
 from wpmm.harness import (
     CmeConfig,
     GsetGraph,
@@ -16,13 +25,13 @@ from wpmm.harness import (
     load_gset,
     metrics_cme,
     metrics_maxcut,
-    reference_solution,
     build_box_toy,
 )
 from wpmm.linalg import project_l1_ball
-from wpmm.model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
-from wpmm.oracles import BoxIndicator
-from wpmm.solver import SolverConfig, iterate, record_values, run, step_constants
+from wpmm.model import PrimalPoint
+from wpmm.oracles import L1BallIndicator, SpectrahedronIndicator
+from wpmm.solver import (SolverConfig, iterate, record_values, run,
+                         step_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +333,6 @@ def test_metrics_maxcut_cases():
         -np.trace(C @ S1), rel=1e-12, abs=1e-12)
 
 
-def box_toy_reference(tol):
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    return reference_solution(spec, tol, q0=q0, w0=w0)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: build_cme_problem(np.eye(2), 0.0, 1.0, 1),
      "need tau > 0, s > 0, k_hat >= 1"),
@@ -343,97 +347,163 @@ def box_toy_reference(tol):
     (lambda: metrics_cme(np.eye(2), np.zeros((2, 2)), np.eye(2), 1.0),
      "zero-norm reference matrix"),
     (lambda: metrics_maxcut(np.eye(2), np.eye(3)), "shape mismatch"),
-    (lambda: box_toy_reference(0.0), "tol must be positive"),
 ], ids=["cme-tau", "maxcut-not-square", "maxcut-empty", "er-negative-n",
-        "graph-negative-n", "cme-shape", "cme-zero-norm", "maxcut-shape",
-        "reference-tol"])
+        "graph-negative-n", "cme-shape", "cme-zero-norm", "maxcut-shape"])
 def test_harness_inputs_are_checked_by_name(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
 # ---------------------------------------------------------------------------
-# reference oracle
+# certified references
 
 
-# line-search steps with a large dual step: much faster than the
-# theoretical default on the covariance instances
-FAST_REFERENCE = SolverConfig(rho=1.0, mu=1.0, iters=10**6,
-                              step_policy="line_search")
+def test_reference_matches_analytic_toy_optimum():
+    # a = (1.5, 0.7) over [0,1]^2 boxes: x* = (1, 0.7), h* = 0.125 exactly,
+    # the closed form the decay and ergodic checks read; a long run gets there
+    spec, q0, w0 = build_box_toy([1.5, 0.7])
+    log = run(spec, q0, w0, SolverConfig(rho=1.0, mu=0.2, iters=300,
+                                         step_policy="line_search"))
+    h, flagged, _ = record_values(spec, log.last_point, log.w_final, 1.0,
+                                  audit=True)
+    assert not flagged and abs(h - 0.125) <= 1e-8
+    assert np.linalg.norm(log.last_point.x - [1.0, 0.7]) <= 1e-6
+
+
+def test_reference_saddle_value_consistency():
+    # w* = 0 is a multiplier of the box toy: both blocks share one box, so
+    # x* = y* minimizes f over it alone and the augmented Lagrangian at
+    # (x*, y*, 0) is h* for every rho, with no smaller value in the box
+    spec, _, _ = build_box_toy([1.5, 0.7])
+    star = PrimalPoint(np.array([1.0, 0.7]), np.array([1.0, 0.7]))
+    for rho in (0.0, 1.0, 10.0):
+        h, flagged, al = record_values(spec, star, np.zeros(2), rho,
+                                       audit=True)
+        assert not flagged and h == al == pytest.approx(0.125, abs=1e-15)
+    points = np.random.default_rng(5).random((200, 2))
+    assert min(spec.f.value(x) for x in points) >= h
 
 
 def test_reference_on_cme_toy():
+    # optimality audit: solver outputs cannot undercut the certified lower
+    # bound
     Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=10, r=2, seed=15))
     spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat=2)
-    ref = reference_solution(spec, 1e-8, q0=q0, w0=w0, config=FAST_REFERENCE)
-    assert ref.k_norm <= 1e-8
-    # optimality audit: solver outputs cannot undercut the reference
+    lower, upper, _ = cme_reference(SigmaHat, tau, s, tol=1e-8)
+    assert upper - lower <= 1e-8 * upper
     for rho in (0.5, 1.0):
         log = run(spec, q0, w0, SolverConfig(rho=rho, mu=0.2, iters=300,
                                              step_policy="line_search"))
         h, flagged, _ = record_values(spec, log.last_point, log.w_final, rho,
                                       audit=True)
         assert not flagged
-        assert h >= ref.h_value - 1e-6
+        assert h >= lower - 1e-6
+
+
+def cme_certifies(SigmaHat, tau, s, bracket, h_star, tol):
+    """Whether a covariance bracket (lower, upper, X_u, X_theta) is within
+    tol relative, holds h_star, and rests on a point X_theta of S and B
+    whose value is the upper bound."""
+    lower, upper, _, mixed = bracket
+    d = SigmaHat.shape[0]
+    z = SigmaHat.ravel()
+    return (upper - lower <= tol * upper
+            and lower <= h_star <= upper + 1e-12 * h_star
+            and SpectrahedronIndicator(d, tau, 1).contains(mixed)
+            and L1BallIndicator(d * d, s).contains(mixed)
+            and upper == 0.5 * float((mixed - z) @ (mixed - z)))
 
 
 def test_reference_matches_dykstra_projection():
     # the covariance problem is exactly the projection of the observation
-    # onto (spectrahedron) intersect (l1 ball); Dykstra's scheme computes
-    # that projection by a completely different route
-    from bruteforce import dykstra_two_sets
-
+    # onto (spectrahedron) intersect (l1 ball); the certified bracket holds
+    # the value of a far tighter run of Dykstra's scheme. tau < s here, so
+    # the upper bound's mixing toward (tau/d) I is exercised
     d = 12
-    Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=d, r=2, seed=18))
-    spec, q0, w0 = build_cme_problem(SigmaHat, tau, s, k_hat=d)
-    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0, config=FAST_REFERENCE)
-    star = dykstra_two_sets(SigmaHat.ravel(), spec.rx.project,
+    Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=d, r=2, seed=17))
+    assert tau < s
+    lower, upper, u = cme_reference(SigmaHat, tau, s, tol=1e-6)
+    star = dykstra_two_sets(SigmaHat.ravel(),
+                            SpectrahedronIndicator(d, tau, 1).project,
                             lambda v: project_l1_ball(v, s), iters=20000)
     h_star = 0.5 * float(np.linalg.norm(star - SigmaHat.ravel()) ** 2)
-    assert abs(ref.h_value - h_star) <= 1e-6 * max(1.0, h_star)
-    assert np.linalg.norm(ref.q.x - star) <= 1e-3
+    bracket = cme_bracket(SigmaHat, u, tau, s)
+    assert bracket[:2] == (lower, upper)
+    assert cme_certifies(SigmaHat, tau, s, bracket, h_star, 1e-6)
+    # the dual bound at the wrong sign of u is loose
+    assert not cme_certifies(SigmaHat, tau, s,
+                             cme_bracket(SigmaHat, -u, tau, s), h_star, 1e-6)
+    # mixing toward a point of S outside B leaves B, at u and at 0, where
+    # the bound would be tight but not certified
+    outside = np.full(d * d, tau / d)  # (tau/d) 1 1^T: ||.||_1 = tau d > s
+    for v in (u, 0.0 * u):
+        assert not cme_certifies(SigmaHat, tau, s,
+                                 cme_bracket(SigmaHat, v, tau, s,
+                                             toward=outside), h_star, 1.0)
 
 
-def test_reference_matches_analytic_toy_optimum():
-    # a = (1.5, 0.7) over [0,1]^2 boxes: x* = (1, 0.7), h* = 0.125 exactly
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    ref = reference_solution(spec, 1e-10, q0=q0, w0=w0)
-    assert abs(ref.h_value - 0.125) <= 1e-8
-    assert np.linalg.norm(ref.q.x - np.array([1.0, 0.7])) <= 1e-5
+def test_cme_bracket_holds_the_optimum_at_any_multiplier():
+    # weak duality: the bounds hold at every u, not only near the optimum
+    d = 12
+    Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=d, r=2, seed=17))
+    lower, upper, _ = cme_reference(SigmaHat, tau, s, tol=1e-9)
+    rng = np.random.default_rng(6)
+    for scale in (0.0, 0.01, 0.1, 1.0):
+        u = scale * rng.standard_normal(d * d)
+        lo, up, _, mixed = cme_bracket(SigmaHat, u, tau, s)
+        assert lo <= lower and up >= upper * (1 - 1e-12)
+        assert L1BallIndicator(d * d, s).contains(mixed)
+
+
+def test_maxcut_reference_reproduces_the_desk_optimum():
+    # n=60, p=0.2, seed 1: the certified optimum -986.9953
+    C = laplacian(gen_er_graph(60, 0.2, seed=1))
+    lower, upper, V = maxcut_reference(C, tol=1e-9)
+    assert lower <= upper <= lower + 1e-9 * abs(upper)
+    assert abs(upper + 986.9953) <= 1e-6 * 986.9953
+    assert np.allclose(np.linalg.norm(V, axis=1), 1.0)
+    assert V.shape[1] == 12  # ceil(sqrt(120)) + 1
+    # the feasible point V V^T reads the upper bound
+    X = V @ V.T
+    assert metrics_maxcut(X, C).objective == pytest.approx(upper, rel=1e-12)
+    assert metrics_maxcut(X, C).diag_feasibility <= 1e-12
+
+
+def test_maxcut_bracket_holds_the_optimum_away_from_it():
+    # at rows far from optimal the dual term n lambda_max carries the bound:
+    # without it, or with its sign flipped, the lower bound would pass OPT
+    C = laplacian(gen_er_graph(30, 0.3, seed=4))
+    opt_lo, opt_up, _ = maxcut_reference(C, tol=1e-10)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        V = rng.standard_normal((30, 9))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        lower, upper = maxcut_bracket(C, V)
+        assert lower <= opt_lo and upper >= opt_up
+        assert upper - lower >= 1e-2 * abs(opt_up)  # far from optimal
 
 
 def test_reference_stability_under_tighter_tol():
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    tol = 1e-6
-    a = reference_solution(spec, tol, q0=q0, w0=w0)
-    b = reference_solution(spec, tol / 10, q0=q0, w0=w0)
-    assert abs(a.h_value - b.h_value) <= 10 * tol
+    # each bracket holds the optimum, so a bracket at tol and one at tol / 10
+    # overlap, and the tighter one is within its own gap
+    C = laplacian(gen_er_graph(40, 0.2, seed=3))
+    lo_a, up_a, _ = maxcut_reference(C, tol=1e-6)
+    lo_b, up_b, _ = maxcut_reference(C, tol=1e-7)
+    assert max(lo_a, lo_b) <= min(up_a, up_b)
+    assert up_b - lo_b <= 1e-7 * abs(up_b)
+    Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=12, r=2, seed=17))
+    lo_a, up_a, _ = cme_reference(SigmaHat, tau, s, tol=1e-5)
+    lo_b, up_b, _ = cme_reference(SigmaHat, tau, s, tol=1e-6)
+    assert max(lo_a, lo_b) <= min(up_a, up_b)
 
 
 def test_reference_nonconvergence_raises():
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    with pytest.raises(RuntimeError, match="did not converge"):
-        mu = step_constants(spec, 1.0).mu_cap()
-        reference_solution(spec, 1e-12, q0=q0, w0=w0,
-                           config=SolverConfig(rho=1.0, mu=mu, iters=10))
-
-
-def test_reference_applies_the_map_once_per_step():
-    # the values read the step's own K q; forming it again for each record
-    # would apply A twice per step
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    apply, calls = spec.A.apply, []
-    spec.A.apply = lambda v: calls.append(1) or apply(v)
-    ref = reference_solution(spec, 1e-4, q0=q0, w0=w0)
-    # one apply per step, plus K q0 for the first step and h at q0
-    assert len(calls) <= ref.iterations + 2
-
-
-def test_reference_saddle_value_consistency():
-    # at the saddle the augmented Lagrangian equals the plain objective
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    ref = reference_solution(spec, 1e-9, q0=q0, w0=w0)
-    assert ref.al_value == pytest.approx(ref.h_value, abs=1e-7)
+    C = laplacian(gen_er_graph(40, 0.2, seed=3))
+    with pytest.raises(RuntimeError, match="did not converge in 2 sweeps"):
+        maxcut_reference(C, sweeps=2)
+    Sigma, SigmaHat, tau, s = gen_cme_instance(CmeConfig(d=12, r=2, seed=17))
+    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+        cme_reference(SigmaHat, tau, s, iters=3)
 
 
 def test_last_variant_feasibility_trend():
@@ -448,32 +518,3 @@ def test_last_variant_feasibility_trend():
     head = min(feas[: len(feas) // 10])
     tail = min(feas[-len(feas) // 10:])
     assert tail <= head
-
-
-def test_reference_default_is_theoretical_at_the_dual_step_cap():
-    # the default steps equal a fixed step at the theoretical eta, bit for bit
-    spec, q0, w0 = build_box_toy([1.5, 0.7])
-    consts = step_constants(spec, 1.0)
-    fixed = SolverConfig(rho=1.0, mu=consts.mu_cap(), iters=10**6,
-                         step_policy="fixed", eta=consts.eta(consts.mu_cap()))
-    a = reference_solution(spec, 1e-9, q0=q0, w0=w0)
-    b = reference_solution(spec, 1e-9, q0=q0, w0=w0, config=fixed)
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.q.x, b.q.x) and np.array_equal(a.q.y, b.q.y)
-    assert np.array_equal(a.w, b.w) and a.al_value == b.al_value
-
-
-def test_reference_default_without_curvature_is_fixed_at_one_fifth():
-    # a linear objective carries no curvature parameter: the default steps
-    # are fixed, eta = mu = 0.2, bit for bit
-    spec = ProblemSpec(f=SmoothTerm.linear(np.array([1.0, -1.0])),
-                       A=LinearMap.identity(2), rx=BoxIndicator(2, 0.0, 1.0),
-                       ry=BoxIndicator(2, 0.0, 1.0))
-    q0, w0 = PrimalPoint(np.zeros(2), np.zeros(2)), np.zeros(2)
-    fixed = SolverConfig(rho=1.0, mu=0.2, iters=10**6, step_policy="fixed",
-                         eta=0.2)
-    a = reference_solution(spec, 1e-9, q0=q0, w0=w0)
-    b = reference_solution(spec, 1e-9, q0=q0, w0=w0, config=fixed)
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.q.x, b.q.x) and np.array_equal(a.w, b.w)
-    assert np.allclose(a.q.x, [0.0, 1.0], atol=1e-6)

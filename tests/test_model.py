@@ -11,7 +11,7 @@ from wpmm.model import (
     ProblemSpec,
     SmoothTerm,
     k_apply,
-    smooth_grad,
+    smooth_grad_x,
     smooth_grad_y,
 )
 from wpmm.oracles import BoxIndicator, NuclearNormReg, ZeroReg
@@ -55,7 +55,8 @@ def k_adjoint(spec, w):
     flat = ProblemSpec(f=zero_smooth(spec.A.dim_in), A=spec.A, rx=spec.rx,
                        ry=spec.ry)
     zero = q_of(np.zeros(spec.A.dim_in), np.zeros(spec.A.dim_out))
-    return smooth_grad(flat, zero, np.asarray(w, dtype=float), 0.0)
+    gy = smooth_grad_y(flat, zero, np.asarray(w, dtype=float), 0.0)
+    return smooth_grad_x(flat, zero.x, gy), gy
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +146,14 @@ def test_smooth_value_examples():
 def test_smooth_grad_simple_cases():
     spec = make_spec(f=SmoothTerm.half_sq_distance(np.zeros(2)))
     q = q_of([0.7, -0.2], [0.7, -0.2])
-    gx, gy = smooth_grad(spec, q, np.zeros(2), 1.0)
+    gy = smooth_grad_y(spec, q, np.zeros(2), 1.0)
+    gx = smooth_grad_x(spec, q.x, gy)
     assert np.allclose(gx, q.x) and np.allclose(gy, 0.0)
 
     spec0 = make_spec(f=zero_smooth(2))
-    gx, gy = smooth_grad(spec0, q_of([1, 0], [0, 0]), np.zeros(2), 1.0)
+    q = q_of([1, 0], [0, 0])
+    gy = smooth_grad_y(spec0, q, np.zeros(2), 1.0)
+    gx = smooth_grad_x(spec0, q.x, gy)
     assert np.allclose(gx, [1, 0]) and np.allclose(gy, [-1, 0])
 
 
@@ -165,7 +169,8 @@ def test_smooth_grad_matches_finite_differences():
     rho = 0.7
     for _ in range(5):
         q = q_of(rng.standard_normal(4), rng.standard_normal(3))
-        gx, gy = smooth_grad(spec, q, w, rho)
+        gy = smooth_grad_y(spec, q, w, rho)
+        gx = smooth_grad_x(spec, q.x, gy)
         fx = fd_gradient(
             lambda x: smooth_part(spec, q_of(x, q.y), w, rho), q.x)
         fy = fd_gradient(
@@ -232,7 +237,8 @@ def test_descent_lemma_bound():
     for _ in range(50):
         q = q_of(rng.standard_normal(3), rng.standard_normal(3))
         qp = q_of(rng.standard_normal(3), rng.standard_normal(3))
-        gx, gy = smooth_grad(spec, q, w, rho)
+        gy = smooth_grad_y(spec, q, w, rho)
+        gx = smooth_grad_x(spec, q.x, gy)
         dx, dy = qp.x - q.x, qp.y - q.y
         lin = smooth_part(spec, q, w, rho) + gx @ dx + gy @ dy
         quad = 0.5 * bs * (dx @ dx + dy @ dy)

@@ -12,7 +12,7 @@ from wpmm.harness import build_maxcut_problem, gen_er_graph, laplacian
 from wpmm.linalg import (_shrink, project_l1_ball, project_simplex,
                          truncated_eigh, truncated_svd)
 from wpmm.model import (LinearMap, PrimalPoint, ProblemSpec, SmoothTerm,
-                        indicator_tol, smooth_grad)
+                        indicator_tol, smooth_grad_x, smooth_grad_y)
 from wpmm.oracles import (
     PRUNE_TOL,
     BoxIndicator,
@@ -57,7 +57,8 @@ def matrix_oracle(comp, center, p, c):
 def p_vectors(spec, q, w, mu, rho):
     """Linearization vectors the solver feeds the oracles: the smooth-part
     gradient at penalty rho + 2 mu."""
-    return smooth_grad(spec, q, w, rho + 2.0 * mu)
+    gy = smooth_grad_y(spec, q, w, rho + 2.0 * mu)
+    return smooth_grad_x(spec, q.x, gy), gy
 
 
 def make_spec(dim=2, f=None, A=None):
@@ -278,7 +279,7 @@ def test_l1_contains_certifies_without_projecting(monkeypatch):
     # points inside the ball, projection outputs on its sphere, points a
     # round-off step outside and convex combinations of projection outputs
     # are decided by the bound alone
-    def exact(self, v):
+    def refuse_distance(self, v):
         raise AssertionError("exact distance taken")
 
     rng = np.random.default_rng(26)
@@ -288,7 +289,7 @@ def test_l1_contains_certifies_without_projecting(monkeypatch):
         other = project_l1_ball(rng.standard_normal(n), r)
         cases += [(r, v) for v in (on, 0.5 * on, 0.3 * on + 0.7 * other,
                                    near_l1_sphere(n, r, -13.0, 1.0, rng))]
-    monkeypatch.setattr(L1BallIndicator, "distance", exact)
+    monkeypatch.setattr(L1BallIndicator, "distance", refuse_distance)
     for r, v in cases:
         assert L1BallIndicator(v.size, r).contains(v)
 
@@ -492,10 +493,10 @@ def test_contains_rejects_infinite_entries_and_huge_points(comp, v):
 def test_spectrahedron_contains_certifies_without_eigenvalues(monkeypatch):
     # diagonal points by Gershgorin's discs, the others by the Cholesky
     # bound: neither takes the exact distance
-    def exact(self, v):
+    def refuse_distance(self, v):
         raise AssertionError("exact distance taken")
 
-    monkeypatch.setattr(SpectrahedronIndicator, "distance", exact)
+    monkeypatch.setattr(SpectrahedronIndicator, "distance", refuse_distance)
     rng = np.random.default_rng(21)
     for n, tau in ((1, 2.0), (70, 70.0), (70, 0.3)):
         comp = SpectrahedronIndicator(n, tau, k=1)
@@ -877,28 +878,27 @@ def test_component_logged_value_indicator():
     assert flagged and val == pytest.approx(2.0)
 
 
-def test_exact_clones():
-    # the exact views of the rank-k components compute the full prox
+def test_matrix_prox_is_the_full_decomposition_prox():
+    # prox and project of the rank-k components take the full decomposition:
+    # at k = 1 each answer here has rank above 1
     rng = np.random.default_rng(10)
-    center, p = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    center, p = center + center.T, p + p.T
-    spect = SpectrahedronIndicator(4, 1.0, k=1)
-    exact = spect.exact()
-    assert np.allclose(matrix_oracle(exact, center, p, 2.0).ravel(),
-                       spect.project((center - p / 2.0).ravel()), atol=1e-12)
-    assert exact.for_run(center.ravel()) is exact
-    nuc = NuclearNormReg((3, 5), 0.5, k=2)
-    center, p = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
-    U, s, Vt = np.linalg.svd(center - p / 2.0, full_matrices=False)
-    full = (U * np.maximum(s - 0.5 / 2.0, 0.0)) @ Vt
-    assert np.allclose(matrix_oracle(nuc.exact(), center, p, 2.0), full,
-                       atol=1e-12)
-    box = BoxIndicator(2, 0.0, 1.0)
-    assert box.exact() is box
-    state = PolytopeState.at_vertex(np.zeros(2))
-    poly = PolytopeIndicator(2, hypercube_lmo(0.0, 1.0), state, lam=2.0)
-    with pytest.raises(OracleError):
-        poly.exact()
+    point = rng.standard_normal((4, 4))
+    point = point + point.T
+    lam, U = np.linalg.eigh(point)
+    weights = project_simplex(lam, 3.0)
+    assert np.count_nonzero(weights) > 1
+    out = SpectrahedronIndicator(4, 3.0, k=1).project(point.ravel())
+    assert np.allclose(out.reshape(4, 4), (U * weights) @ U.T, atol=1e-12)
+
+    point = rng.standard_normal((3, 5))
+    U, s, Vt = np.linalg.svd(point, full_matrices=False)
+    for out, kept in (
+            (NuclearNormReg((3, 5), 0.5, k=1).prox(point.ravel(), 2.0),
+             np.maximum(s - 0.5 / 2.0, 0.0)),
+            (NuclearBallIndicator((3, 5), 2.0, k=1).project(point.ravel()),
+             project_l1_ball(s, 2.0))):
+        assert np.count_nonzero(kept) > 1
+        assert np.allclose(out.reshape(3, 5), (U * kept) @ Vt, atol=1e-12)
 
 
 def test_polytope_state_invariants():
@@ -1146,17 +1146,6 @@ def test_spectrahedron_takes_float64_when_float32_cannot_hold_tol():
         out = comp.compute(center.ravel(), P.ravel(), 2.0)
         assert np.array_equal(out, spectrahedron_oracle(
             comp, center.ravel(), P.ravel(), 2.0))
-
-
-def test_product_exact_is_the_product_of_exact_parts():
-    rng = np.random.default_rng(24)
-    box, spec = BoxIndicator(2, 0.0, 1.0), SpectrahedronIndicator(3, 1.0, 1)
-    exact = ProductComponent([box, spec]).exact()
-    center, p = rng.standard_normal(11), rng.standard_normal(11)
-    out = exact.compute(center, p, 2.0)
-    assert np.array_equal(out[:2], box.compute(center[:2], p[:2], 2.0))
-    assert np.array_equal(out[2:],
-                          spec.exact().compute(center[2:], p[2:], 2.0))
 
 
 def test_spectrahedron_takes_float64_past_float32_range_on_diagonal():
