@@ -294,9 +294,13 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
         raise ValueError("C must be square")
     if d == 0:
         raise ValueError("C must have at least one row")
-    # a row panel of the upper triangle at a time: no d x d temporary
-    gap = np.max([np.abs(C[i:i + _PANEL, i:] - C[i:, i:i + _PANEL].T).max()
-                  for i in range(0, d, _PANEL)])
+    # a row panel of the upper triangle at a time: no d x d temporary. The
+    # gap is non-finite when C is, or when an asymmetry overflows
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.max([np.abs(C[i:i + _PANEL, i:] - C[i:, i:i + _PANEL].T).max()
+                      for i in range(0, d, _PANEL)])
+    if not np.isfinite(gap) and not np.isfinite(C).all():
+        raise ValueError("C has a non-finite entry")
     # the tolerance is 1e-10 max(1, max |c_ij|), so the scale is read only
     # for a gap above 1e-10
     if gap > 1e-10 and gap > 1e-10 * max(C.max(), -C.min()):

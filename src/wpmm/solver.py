@@ -18,12 +18,13 @@ block-sized arrays, 6 with ``run``'s running sum. A line-search step holds
 ``run``'s running sum makes 7.
 
 ``iterate(spec, q0, w0, config)`` is that loop: it yields the live
-``IterateState`` (q, w and t, all the method carries, and K q, formed once
-per point) and a ``Step`` record (eta used, line-search fallback, constraint
-residual norm) after each of ``config.iters`` steps. ``run`` drives it, logs
-every iteration and forms the ergodic mean, whose constraint residual it
-reads off the multiplier. It reads the objective h and the augmented
-Lagrangian from ``record_values``, their one evaluator.
+``IterateState`` (q, w and t, all the method carries, and K q with its
+squared norm, formed once per point) and a ``Step`` record (eta used,
+line-search fallback) after each of ``config.iters`` steps. ``run`` drives
+it, logs every iteration and reads every record of the ergodic mean by one
+rule, off the multiplier and the running sum of the x-blocks. It reads the
+objective h and the augmented Lagrangian from ``record_values``, their one
+evaluator.
 ``StepConstants`` is the step-size rule: ``step_constants`` builds it from
 the problem's curvature constants, and it gives the primal step, the dual-step
 cap, the oracle coefficient beta_hat(mu) = beta_S + 2 mu (||A||+1)^2 and the
@@ -158,10 +159,9 @@ class RunRecord:
 class RunLog:
     """Per-iteration trace plus the final Mean/Last outputs. After steps,
     ``last_point``, ``mean_point`` and ``w_final`` are the arrays the solver
-    formed, not copies of them. A traced mean record before the final one
-    of a problem whose two blocks are indicators is read from dot products
-    (see ``run``), so it matches ``record_values`` at the mean point to
-    rounding, not bit for bit."""
+    formed, not copies of them. A traced mean record is read from the
+    multiplier and the running sum (see ``run``), so it matches
+    ``record_values`` at the mean point to rounding, not bit for bit."""
 
     records: list
     last_point: PrimalPoint
@@ -333,13 +333,12 @@ def line_search_eta(spec, d, lin, mu, rho):
 
 
 class Step(NamedTuple):
-    """What one iteration did: the primal step taken, whether it is the base
-    step of a line-search run that cannot search (a block not constant on
-    segments), and ||K q|| at the new point."""
+    """What one iteration did: the primal step taken, and whether it is the
+    base step of a line-search run that cannot search (a block not constant
+    on segments)."""
 
     eta: float
     fallback: bool
-    k_norm: float
 
 
 def _owned(v, *inputs):
@@ -386,8 +385,7 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
     # its own gradient and its output. Line search holds y and dy through
     # the x-oracle, then the iterate, the multiplier, d and A dx - dy. The
     # old iterate and multiplier are let go as soon as their successors
-    # exist. Returns the step taken and ||K q|| at the new point, the square
-    # root of ``state.kq_sq`` as np.linalg.norm takes it.
+    # exist. Returns the step taken.
     q, w = state.q, state.w
     py = smooth_grad_y(spec, q, w, config.rho + 2.0 * config.mu, kq=state.kq)
     state.kq = None  # consumed: the y-gradient is its buffer
@@ -417,7 +415,7 @@ def _step(spec, state, rx, ry, config, eta, coeff, search):
     state.kq = kq
     state.t += 1
     state.kq_sq = float(kq @ kq)
-    return eta, math.sqrt(state.kq_sq)
+    return eta
 
 
 def iterate(spec, q0, w0, config):
@@ -446,16 +444,10 @@ def iterate(spec, q0, w0, config):
 
     def steps():
         for _ in range(config.iters):
-            eta, k_norm = _step(spec, state, rx, ry, config, *rule)
-            yield state, Step(eta, fallback, k_norm)
+            yield state, Step(_step(spec, state, rx, ry, config, *rule),
+                              fallback)
 
     return steps()
-
-
-def _coupling(w, kq):
-    """(<w, K q>, ||K q||^2): all that the augmented Lagrangian reads of
-    K q."""
-    return float(w @ kq), float(kq @ kq)
 
 
 def record_values(spec, q, w, rho, audit=False, kq=None, fval=None):
@@ -464,7 +456,8 @@ def record_values(spec, q, w, rho, audit=False, kq=None, fval=None):
     domains (also inside a product), which contribute 0 unchecked; an audit
     that finds a violation flags the objective and the AL value is +inf.
     ``kq`` is K q when the caller has already formed it, or the pair
-    ``_coupling(w, K q)`` when the caller has taken that and let K q go;
+    (<w, K q>, ||K q||^2), all the AL reads of K q, when the caller has
+    taken that and let K q go;
     ``fval`` is f(q.x) when the caller has taken it. A block of q may be
     None when its component is an indicator and nothing is audited: ``q.y``
     given ``kq``, ``q.x`` given ``kq`` and ``fval``."""
@@ -486,23 +479,10 @@ def record_values(spec, q, w, rho, audit=False, kq=None, fval=None):
         return fval + vx + vy, True, float("inf")
     if kq is None:
         kq = k_apply(spec, q)
-    wkq, kq_sq = kq if isinstance(kq, tuple) else _coupling(w, kq)
+    wkq, kq_sq = (kq if isinstance(kq, tuple)
+                  else (float(w @ kq), float(kq @ kq)))
     al = fval + wkq + 0.5 * rho * kq_sq + vx + vy
     return fval + vx + vy, False, al
-
-
-def _mean_from_dots(spec, w, dw, total, t, config):
-    """(||K qbar||, ``record_values`` at the mean qbar) for a mean record
-    of two indicator blocks, no block of the mean formed: given
-    dw = w - w0 = mu t K qbar, ||K qbar|| = ||dw|| / (mu t) and
-    <w, K qbar> = <w, dw> / (mu t), and f(xbar) comes from the running sum
-    ``total`` of the x-blocks."""
-    scale = config.mu * t
-    dd = float(dw @ dw)
-    coupling = ((dd if dw is w else float(w @ dw)) / scale, dd / scale**2)
-    return math.sqrt(dd) / scale, record_values(
-        spec, PrimalPoint(None, None), w, config.rho, kq=coupling,
-        fval=spec.f.mean_value(total, t))
 
 
 def run(spec, q0, w0, config):
@@ -514,21 +494,14 @@ def run(spec, q0, w0, config):
     of the last and the traced mean point: ``objective_flagged`` is set on it
     when either lies outside an indicator domain.
 
-    ``run`` keeps one running sum, of the x-blocks. The mean's constraint
-    residual comes from the multiplier: w_t - w_0 = mu sum_s K q_s, so
-    K qbar_t = (w_t - w_0) / (mu t), and the mean's y-block is
-    A xbar_t - K qbar_t. A mean block is formed only where something reads
-    it. A traced record before the final one whose two blocks are both
-    indicators forms none: its values are dot products, ||K qbar_t|| =
-    ||w_t - w_0|| / (mu t), <w_t, K qbar_t> = <w_t, w_t - w_0> / (mu t) and
-    f(xbar_t) from the running sum (``SmoothTerm.mean_value``), with w_t
-    itself for w_t - w_0 when w_0 is zero. The final record, and a traced
-    record with a block that is not an indicator, form K qbar and xbar, and
-    the y-block where it is read (the final record, and traced records
-    whose y-block is not an indicator). Such a mean record holds one block
-    of its own where it can: it takes the inner products of K qbar first
-    and, unless the y-block is formed into K qbar's buffer, frees K qbar
-    before xbar is formed.
+    ``run`` keeps one running sum, of the x-blocks, and reads every mean
+    record the same way, from dw = w_t - w_0 = mu t K qbar_t (w_t itself
+    when w_0 is zero): ||K qbar_t|| = ||dw|| / (mu t), <w_t, K qbar_t> =
+    <w_t, dw> / (mu t), ||K qbar_t||^2 = ||dw||^2 / (mu t)^2 and f(xbar_t)
+    from the running sum (``SmoothTerm.mean_value``). A mean block is formed
+    only where something reads it: xbar when a block is not an indicator,
+    and ybar = A xbar - dw / (mu t), in dw's buffer unless dw is w_t, when
+    the y-block is not; the final record forms both, the Mean output.
 
     The returned points and multiplier are the solver's own arrays, not
     copies: the final iterate, and the running sum divided in place into the
@@ -544,10 +517,10 @@ def run(spec, q0, w0, config):
     records, state, mean_point = [], None, None
     # running sum of the post-step x-blocks, the mean's x-block times t
     total = np.zeros_like(q0.x)
-    # a traced mean record before the final one is read from dot products
-    # when both blocks are indicators; w - w0 is w itself when w0 is zero
-    dots = config.trace_mean and spec.rx.is_indicator and spec.ry.is_indicator
     w0_zero = not w0.any()
+    # the mean blocks a record before the final one reads
+    read_y = not spec.ry.is_indicator
+    read_x = read_y or not spec.rx.is_indicator
     start = time.perf_counter()
     try:
         for state, step in steps:
@@ -561,7 +534,7 @@ def run(spec, q0, w0, config):
                 t=t,
                 objective=obj,
                 objective_flagged=flagged,
-                feasibility=step.k_norm,
+                feasibility=math.sqrt(state.kq_sq),
                 al_value=alv,
                 eta_used=step.eta,
                 eta_fallback=step.fallback,
@@ -569,36 +542,35 @@ def run(spec, q0, w0, config):
             )
             if final:  # no step reads K q again: freed before the audits
                 state.kq = None
-            if dots and not final:
+            if final or config.trace_mean:
+                scale = config.mu * t
                 dw = state.w if w0_zero else np.subtract(state.w, w0)
-                rec.mean_feasibility, values = _mean_from_dots(
-                    spec, state.w, dw, total, t, config)
-                del dw
-            elif final or config.trace_mean:
-                # K qbar, from the multiplier: the record reads it first,
-                # and it is freed before xbar is formed unless the y-block,
-                # A xbar - K qbar, is needed and written into its buffer
-                kqb = np.subtract(state.w, w0)
-                kqb /= config.mu * t
                 if config.trace_mean:
-                    rec.mean_feasibility = float(np.linalg.norm(kqb))
-                    coupling = _coupling(state.w, kqb)
-                if not final and spec.ry.is_indicator:
-                    kqb = None
+                    dd = float(dw @ dw)
+                    rec.mean_feasibility = math.sqrt(dd) / scale
+                    coupling = ((dd if dw is state.w else float(state.w @ dw))
+                                / scale, dd / scale**2)
+                    # taken before the final record divides total into xbar
+                    fval = spec.f.mean_value(total, t)
+                if not (final or read_y):
+                    dw = None  # freed before xbar is formed
                 # no step adds to the running sum after the final record
-                xb = np.divide(total, t, out=total if final else None)
-                yb = (None if kqb is None
-                      else np.subtract(spec.A.apply(xb), kqb, out=kqb))
+                xb = (np.divide(total, t, out=total if final else None)
+                      if final or read_x else None)
+                yb = None
+                if dw is not None:
+                    yb = np.divide(dw, scale,
+                                   out=None if dw is state.w else dw)
+                    np.subtract(spec.A.apply(xb), yb, out=yb)
                 qb = PrimalPoint(xb, yb)
                 if final:
                     mean_point = qb
                 if config.trace_mean:
-                    values = record_values(spec, qb, state.w, config.rho,
-                                           final, kq=coupling)
-                del kqb, xb, yb, qb  # not held through the next step
-            if config.trace_mean:
-                rec.mean_objective, mflag, rec.mean_al_value = values
-                rec.objective_flagged |= mflag
+                    rec.mean_objective, mflag, rec.mean_al_value = \
+                        record_values(spec, qb, state.w, config.rho, final,
+                                      kq=coupling, fval=fval)
+                    rec.objective_flagged |= mflag
+                del dw, xb, yb, qb  # not held through the next step
             records.append(rec)
     except SolverError as exc:
         exc.partial_log = RunLog(records, exc.state.q, None, exc.state.w,

@@ -328,11 +328,11 @@ def write_gset(graph, path):
 def reference_run(spec, q0, w0, config):
     """What ``solver.run`` logs, from steps taken in the plain order and on
     whole new arrays: both oracles at q (x first), then line search,
-    q + eta (v - q) and w + mu K q. A traced mean record before the final
-    one of two indicator blocks is read from dot products with
-    dw = w - w0 = mu t K qbar: ||dw|| / (mu t), <w, dw> / (mu t) and
-    f(xbar) = <S, H S> / (2 t^2) + <b, S> / t + c0 for the sum S of the
-    x-blocks; every other one from xbar and K qbar at once. Returns
+    q + eta (v - q) and w + mu K q. Every traced mean record is read from
+    dw = w - w0 = mu t K qbar: ||dw|| / (mu t), <w, dw> / (mu t),
+    ||dw||^2 / (mu t)^2 and f(xbar) = <S, H S> / (2 t^2) + <b, S> / t + c0
+    for the sum S of the x-blocks, at the whole mean point
+    (S / t, A S / t - dw / (mu t)). Returns
     (records, last point, mean point, multiplier), a record being the tuple
     of a ``RunRecord``'s fields but ``elapsed``."""
     eta0, coeff, search = _base_step(spec, config)
@@ -340,7 +340,6 @@ def reference_run(spec, q0, w0, config):
     rx, ry = spec.rx.for_run(q0.x), spec.ry.for_run(q0.y)
     q, w = q0.copy(), np.array(w0, dtype=float)
     total, records, mean = np.zeros_like(q.x), [], None
-    dots = spec.rx.is_indicator and spec.ry.is_indicator
     for t in range(1, config.iters + 1):
         r = w + (config.rho + 2.0 * config.mu) * (spec.A.apply(q.x) - q.y)
         px, py = spec.f.gradient(q.x) + spec.A.adjoint(r), -r
@@ -359,23 +358,19 @@ def reference_run(spec, q0, w0, config):
         final = t == config.iters
         obj, flagged, al = record_values(spec, q, w, config.rho, final, kq=kq)
         means = (None, None, None)
-        if config.trace_mean and dots and not final:
+        if final or config.trace_mean:
             dw, scale, f = w - w0, config.mu * t, spec.f
-            dd = float(dw @ dw)
-            fval = (0.5 * f.curvature(total) / t**2 + float(f.b @ total) / t
-                    + f.c0)
-            mal = fval + float(w @ dw) / scale + 0.5 * config.rho * (
-                dd / scale**2)
-            means = (fval, math.sqrt(dd) / scale, mal)
-        elif final or config.trace_mean:
-            kqb = (w - w0) / (config.mu * t)
             xb = total / t
-            mean = PrimalPoint(xb, spec.A.apply(xb) - kqb)
+            mean = PrimalPoint(xb, spec.A.apply(xb) - dw / scale)
             if config.trace_mean:
-                mobj, mflag, mal = record_values(spec, mean, w, config.rho,
-                                                 final, kq=kqb)
+                dd = float(dw @ dw)
+                fval = (0.5 * f.curvature(total) / t**2
+                        + float(f.b @ total) / t + f.c0)
+                mobj, mflag, mal = record_values(
+                    spec, mean, w, config.rho, final,
+                    kq=(float(w @ dw) / scale, dd / scale**2), fval=fval)
                 flagged |= mflag
-                means = (mobj, float(np.linalg.norm(kqb)), mal)
+                means = (mobj, math.sqrt(dd) / scale, mal)
         records.append((t, obj, flagged, float(np.linalg.norm(kq)), al, eta,
                         fallback, *means))
     return records, q, mean, w

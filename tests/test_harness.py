@@ -299,6 +299,26 @@ def test_build_maxcut_rejects_asymmetric():
         build_maxcut_problem(bad, 1)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_build_maxcut_rejects_non_finite(entry):
+    # a NaN compares false in the symmetry check and an infinite entry
+    # leaves an infinite or NaN gap: both are refused by name, in either
+    # triangle, on the diagonal or in a symmetric pair
+    C = laplacian(gen_er_graph(130, 0.2, seed=3))
+    for pair in (((0, 1),), ((129, 64),), ((128, 128),),
+                 ((5, 100), (100, 5))):
+        bad = C.copy()
+        for i, j in pair:
+            bad[i, j] = entry
+        with pytest.raises(ValueError, match="C has a non-finite entry"):
+            build_maxcut_problem(bad, 1)
+    # a finite C whose asymmetry overflows the gap is asymmetric
+    bad = C.copy()
+    bad[5, 100], bad[100, 5] = 1e308, -1e308
+    with pytest.raises(ValueError, match="C must be symmetric"):
+        build_maxcut_problem(bad, 1)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

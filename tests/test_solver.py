@@ -333,7 +333,7 @@ def test_dual_update_identity_per_iteration():
     for state, step in iterate(spec, q0, w0, config):
         kq = k_apply(spec, state.q)
         assert np.array_equal(state.w, w_prev + config.mu * kq)
-        assert step.k_norm == float(np.linalg.norm(kq))
+        assert math.sqrt(state.kq_sq) == float(np.linalg.norm(kq))
         w_prev = state.w.copy()
     assert state.t == 25
 
@@ -357,10 +357,11 @@ def test_run_logs_what_iterate_yields():
     spec, q0, w0 = build_box_toy([1.5, 0.7])
     config = SolverConfig(rho=1.0, mu=0.2, iters=30, step_policy="line_search",
                           eta=0.5)
-    steps = [(state.t, step) for state, step in iterate(spec, q0, w0, config)]
+    steps = [(state.t, *step, math.sqrt(state.kq_sq))
+             for state, step in iterate(spec, q0, w0, config)]
     log = run(spec, q0, w0, config)
     assert [(r.t, r.eta_used, r.eta_fallback, r.feasibility)
-            for r in log.records] == [(t, *step) for t, step in steps]
+            for r in log.records] == steps
 
 
 def test_step_sizes_use_declared_lam():
@@ -603,52 +604,29 @@ def mean_of(points):
                 np.mean([q.y for q in points], axis=0))
 
 
-@pytest.mark.parametrize("ry", [L1BallIndicator(30, 4.0), ZeroReg(30)],
-                         ids=["indicator-y", "zero-y"])
-def test_traced_mean_values_are_record_values_at_the_mean(ry):
-    # a nuclear-norm x-block has a value at every mean point, unaudited
-    # records included; an indicator y-block contributes 0 there
-    rng = np.random.default_rng(7)
-    spec = ProblemSpec(f=SmoothTerm.half_sq_distance(rng.standard_normal(30)),
-                       A=LinearMap.identity(30),
-                       rx=NuclearNormReg((6, 5), 0.5, 2), ry=ry)
-    q0, w0 = q_of(np.zeros(30), np.zeros(30)), 0.1 * rng.standard_normal(30)
-    config = SolverConfig(rho=1.0, mu=0.2, eta=0.3, iters=12,
-                          step_policy="fixed", trace_mean=True)
-    log = run(spec, q0, w0, config)
-    points = collected(spec, q0, w0, config)
-    for rec in log.records:
-        qs, w = [q for q, _ in points[:rec.t]], points[rec.t - 1][1]
-        obj, flagged, al = record_values(spec, mean_of(qs), w, config.rho,
-                                         audit=rec.t == config.iters)
-        assert not flagged and not rec.objective_flagged
-        assert rec.mean_objective == pytest.approx(obj, rel=1e-12, abs=0)
-        assert rec.mean_al_value == pytest.approx(al, rel=1e-12, abs=0)
-    # without its y-block a point is valued only for an unaudited indicator
-    q = PrimalPoint(log.mean_point.x, None)
-    kq = k_apply(spec, log.mean_point)
-    for audit in (False, True):
-        if audit or not ry.is_indicator:
-            with pytest.raises(ValueError, match="q.y is needed"):
-                record_values(spec, q, w0, config.rho, audit, kq=kq)
-        else:
-            assert record_values(spec, q, w0, config.rho, audit, kq=kq) == \
-                record_values(spec, log.mean_point, w0, config.rho, kq=kq)
-
-
-@pytest.mark.parametrize("w0_scale", [0.0, 1.0])
-def test_dot_product_mean_values_are_record_values_at_the_mean(w0_scale):
-    # two indicator blocks: the records before the final one take the mean's
-    # values from dot products and the running sum, the final one from the
-    # mean it forms; both agree with record_values at the averaged iterates
+@pytest.mark.parametrize("w0_scale", [0.0, 1.0], ids=["w0-zero", "w0-set"])
+@pytest.mark.parametrize("blocks", ["indicators", "reg-x", "reg-y"])
+def test_traced_mean_values_are_record_values_at_the_mean(blocks, w0_scale):
+    # every mean record, the final one included, is read from w - w0 and the
+    # running sum of the x-blocks, whichever mean blocks it forms: a
+    # nuclear-norm x-block has a value at every mean point, an unconstrained
+    # y-block needs ybar, and an indicator contributes 0 unaudited
     rng = np.random.default_rng(8)
-    B = rng.standard_normal((5, 5))
-    spec = ProblemSpec(f=SmoothTerm.quadratic(B @ B.T, rng.standard_normal(5),
-                                              0.7),
-                       A=LinearMap.from_dense(rng.standard_normal((4, 5))),
-                       rx=BoxIndicator(5, -1.0, 1.0),
-                       ry=L1BallIndicator(4, 1.5))
-    q0, w0 = q_of(np.zeros(5), np.zeros(4)), w0_scale * rng.standard_normal(4)
+    if blocks == "reg-x":
+        spec = ProblemSpec(
+            f=SmoothTerm.half_sq_distance(rng.standard_normal(30)),
+            A=LinearMap.identity(30), rx=NuclearNormReg((6, 5), 0.5, 2),
+            ry=L1BallIndicator(30, 4.0))
+        q0 = q_of(np.zeros(30), np.zeros(30))
+    else:
+        B = rng.standard_normal((5, 5))
+        ry = L1BallIndicator(4, 1.5) if blocks == "indicators" else ZeroReg(4)
+        spec = ProblemSpec(
+            f=SmoothTerm.quadratic(B @ B.T, rng.standard_normal(5), 0.7),
+            A=LinearMap.from_dense(rng.standard_normal((4, 5))),
+            rx=BoxIndicator(5, -1.0, 1.0), ry=ry)
+        q0 = q_of(np.zeros(5), np.zeros(4))
+    w0 = w0_scale * rng.standard_normal(q0.y.size)
     config = SolverConfig(rho=1.0, mu=0.2, eta=0.3, iters=12,
                           step_policy="fixed", trace_mean=True)
     log = run(spec, q0, w0, config)
@@ -663,6 +641,16 @@ def test_dot_product_mean_values_are_record_values_at_the_mean(w0_scale):
         assert rec.mean_al_value == pytest.approx(al, rel=1e-12, abs=0)
         assert rec.mean_feasibility == pytest.approx(
             np.linalg.norm(k_apply(spec, mean)), rel=1e-12, abs=0)
+    # without its y-block a point is valued only for an unaudited indicator
+    q = PrimalPoint(log.mean_point.x, None)
+    kq = k_apply(spec, log.mean_point)
+    for audit in (False, True):
+        if audit or not spec.ry.is_indicator:
+            with pytest.raises(ValueError, match="q.y is needed"):
+                record_values(spec, q, w0, config.rho, audit, kq=kq)
+        else:
+            assert record_values(spec, q, w0, config.rho, audit, kq=kq) == \
+                record_values(spec, log.mean_point, w0, config.rho, kq=kq)
 
 
 @pytest.mark.parametrize("problem, tol", [
