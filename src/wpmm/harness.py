@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _PANEL, project_l1_ball
+from .linalg import _PANEL, _finite, project_l1_ball
 from .model import LinearMap, PrimalPoint, ProblemSpec, SmoothTerm
 from .oracles import (
     BoxIndicator,
     DiagOnesIndicator,
     L1BallIndicator,
     SpectrahedronIndicator,
+    _symmetric_part,
 )
 
 __all__ = [
@@ -286,7 +287,8 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
     y. The objective is linear, so no curvature parameter is available and
     the solver must be driven with fixed or line-search steps.
 
-    Starts at the identity matrix with a zero multiplier.
+    Starts at the identity matrix with a zero multiplier. A C within the
+    symmetry tolerance below is taken as its symmetric part.
     """
     C = np.asarray(C, dtype=float)
     d = C.shape[0]
@@ -299,12 +301,14 @@ def build_maxcut_problem(C, k_hat, svd_tol=1e-9):
     with np.errstate(invalid="ignore", over="ignore"):
         gap = np.max([np.abs(C[i:i + _PANEL, i:] - C[i:, i:i + _PANEL].T).max()
                       for i in range(0, d, _PANEL)])
-    if not np.isfinite(gap) and not np.isfinite(C).all():
+    if not np.isfinite(gap) and not _finite(C):
         raise ValueError("C has a non-finite entry")
     # the tolerance is 1e-10 max(1, max |c_ij|), so the scale is read only
     # for a gap above 1e-10
     if gap > 1e-10 and gap > 1e-10 * max(C.max(), -C.min()):
         raise ValueError("C must be symmetric")
+    if gap > 0:  # so that every x-oracle center is exactly symmetric
+        C = _symmetric_part(C)
     f = SmoothTerm.linear(-C.ravel())
     A = LinearMap.identity(d * d)
     rx = SpectrahedronIndicator(d, float(d), k_hat, svd_tol=svd_tol)

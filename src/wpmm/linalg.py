@@ -5,22 +5,21 @@ one Lanczos loop with full reorthogonalization in one Krylov basis, and exact
 projections onto the scaled simplex and the l1 ball, which find their
 threshold by Michelot's pivot iteration in linear time per pass.
 
-Each decomposition adds to the loop only its input checks and its
-Rayleigh-Ritz extraction, which, like the residuals, is assembled from the
-products with the input M stored next to the basis vectors. ``truncated_svd``
-keeps its basis on the smaller side of M, for M.T @ M. The basis grows with
-the Krylov dimension, so memory is proportional to the rank sought, not to
-the square of the input's dimensions.
+Each decomposition adds to the loop only its Rayleigh-Ritz extraction, which,
+like the residuals, is assembled from the products with the input M stored
+next to the basis vectors. ``truncated_svd`` keeps its basis on the smaller
+side of M, for M.T @ M. The basis grows with the Krylov dimension, so memory
+is proportional to the rank sought, not to the square of the input's
+dimensions.
 
-``truncated_eigh`` takes only a square matrix that equals its transpose
-entry for entry, and raises ValueError on any other (``NotSymmetricError``
-on a finite square one); it never copies it. It
-keeps a float32 input in float32 and takes every other input as float64. On
-a float32 input only the products are single precision
-(``M @ q.astype(float32)``); the basis, the Rayleigh-Ritz step, the
-acceptance test and the returned pairs are float64, and a pair is accepted
-only when its residual plus a float32 round-off allowance,
-(d + 2) * 2**-24 * ||M||_F, is within tolerance.
+Both take M through one check, ``_checked``, which gives M itself and its
+norm from ``_norm``, the one overflow-safe norm, and reads finiteness off
+that norm and M's extreme entries (``_finite``), so no check makes an array
+of M's size. ``truncated_eigh`` takes only a square matrix that equals its
+transpose entry for entry (``NotSymmetricError`` on a finite square one).
+It keeps a float32 input in float32, for single-precision products within a
+round-off allowance that ``_single_holds`` tells a caller beforehand whether
+its tolerance covers; every other input is taken as float64.
 
 All routines are pure functions of their inputs and deterministic for a fixed
 seed.
@@ -29,6 +28,7 @@ seed.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -55,21 +55,88 @@ class NotSymmetricError(ValueError):
     its transpose."""
 
 
-def _check_matrix(M):
-    M = np.asarray(M, dtype=float)
+_PANEL = 64  # rows per panel of the symmetry checks and symmetrizations
+_CHUNK = 4096  # entries per chunk of a pass over a flat array
+
+
+def _finite(M):
+    """Whether every entry of the array M is finite, as for an empty M. A
+    NaN or an infinity shows in M's least or greatest entry, so no array of
+    M's size is made."""
+    return not M.size or (math.isfinite(M.min()) and math.isfinite(M.max()))
+
+
+def _norm(v):
+    """The Euclidean norm of v, Frobenius for a matrix, as np.linalg.norm
+    gives it for v kept in float32 or, of any other dtype, taken as float64.
+    When the sum of squares of a finite v overflows, it is taken from
+    v / max|v|, whose squares are summed in float64 a ``_CHUNK`` at a time:
+    no array of v's size is made."""
+    v = np.asarray(v)
+    if v.dtype != np.float32:
+        v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowed sum is taken below
+        norm = float(np.linalg.norm(v))
+    if norm == math.inf and _finite(v):  # the squares overflowed
+        scale, total = max(-float(v.min()), float(v.max())), 0.0
+        for i in range(0, v.size, _CHUNK):
+            chunk = np.divide(v.flat[i:i + _CHUNK], scale, dtype=float)
+            total += float(chunk @ chunk)
+        norm = scale * math.sqrt(total)
+    return norm
+
+
+def _exactly_symmetric(M):
+    """Whether the square matrix M equals its transpose entry for entry,
+    compared a row panel of the upper triangle at a time, so no d x d array
+    is made. A NaN entry compares unequal."""
+    return all(np.array_equal(M[i:i + _PANEL, i:], M[i:, i:i + _PANEL].T)
+               for i in range(0, len(M), _PANEL))
+
+
+def _checked(M, symmetric=False):
+    """``(M, ||M||_F)`` for a finite 2-D matrix M, square and equal to its
+    transpose entry for entry when ``symmetric``, with ``_norm``'s ||M||_F.
+    M is returned as it is when float64, or float32 and to be symmetric, and
+    as float64 otherwise. Any other M raises ValueError naming the first of:
+    not 2-D, non-finite, not square, not symmetric (``NotSymmetricError``).
+    The checks make no array of M's size."""
+    M = np.asarray(M)
+    if not (symmetric and M.dtype == np.float32):
+        M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    square = M.shape[0] == M.shape[1]
+    refused = symmetric and not (square and _exactly_symmetric(M))  # NaN too
+    fro = math.nan if refused else _norm(M)
+    if not math.isfinite(fro) and not _finite(M):
         raise ValueError("matrix has non-finite entries")
-    return M
+    if refused and not square:
+        raise ValueError(f"expected a square matrix, got {M.shape}")
+    if refused:
+        raise NotSymmetricError("matrix is not symmetric")
+    return M, fro
 
 
-def _check_finite(M):
-    """Raise ValueError unless every entry of the non-empty array M is
-    finite. A NaN or an infinity shows in M's least or greatest entry, so
-    no array of M's size is made."""
-    if not (math.isfinite(M.min()) and math.isfinite(M.max())):
-        raise ValueError("matrix has non-finite entries")
+def _single_allowance(d, fro):
+    """Round-off allowance of ``truncated_eigh`` on a float32 d x d matrix
+    of Frobenius norm fro (see there)."""
+    return (d + 2) * 2.0**-24 * fro
+
+
+_SINGLE_TOL = 1e-4  # tol from which truncated_eigh's products may be float32
+
+
+def _single_holds(M, tol):
+    """Whether float32 round-off in the d x d matrix M keeps
+    ``truncated_eigh`` within tol: a finite allowance of at most half of
+    ``tol * max(1, tr / d)``, itself at most the acceptance threshold
+    ``tol * max(1, |lam_1|)`` since lam_1 >= tr / d."""
+    d = len(M)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        allowance = _single_allowance(d, float(np.linalg.norm(M)))
+        floor = tol * max(1.0, float(np.trace(M, dtype=float)) / d)
+    return math.isfinite(allowance) and allowance <= 0.5 * floor
 
 
 def _reorthogonalize(w, B):
@@ -91,7 +158,7 @@ def _fresh_direction(rng, B):
 
 def _lanczos(kernel, apply, advance, dim, out_dim, k, tol, seed, max_sweeps,
              breakdown, extract):
-    """The Lanczos loop of both spectral kernels.
+    """The Lanczos loop of both spectral kernels, which checks k and tol.
 
     Basis vectors (length dim) are kept as rows next to their products
     ``apply(v)`` (length out_dim), in buffers grown to the Krylov dimension:
@@ -103,7 +170,13 @@ def _lanczos(kernel, apply, advance, dim, out_dim, k, tol, seed, max_sweeps,
     ConvergenceError, naming ``kernel`` and carrying the residual, follows
     ``max_sweeps`` (default max(4k, 30)) rejected sweeps.
     """
-    if tol <= 0:
+    try:
+        in_range = 1 <= operator.index(k) <= dim
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if not in_range:
+        raise ValueError(f"k={k} out of range [1, {dim}] for {kernel}")
+    if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
     if max_sweeps is None:
         max_sweeps = max(4 * k, 30)
@@ -179,18 +252,16 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
     Raises
     ------
     ValueError
-        If k is out of range, tol <= 0, or M has non-finite entries.
+        If M is not 2-D or has non-finite entries, k is not an integer in
+        range, or tol is not positive.
     ConvergenceError
         If the residual target is not met within the sweep cap; carries the
         attained residual.
     """
-    M = _check_matrix(M)
+    M, fro = _checked(M)
     m, n = M.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
     wide = m < n
     A = M.T if wide else M
-    fro = float(np.linalg.norm(M))
     atol = 1e-13 * max(1.0, fro)
 
     def extract(V, AV):
@@ -215,48 +286,6 @@ def truncated_svd(M, k, tol, seed=0, max_sweeps=None):
                     atol * fro, extract)
 
 
-_PANEL = 64  # rows per panel of the symmetry checks and symmetrizations
-_CHUNK = 4096  # entries per chunk of a pass over a flat array
-
-
-def _exactly_symmetric(M):
-    """Whether the square matrix M equals its transpose entry for entry,
-    compared a row panel of the upper triangle at a time, so no d x d array
-    is made. A NaN entry compares unequal."""
-    return all(np.array_equal(M[i:i + _PANEL, i:], M[i:, i:i + _PANEL].T)
-               for i in range(0, len(M), _PANEL))
-
-
-def _checked_symmetric(M):
-    """``(M, ||M||_F)`` for a finite square matrix M that equals its
-    transpose entry for entry, as float32 for a float32 M and float64 for
-    any other; M itself is returned, not a copy. Raises ValueError
-    otherwise, NotSymmetricError when M is finite, square and not
-    symmetric."""
-    M = np.asarray(M)
-    if M.dtype != np.float32:
-        M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        _check_matrix(M)
-        raise ValueError(f"expected a square matrix, got {M.shape}")
-    if not _exactly_symmetric(M):  # a NaN entry too
-        _check_finite(M)
-        raise NotSymmetricError("matrix is not symmetric")
-    with np.errstate(over="ignore"):  # an overflowed sum is taken below
-        fro = float(np.linalg.norm(M))
-    if not math.isfinite(fro):  # an infinite entry, or an overflowed sum
-        _check_finite(M)
-        if M.dtype == np.float32:  # a float32 sum of squares overflowed
-            fro = math.sqrt(np.einsum("ij,ij->", M, M, dtype=float))
-    return M, fro
-
-
-def _single_allowance(d, fro):
-    """Round-off allowance of ``truncated_eigh`` on a float32 d x d matrix
-    of Frobenius norm fro (see there)."""
-    return (d + 2) * 2.0**-24 * fro
-
-
 def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
 
@@ -265,9 +294,9 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     the recurrence; the projected matrix and the residuals are assembled
     from those products, so a sweep multiplies by M only for the vectors it
     adds, and the basis takes O(d * Krylov dimension) memory. M must equal
-    its transpose entry for entry; it is used as it is, with no d x d copy,
-    and any other matrix raises ValueError, a finite square one
-    ``NotSymmetricError``. A pair is accepted once
+    its transpose entry for entry and is used as it is, with no d x d copy;
+    ValueError follows any other M (see ``_checked``), a k that is not an
+    integer in [1, d] and a tol that is not positive. A pair is accepted once
     ``||M u - lam u|| + allowance <= tol * max(1, |lam_1|)``.
 
     A float32 M keeps its dtype; any other input is taken as float64, with
@@ -286,10 +315,8 @@ def truncated_eigh(M, k, tol, seed=0, max_sweeps=None):
     Returns ``(U, lam)`` with U of shape (d, k) orthonormal and lam sorted
     algebraically largest first, both float64.
     """
-    M, fro = _checked_symmetric(M)
+    M, fro = _checked(M, symmetric=True)
     d = len(M)
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} out of range for dimension {d}")
     single = M.dtype == np.float32
     allowance = _single_allowance(d, fro) if single else 0.0
 
@@ -359,7 +386,7 @@ def project_simplex(z, tau):
     with np.errstate(over="ignore", invalid="ignore"):
         total = a.sum()
         # only a sum that is not finite can hide a non-finite entry
-        if not math.isfinite(total) and not np.isfinite(a).all():
+        if not math.isfinite(total) and not _finite(a):
             raise ValueError("input has non-finite entries")
         if not tau > 0:
             raise ValueError("tau must be positive")
@@ -383,7 +410,7 @@ def _l1_ball_in_place(a, s):
     np.abs(a, out=a)
     with np.errstate(over="ignore"):  # _shrink rescales sums that overflow
         total = a.sum()
-        if not math.isfinite(total) and not np.isfinite(a).all():
+        if not math.isfinite(total) and not _finite(a):
             raise ValueError("input has non-finite entries")
         if not s > 0:
             raise ValueError("s must be positive")

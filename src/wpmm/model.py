@@ -7,16 +7,18 @@ K q = A x - y for q = (x, y); this module provides K and the gradient of
 the smooth part of the augmented Lagrangian. The step-size constants built
 from f's smoothness and curvature and from ||A|| live in
 ``solver.StepConstants``; the objective and the augmented Lagrangian are
-evaluated in one place, ``solver.record_values``.
+evaluated in one place, ``solver.record_values``. ``indicator_tol`` takes
+its norm from ``linalg._norm``, the one overflow-safe norm.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .linalg import _norm
 
 __all__ = [
     "INDICATOR_RTOL",
@@ -34,19 +36,6 @@ __all__ = [
 # at most INDICATOR_RTOL * (1 + ||point||); convex-combination steps produce
 # iterates that drift from exact membership at roundoff level.
 INDICATOR_RTOL = 1e-9
-
-
-def _norm(v):
-    """The Euclidean norm of v, Frobenius for a matrix, as np.linalg.norm
-    gives it; when the sum of squares of a finite v overflows, it is taken
-    from v / max|v| instead."""
-    v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-        if norm == math.inf and np.isfinite(v).all():  # squares overflowed
-            scale = float(np.abs(v).max())
-            norm = scale * float(np.linalg.norm(v / scale))
-    return norm
 
 
 def indicator_tol(v):

@@ -37,8 +37,8 @@ except ImportError:  # np.linalg.cholesky then, into a second array
     _umath_linalg = None
 
 from . import linalg
-from .linalg import _CHUNK, _PANEL, _exactly_symmetric
-from .model import _norm, indicator_tol
+from .linalg import _CHUNK, _PANEL, _exactly_symmetric, _norm
+from .model import indicator_tol
 
 __all__ = [
     "OracleError",
@@ -287,28 +287,21 @@ class _MatrixComponent(WpoComponent):
         return np.asarray(v, dtype=float).reshape(self.shape)
 
     def _shifted(self, center, p, coeff):
-        """The shifted center ``center - p / coeff`` in one new buffer,
-        which ``_top`` may overwrite."""
+        """The shifted center ``center - p / coeff`` in one new buffer."""
         M = self._mat(p) / coeff
         np.subtract(self._mat(center), M, out=M)
         return M
 
-    def _top(self, M):
-        return linalg.truncated_svd(M, self.k, self.svd_tol)
-
-    def _full(self, M):
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        return U, s, Vt.T
-
     def compute(self, center, p, coeff):
-        # the shifted center is freed when _top returns, before the answer
-        # is formed
-        U, s, V = self._top(self._shifted(center, p, coeff))
+        # the shifted center is freed when the kernel returns, before the
+        # answer is formed
+        U, s, V = linalg.truncated_svd(self._shifted(center, p, coeff),
+                                       self.k, self.svd_tol)
         return ((U * self._spectral(s, coeff)) @ V.T).ravel()
 
     def prox(self, point, scale):
-        U, s, V = self._full(self._mat(point))
-        return ((U * self._spectral(s, scale)) @ V.T).ravel()
+        U, s, Vt = np.linalg.svd(self._mat(point), full_matrices=False)
+        return ((U * self._spectral(s, scale)) @ Vt).ravel()
 
 
 class NuclearNormReg(_MatrixComponent):
@@ -373,9 +366,9 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
         round-off keeps it within tol, else in float64."""
         form = form or _symmetric_part
         C, P = self._mat(center), self._mat(p)
-        if self.svd_tol >= _SINGLE_TOL:
+        if self.svd_tol >= linalg._SINGLE_TOL:
             M = form(C, P, coeff, np.float32)
-            if _single_holds(M, self.svd_tol):
+            if linalg._single_holds(M, self.svd_tol):
                 return M
             del M  # freed before the float64 one is formed
         return form(C, P, coeff)
@@ -469,9 +462,6 @@ class SpectrahedronIndicator(_MatrixComponent, _IndicatorComponent):
                 and _cholesky_completes(S, delta))
 
 
-_SINGLE_TOL = 1e-4  # svd_tol from which the Lanczos products may be float32
-
-
 def _difference(C, P=None, coeff=1.0, dtype=float):
     """m = C - P / coeff (a copy of C when P is None) in one new array of
     dtype: each entry computed in float64 and rounded once to dtype, a row
@@ -538,18 +528,6 @@ def _gram(U, w):
     F = U[:, keep]
     F *= np.sqrt(w[keep])
     return (F @ F.T).ravel()
-
-
-def _single_holds(M, tol):
-    """Whether float32 round-off in the d x d matrix M keeps
-    ``truncated_eigh`` within tol: a finite allowance of at most half of
-    ``tol * max(1, tr / d)``, itself at most the acceptance threshold
-    ``tol * max(1, |lam_1|)`` since lam_1 >= tr / d."""
-    d = len(M)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        allowance = linalg._single_allowance(d, float(np.linalg.norm(M)))
-        floor = tol * max(1.0, float(np.trace(M, dtype=float)) / d)
-    return math.isfinite(allowance) and allowance <= 0.5 * floor
 
 
 _U = 2.0 ** -53  # unit roundoff of float64

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import wpmm.linalg as linalg
 from bruteforce import (
     cme_bracket,
     cme_reference,
@@ -297,6 +298,33 @@ def test_build_maxcut_rejects_asymmetric():
             build_maxcut_problem(bad, 1)
         bad[i, j] = C[i, j] + 0.5e-10 * scale
         build_maxcut_problem(bad, 1)
+
+
+def test_build_maxcut_stores_a_nearly_symmetric_c_symmetrized(monkeypatch):
+    # a C within the symmetry tolerance is stored as its symmetric part, so
+    # the kernel refuses no x-oracle center; kept as it was, it left its
+    # asymmetry in every center, and the kernel refused each one
+    C = laplacian(gen_er_graph(120, 0.1, seed=11))
+    noisy = C + 1e-13 * np.random.default_rng(0).standard_normal(C.shape)
+    kernel, refused = linalg.truncated_eigh, []
+
+    def watched(M, *args, **kwargs):
+        try:
+            return kernel(M, *args, **kwargs)
+        except linalg.NotSymmetricError:
+            refused.append(M.dtype)
+            raise
+
+    monkeypatch.setattr(linalg, "truncated_eigh", watched)
+    spec, q0, w0 = build_maxcut_problem(noisy, 5, svd_tol=1e-2)
+    stored = -spec.f.b.reshape(C.shape)
+    assert np.array_equal(stored, 0.5 * (noisy + noisy.T))
+    run(spec, q0, w0, SolverConfig(rho=1.0, mu=0.2, eta=0.2, iters=10,
+                                   step_policy="fixed", variant="last"))
+    assert refused == []
+    # an exactly symmetric C is stored as it is
+    spec, _, _ = build_maxcut_problem(C, 5)
+    assert np.array_equal(-spec.f.b, C.ravel())
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])

@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from bruteforce import (
 )
 from wpmm.linalg import (
     ConvergenceError,
-    _checked_symmetric,
+    _checked,
+    _finite,
     _fresh_direction,
+    _norm,
     _single_allowance,
     project_l1_ball,
     project_simplex,
@@ -202,14 +206,15 @@ def test_eigh_rejects_asymmetric_float32():
 
 def test_eigh_keeps_float32_input():
     M = np.diag(np.float32([3.0, 2.0, 1.0]))
-    S, fro = _checked_symmetric(M)
+    S, fro = _checked(M, symmetric=True)
     assert S is M and fro == pytest.approx(np.sqrt(14.0))
     U, lam = truncated_eigh(M, 2, 1e-2)
     assert U.dtype == lam.dtype == np.float64
     assert np.allclose(lam, [3.0, 2.0])
     # a float32 sum of squares that overflows is taken again in float64
     big = np.diag(np.float32([3e19, 2e19]))
-    assert _checked_symmetric(big)[1] == pytest.approx(np.sqrt(13.0) * 1e19)
+    assert _checked(big, symmetric=True)[1] == pytest.approx(
+        np.sqrt(13.0) * 1e19)
 
 
 @pytest.mark.parametrize("fro", [1.0, 1e2, 1e4])
@@ -244,10 +249,78 @@ def test_eigh_k_out_of_range():
     # a full basis leaves no direction orthogonal to it
     (lambda: _fresh_direction(np.random.default_rng(0), np.eye(3)),
      ConvergenceError, "could not generate a new orthogonal direction"),
-], ids=["eigh-not-square", "svd-1d", "full-basis"])
+    # a nan tol is not positive: no sweep is run
+    (lambda: truncated_eigh(np.eye(50), 3, math.nan), ValueError,
+     "tol must be positive"),
+    (lambda: truncated_svd(np.eye(50), 3, math.nan), ValueError,
+     "tol must be positive"),
+    # a k that is not an integer, even a whole float, is refused by name
+    (lambda: truncated_eigh(np.eye(5), 2.5, 1e-8), ValueError,
+     "k must be an integer, got 2.5"),
+    (lambda: truncated_eigh(np.eye(5), 2.0, 1e-8), ValueError,
+     "k must be an integer, got 2.0"),
+    (lambda: truncated_svd(np.eye(5), 2.0, 1e-8), ValueError,
+     "k must be an integer, got 2.0"),
+    (lambda: truncated_svd(np.eye(5), np.int64(6), 1e-8), ValueError,
+     "k=6 out of range [1, 5] for truncated_svd"),
+], ids=["eigh-not-square", "svd-1d", "full-basis", "eigh-nan-tol",
+        "svd-nan-tol", "eigh-k-half", "eigh-k-float", "svd-k-float",
+        "svd-k-numpy-int"])
 def test_kernel_inputs_are_checked_by_name(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_kernels_take_an_integer_k_of_any_integer_type():
+    _, lam = truncated_eigh(np.diag([3.0, 2.0, 1.0]), np.int64(2), 1e-10)
+    assert np.allclose(lam, [3.0, 2.0])
+    _, sigma, _ = truncated_svd(np.diag([3.0, 2.0, 1.0]), np.int32(1), 1e-10)
+    assert np.allclose(sigma, [3.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_and_norm_on_special_values(dtype):
+    v = np.array([3.0, -4.0], dtype=dtype)
+    assert _finite(v) and _norm(v) == 5.0
+    assert _norm(v.reshape(1, 2)) == 5.0
+    assert _finite(np.empty(0, dtype)) and _finite(np.empty((0, 3), dtype))
+    assert _norm(np.empty(0, dtype)) == 0.0
+    for bad, norm in ((math.nan, math.nan), (math.inf, math.inf),
+                      (-math.inf, math.inf)):
+        w = np.array([1.0, bad, 2.0], dtype=dtype)
+        assert not _finite(w)
+        assert _norm(w) == norm or math.isnan(norm) and math.isnan(_norm(w))
+    # a NaN next to an infinity gives a nan norm, as np.linalg.norm does
+    assert math.isnan(_norm(np.array([math.inf, math.nan], dtype=dtype)))
+
+
+def test_norm_keeps_float32_in_float32():
+    # the float32 sum of squares 1.25e38 is rounded in float32, as
+    # np.linalg.norm rounds it
+    v = np.float32([1e19, 5e18, 1.0])
+    assert _norm(v) == float(np.linalg.norm(v)) != float(
+        np.linalg.norm(v.astype(float)))
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e300),
+                                        (np.float32, 3e37)])
+def test_norm_when_the_sum_of_squares_overflows(dtype, big):
+    rng = np.random.default_rng(17)
+    v = (big * rng.uniform(-1.0, 1.0, 100_000)).astype(dtype)
+    v[7] = -big  # the greatest magnitude, negative
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(v))
+    # the squares are summed a chunk at a time: no array of v's size
+    tracemalloc.start()
+    try:
+        norm = _norm(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes / 2
+    # within 1e-12 of the exact norm: its square within 2e-12 of the sum
+    exact = sum(Fraction(x) ** 2 for x in v.tolist())
+    assert abs(Fraction(norm) ** 2 / exact - 1) <= 2e-12
 
 
 def symmetric(d, seed, dtype=float):
@@ -295,6 +368,14 @@ def test_svd_tall_memory_is_rank_sized():
     M = rng.standard_normal((6000, 3)) @ rng.standard_normal((3, 20))
     M += 0.01 * rng.standard_normal(M.shape)
     assert traced_peak_mb(truncated_svd, M, 3, 1e-2) < 10.0
+
+
+def test_svd_checks_make_no_array_of_the_input_size():
+    # a bool array of M's entries, as np.isfinite(M) makes, is 3.81 MB
+    rng = np.random.default_rng(18)
+    M = rng.standard_normal((2000, 2)) @ rng.standard_normal((2, 2000))
+    M += 0.01 * rng.standard_normal(M.shape)
+    assert traced_peak_mb(truncated_svd, M, 2, 1e-2) * 2**20 < M.size
 
 
 def test_eigh_memory_on_exactly_symmetric_input_is_krylov_bases():
